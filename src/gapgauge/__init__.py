@@ -15,17 +15,17 @@ from .gaps import (PRNG_ALGORITHM, GapSet, GapSpec, apply_gaps,
 from .harness import (AggregateRow, EvalConfig, EvalReport, aggregate,
                       rank_agreement, required_history, run_evaluation)
 from .imputers import (ArimaOrder, FittedArima, GradientBoostedTrees,
-                       ImputationResult, ImputerConfig, RegressionTree,
-                       arima_fill, fit_arima, forecast, gbt_fill, grid_search,
-                       impute, imputer_kinds, polynomial_fill,
-                       register_imputer, seasonal_naive_fill, select_order)
+                       ImputationResult, ImputerConfig, ParamSpec,
+                       RegressionTree, arima_fill, fit_arima, forecast,
+                       gbt_fill, grid_search, impute, imputer_kinds,
+                       polynomial_fill, register_imputer, seasonal_naive_fill,
+                       select_order)
 from .io import (IngestSpec, dump_config, emit_report, ingest_csv,
                  load_config, read_records_csv, write_series_csv)
-from .metrics import (Histogram, MetricRecord, jsd, jsd_histograms, kl, mae,
+from .metrics import (Histogram, MetricRecord, jsd, jsd_histograms, mae,
                       rmse, shared_histogram, wasserstein_1d)
 from .ranking import average_ranks, kendall, spearman
-from .series import (EmpiricalSample, TimeSeries, observed_values,
-                     slice_series, validate)
+from .series import EmpiricalSample, TimeSeries, slice_series, validate
 from .synth import SERIES_KINDS, synthesize_series
 
 __version__ = "0.1.0"
@@ -34,15 +34,15 @@ __all__ = [
     "AggregateRow", "ArimaOrder", "EmpiricalSample", "EvalConfig",
     "EvalReport", "FittedArima", "GapSet", "GapSpec", "GapgaugeError",
     "GradientBoostedTrees", "Histogram", "ImputationResult", "ImputerConfig",
-    "IngestSpec", "MetricRecord", "PRNG_ALGORITHM", "RegressionTree",
-    "SERIES_KINDS", "TimeSeries", "aggregate", "apply_gaps", "arima_fill",
-    "average_ranks", "dump_config", "emit_report", "fit_arima", "forecast",
-    "gap_set_from_json", "gap_set_to_json", "gbt_fill", "generate_gaps",
-    "grid_search", "impute", "imputer_kinds", "ingest_csv", "jsd",
-    "jsd_histograms", "kendall", "kl", "load_config", "mae",
-    "observed_values", "polynomial_fill", "pre_gap_window", "rank_agreement",
-    "read_records_csv", "register_imputer", "required_history", "rmse",
-    "run_evaluation", "seasonal_naive_fill", "select_order",
-    "shared_histogram", "slice_series", "spearman", "synthesize_series",
-    "validate", "wasserstein_1d", "write_series_csv",
+    "IngestSpec", "MetricRecord", "PRNG_ALGORITHM", "ParamSpec",
+    "RegressionTree", "SERIES_KINDS", "TimeSeries", "aggregate", "apply_gaps",
+    "arima_fill", "average_ranks", "dump_config", "emit_report", "fit_arima",
+    "forecast", "gap_set_from_json", "gap_set_to_json", "gbt_fill",
+    "generate_gaps", "grid_search", "impute", "imputer_kinds", "ingest_csv",
+    "jsd", "jsd_histograms", "kendall", "load_config", "mae",
+    "polynomial_fill", "pre_gap_window", "rank_agreement", "read_records_csv",
+    "register_imputer", "required_history", "rmse", "run_evaluation",
+    "seasonal_naive_fill", "select_order", "shared_histogram", "slice_series",
+    "spearman", "synthesize_series", "validate", "wasserstein_1d",
+    "write_series_csv",
 ]

@@ -7,8 +7,8 @@ aggregate per gap size, and measure rank agreement between the families.
 
 Each gap is imputed in isolation: the imputer sees the original series with
 only that gap masked, so one method's training window is never corrupted by
-a different artificial gap.  Gap placement reserves enough head-of-series
-history for the largest training span among the configured imputers.
+a different artificial gap.  Gap placement reserves the largest
+head-of-series history that the configured imputer kinds declare.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (ConfigError, DegenerateError, GapgaugeError,
                      InvalidParameterError, ShapeError)
 from .gaps import PRNG_ALGORITHM, GapSet, GapSpec, apply_gaps, generate_gaps, pre_gap_window
-from .imputers import ImputerConfig, derive_seed, impute
+from .imputers import ImputerConfig, derive_seed, impute, kind_spec
 from .metrics import MetricRecord, jsd, mae, rmse, wasserstein_1d
 from .ranking import kendall, spearman
 from .series import TimeSeries, validate
@@ -60,6 +60,10 @@ class EvalConfig:
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError("unknown aggregation rule",
                               aggregation=self.aggregation, known=AGGREGATIONS)
+        ids = [c.imputer_id for c in self.imputers]
+        if len(set(ids)) < len(ids):
+            # equal ids would merge into one imputer's aggregates
+            raise ConfigError("duplicate imputer configurations", imputer_ids=ids)
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,17 +115,7 @@ class EvalReport:
 
 def required_history(config: ImputerConfig, max_gap_len: int) -> int:
     """Head-of-series samples an imputer may need before any gap."""
-    params = config.params
-    if config.kind == "polynomial":
-        context = params.get("context")
-        return context if context else max(2 * max_gap_len, 4)
-    if config.kind == "seasonal_naive":
-        season = params["season"]
-        # worst case the ancestor must clear the whole gap
-        return season * ((max_gap_len + season - 1) // season + 1)
-    if config.kind in ("arima", "sarima", "gbt"):
-        return params["train_span"]
-    return int(params.get("required_history", 0))
+    return kind_spec(config.kind).history(config.params, max_gap_len)
 
 
 def _single_gap_view(series: TimeSeries, gap: GapSpec) -> TimeSeries:

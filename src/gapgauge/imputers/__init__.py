@@ -1,11 +1,13 @@
 """Gap-filling methods behind one uniform interface.
 
 Every imputer consumes a masked series plus a gap spec and returns exactly
-``gap.length`` finite values.  Methods register under a ``kind`` string;
-:class:`ImputerConfig` validates and normalizes kind-specific parameters so
-that equal configurations always produce equal ``imputer_id`` strings.  New
-methods (e.g. neural ones) plug in through :func:`register_imputer` without
-touching the harness.
+``gap.length`` finite values.  Each method registers under a ``kind`` string
+as one :class:`KindSpec`: its fill, a table of :class:`ParamSpec` entries and
+a history hook.  Parameter validation and normalization, hour-form config
+keys and head-of-series history reservation all derive from that one
+declaration, so equal configurations always produce equal ``imputer_id``
+strings.  New methods (e.g. neural ones) plug in through
+:func:`register_imputer` without touching the harness.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from .seasonal import seasonal_naive_fill
 
 __all__ = [
     "ArimaOrder", "FittedArima", "GradientBoostedTrees", "ImputationResult",
-    "ImputerConfig", "RegressionTree", "arima_fill", "causal_features",
-    "derive_seed", "fit_arima", "forecast", "gbt_fill", "grid_search",
-    "impute", "imputer_kinds", "polynomial_fill", "register_imputer",
-    "seasonal_naive_fill", "select_order",
+    "ImputerConfig", "KindSpec", "ParamSpec", "RegressionTree", "arima_fill",
+    "causal_features", "derive_seed", "fit_arima", "forecast", "gbt_fill",
+    "grid_search", "impute", "imputer_kinds", "kind_spec", "polynomial_fill",
+    "register_imputer", "seasonal_naive_fill", "select_order",
 ]
 
 
@@ -45,148 +47,141 @@ def derive_seed(master: int, *parts: int) -> int:
     return int(state[0])
 
 
-def _require(condition: bool, message: str, **context):
-    if not condition:
-        raise InvalidParameterError(message, **context)
+@dataclass(frozen=True)
+class ParamSpec:
+    """One imputer parameter: its type, default and accepted range.
+
+    ``type`` is ``int`` or ``float``.  ``low`` is exclusive when
+    ``low_open`` is set; ``high`` is always inclusive.  ``nullable`` admits
+    ``None``; ``hours`` lets a config file give the value as ``<name>_hours``.
+    """
+
+    name: str
+    type: type
+    default: object
+    low: float | None = None
+    high: float | None = None
+    low_open: bool = False
+    nullable: bool = False
+    hours: bool = False
+
+    def normalize(self, value):
+        if value is None and self.nullable:
+            return None
+        accepted = (int, np.integer) if self.type is int else (
+            int, float, np.integer, np.floating)
+        if not isinstance(value, accepted) or isinstance(value, bool):
+            noun = "an integer" if self.type is int else "a number"
+            raise InvalidParameterError(f"{self.name} must be {noun}", value=value)
+        value = self.type(value)
+        low_ok = self.low is None or (
+            value > self.low if self.low_open else value >= self.low)
+        if not low_ok or (self.high is not None and value > self.high):
+            raise InvalidParameterError(f"{self.name} out of range", value=value,
+                                        low=self.low, high=self.high)
+        return value
 
 
-def _int_param(params, name, default, minimum=None):
-    value = params.get(name, default)
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise InvalidParameterError(f"{name} must be an integer", value=value)
-    value = int(value)
-    if minimum is not None:
-        _require(value >= minimum, f"{name} must be >= {minimum}", value=value)
-    return value
-
-
-def _float_param(params, name, default, low=None, high=None, low_open=False):
-    value = params.get(name, default)
-    if not isinstance(value, (int, float, np.floating, np.integer)) or isinstance(value, bool):
-        raise InvalidParameterError(f"{name} must be a number", value=value)
-    value = float(value)
-    if low is not None:
-        ok = value > low if low_open else value >= low
-        _require(ok, f"{name} out of range", value=value)
-    if high is not None:
-        _require(value <= high, f"{name} out of range", value=value)
-    return value
-
-
-def _check_known(params: dict, known: set[str], kind: str):
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise ConfigError(f"unknown parameters for imputer kind {kind!r}",
-                          unknown=unknown)
-
-
-def _normalize_polynomial(params: dict) -> dict:
-    _check_known(params, {"order", "context"}, "polynomial")
-    out = {"order": _int_param(params, "order", 3, minimum=1)}
-    context = params.get("context")
-    if context is not None:
-        context = _int_param(params, "context", None, minimum=1)
-    out["context"] = context
-    return out
-
-
-def _normalize_seasonal(params: dict) -> dict:
-    _check_known(params, {"season"}, "seasonal_naive")
-    return {"season": _int_param(params, "season", 24, minimum=2)}
-
-
-def _normalize_arima(params: dict) -> dict:
-    _check_known(params, {"train_span", "p_max", "d_max", "q_max"}, "arima")
-    return {
-        "train_span": _int_param(params, "train_span", 1008, minimum=20),
-        "p_max": _int_param(params, "p_max", 3, minimum=0),
-        "d_max": _int_param(params, "d_max", 2, minimum=0),
-        "q_max": _int_param(params, "q_max", 3, minimum=0),
-    }
-
-
-def _normalize_sarima(params: dict) -> dict:
-    _check_known(params, {"train_span", "p_max", "d_max", "q_max",
-                          "P_max", "D_max", "Q_max", "season"}, "sarima")
-    return {
-        "train_span": _int_param(params, "train_span", 1008, minimum=20),
-        "p_max": _int_param(params, "p_max", 3, minimum=0),
-        "d_max": _int_param(params, "d_max", 2, minimum=0),
-        "q_max": _int_param(params, "q_max", 3, minimum=0),
-        "P_max": _int_param(params, "P_max", 1, minimum=0),
-        "D_max": _int_param(params, "D_max", 1, minimum=0),
-        "Q_max": _int_param(params, "Q_max", 1, minimum=0),
-        "season": _int_param(params, "season", 24, minimum=2),
-    }
-
-
-def _normalize_gbt(params: dict) -> dict:
-    _check_known(params, {"train_span", "trees", "max_depth", "learning_rate",
-                          "subsample", "sma_window", "ewma_alpha"}, "gbt")
-    return {
-        "train_span": _int_param(params, "train_span", 8760, minimum=2),
-        "trees": _int_param(params, "trees", 100, minimum=1),
-        "max_depth": _int_param(params, "max_depth", 4, minimum=1),
-        "learning_rate": _float_param(params, "learning_rate", 0.1,
-                                      low=0.0, high=1.0, low_open=True),
-        "subsample": _float_param(params, "subsample", 1.0,
-                                  low=0.0, high=1.0, low_open=True),
-        "sma_window": _int_param(params, "sma_window", 24, minimum=1),
-        "ewma_alpha": _float_param(params, "ewma_alpha", 0.3,
-                                   low=0.0, high=1.0, low_open=True),
-    }
-
-
-def _fill_polynomial(masked, gap, params, seed):
-    return polynomial_fill(masked, gap, order=params["order"],
-                           context=params["context"])
-
-
-def _fill_seasonal(masked, gap, params, seed):
-    return seasonal_naive_fill(masked, gap, season=params["season"])
-
-
-def _fill_arima(masked, gap, params, seed):
-    return arima_fill(masked, gap, train_span=params["train_span"],
-                      p_max=params["p_max"], d_max=params["d_max"],
-                      q_max=params["q_max"])
-
-
-def _fill_sarima(masked, gap, params, seed):
-    seasonal = (params["P_max"], params["D_max"], params["Q_max"], params["season"])
-    return arima_fill(masked, gap, train_span=params["train_span"],
-                      p_max=params["p_max"], d_max=params["d_max"],
-                      q_max=params["q_max"], seasonal=seasonal)
-
-
-def _fill_gbt(masked, gap, params, seed):
-    return gbt_fill(masked, gap, train_span=params["train_span"],
-                    trees=params["trees"], max_depth=params["max_depth"],
-                    learning_rate=params["learning_rate"],
-                    subsample=params["subsample"],
-                    sma_window=params["sma_window"],
-                    ewma_alpha=params["ewma_alpha"], seed=seed)
+def _no_history(params: dict, max_gap_len: int) -> int:
+    return 0
 
 
 @dataclass(frozen=True)
-class _ImputerKind:
+class KindSpec:
+    """Everything gapgauge knows about one imputer kind.
+
+    ``fill(masked, gap, params, seed)`` returns the gap's values;
+    ``history(params, max_gap_len)`` is how many head-of-series samples it
+    may read before any gap, which gap placement reserves.
+    """
+
     fill: Callable
-    normalize: Callable[[dict], dict]
+    params: tuple[ParamSpec, ...] = ()
+    history: Callable[[dict, int], int] = _no_history
+
+    def normalize(self, kind: str, params: dict) -> dict:
+        unknown = sorted(set(params) - {spec.name for spec in self.params})
+        if unknown:
+            raise ConfigError(f"unknown parameters for imputer kind {kind!r}",
+                              unknown=unknown)
+        return {spec.name: spec.normalize(params.get(spec.name, spec.default))
+                for spec in self.params}
 
 
-_REGISTRY: dict[str, _ImputerKind] = {
-    "polynomial": _ImputerKind(_fill_polynomial, _normalize_polynomial),
-    "seasonal_naive": _ImputerKind(_fill_seasonal, _normalize_seasonal),
-    "arima": _ImputerKind(_fill_arima, _normalize_arima),
-    "sarima": _ImputerKind(_fill_sarima, _normalize_sarima),
-    "gbt": _ImputerKind(_fill_gbt, _normalize_gbt),
+def _fill_arima(masked, gap, params, seed):
+    """Serves arima and sarima; sarima's seasonal bounds travel as one tuple."""
+    params = dict(params)
+    seasonal = None
+    if "season" in params:
+        seasonal = tuple(params.pop(name)
+                         for name in ("P_max", "D_max", "Q_max", "season"))
+    return arima_fill(masked, gap, seasonal=seasonal, **params)
+
+
+def _seasonal_history(params: dict, max_gap_len: int) -> int:
+    season = params["season"]
+    # worst case the ancestor must clear the whole gap
+    return season * ((max_gap_len + season - 1) // season + 1)
+
+
+def _train_span_history(params: dict, max_gap_len: int) -> int:
+    return params["train_span"]
+
+
+_ARIMA_PARAMS = (
+    ParamSpec("train_span", int, 1008, low=20, hours=True),
+    ParamSpec("p_max", int, 3, low=0),
+    ParamSpec("d_max", int, 2, low=0),
+    ParamSpec("q_max", int, 3, low=0),
+)
+
+_REGISTRY: dict[str, KindSpec] = {
+    "polynomial": KindSpec(
+        lambda masked, gap, params, seed: polynomial_fill(masked, gap, **params),
+        (ParamSpec("order", int, 3, low=1),
+         ParamSpec("context", int, None, low=1, nullable=True, hours=True)),
+        lambda params, max_gap_len: params["context"] or max(2 * max_gap_len, 4)),
+    "seasonal_naive": KindSpec(
+        lambda masked, gap, params, seed: seasonal_naive_fill(masked, gap, **params),
+        (ParamSpec("season", int, 24, low=2, hours=True),),
+        _seasonal_history),
+    "arima": KindSpec(_fill_arima, _ARIMA_PARAMS, _train_span_history),
+    "sarima": KindSpec(
+        _fill_arima,
+        _ARIMA_PARAMS + (ParamSpec("P_max", int, 1, low=0),
+                         ParamSpec("D_max", int, 1, low=0),
+                         ParamSpec("Q_max", int, 1, low=0),
+                         ParamSpec("season", int, 24, low=2, hours=True)),
+        _train_span_history),
+    "gbt": KindSpec(
+        lambda masked, gap, params, seed: gbt_fill(masked, gap, seed=seed, **params),
+        (ParamSpec("train_span", int, 8760, low=2, hours=True),
+         ParamSpec("trees", int, 100, low=1),
+         ParamSpec("max_depth", int, 4, low=1),
+         ParamSpec("learning_rate", float, 0.1, low=0.0, high=1.0, low_open=True),
+         ParamSpec("subsample", float, 1.0, low=0.0, high=1.0, low_open=True),
+         ParamSpec("sma_window", int, 24, low=1, hours=True),
+         ParamSpec("ewma_alpha", float, 0.3, low=0.0, high=1.0, low_open=True)),
+        _train_span_history),
 }
 
 
-def register_imputer(kind: str, fill: Callable,
-                     normalize: Callable[[dict], dict] | None = None) -> None:
-    """Extension seam: add a new kind callable as fill(masked, gap, params, seed)."""
-    _REGISTRY[kind] = _ImputerKind(fill, normalize or (lambda params: dict(params)))
+def register_imputer(kind: str, fill: Callable, params: tuple[ParamSpec, ...] = (),
+                     history: Callable[[dict, int], int] | None = None) -> None:
+    """Extension seam: add a kind callable as ``fill(masked, gap, params, seed)``.
+
+    ``params`` declares every parameter the kind accepts; any other key is
+    rejected.  ``history(params, max_gap_len)`` returns the head-of-series
+    samples the kind needs before any gap (none when omitted).
+    """
+    _REGISTRY[kind] = KindSpec(fill, tuple(params), history or _no_history)
+
+
+def kind_spec(kind: str) -> KindSpec:
+    """The registered declaration of ``kind``; ``ConfigError`` if unknown."""
+    if kind not in _REGISTRY:
+        raise ConfigError(f"unknown imputer kind {kind!r}", known=sorted(_REGISTRY))
+    return _REGISTRY[kind]
 
 
 def imputer_kinds() -> tuple[str, ...]:
@@ -201,10 +196,7 @@ class ImputerConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _REGISTRY:
-            raise ConfigError(f"unknown imputer kind {self.kind!r}",
-                              known=sorted(_REGISTRY))
-        self.params = _REGISTRY[self.kind].normalize(dict(self.params))
+        self.params = kind_spec(self.kind).normalize(self.kind, self.params)
 
     @property
     def imputer_id(self) -> str:

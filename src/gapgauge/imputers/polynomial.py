@@ -16,9 +16,9 @@ def polynomial_fill(masked: TimeSeries, gap: GapSpec, order: int = 3,
     ``context`` is the window width, in samples, inspected on each side of
     the gap; it defaults to twice the gap length with a floor of four
     samples.  Each side must contribute at least ``order + 1`` observed
-    points, except that a gap running to the end of the series falls back to
-    extrapolation from the left context alone.  The abscissa is the sample
-    index.
+    points, except that when the series end cuts the right window short of
+    that, the fill extrapolates from the left context alone.  The abscissa
+    is the sample index.
     """
     if order < 1:
         raise ContextError("polynomial order must be >= 1", order=order)
@@ -34,13 +34,13 @@ def polynomial_fill(masked: TimeSeries, gap: GapSpec, order: int = 3,
     if len(left_idx) < needed:
         raise ContextError("insufficient observed context left of gap",
                            needed=needed, found=len(left_idx))
-    if gap.end_index >= len(masked):
-        idx = left_idx  # gap abuts the series end: extrapolate
-    else:
-        if len(right_idx) < needed:
-            raise ContextError("insufficient observed context right of gap",
-                               needed=needed, found=len(right_idx))
+    if len(right_idx) >= needed:
         idx = np.concatenate([left_idx, right_idx])
+    elif gap.end_index + context >= len(masked):
+        idx = left_idx  # the series end cuts the right window: extrapolate
+    else:
+        raise ContextError("insufficient observed context right of gap",
+                           needed=needed, found=len(right_idx))
 
     # Polynomial.fit maps the abscissa onto [-1, 1] for conditioning.
     poly = np.polynomial.Polynomial.fit(idx, masked.values[idx], deg=order)

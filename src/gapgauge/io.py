@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CadenceError, DuplicateTimestampError, ParseError,
-                     SchemaError)
+from .errors import (CadenceError, ConfigError, DuplicateTimestampError,
+                     GapgaugeError, ParseError, SchemaError)
 from .harness import AggregateRow, EvalConfig, EvalReport, aggregate
-from .imputers import ImputerConfig
+from .imputers import ImputerConfig, kind_spec
 from .metrics import MetricRecord
 from .series import TimeSeries
 
@@ -29,17 +29,6 @@ SCHEMA_VERSION = 1
 RECORD_COLUMNS = ("gap_id", "imputer_id", "gap_len", "wd", "jsd", "rmse", "mae", "error")
 AGGREGATE_COLUMNS = ("imputer_id", "gap_len", "mean_wd", "mean_jsd",
                      "mean_rmse", "mean_mae", "n", "n_failed")
-
-# Config keys that speak hours, per imputer kind, mapped to the sample-unit
-# parameter they populate.
-_HOUR_PARAMS = {
-    "polynomial": {"context_hours": "context"},
-    "seasonal_naive": {"season_hours": "season"},
-    "arima": {"train_span_hours": "train_span"},
-    "sarima": {"train_span_hours": "train_span", "season_hours": "season"},
-    "gbt": {"train_span_hours": "train_span", "sma_window_hours": "sma_window"},
-}
-
 
 @dataclass
 class IngestSpec:
@@ -173,6 +162,11 @@ def _hours_to_samples(hours: float, step_seconds: float, path: str) -> int:
     return rounded
 
 
+def _hour_keys(specs):
+    """(config key in hours, parameter in samples) for each hour-form parameter."""
+    return [(f"{spec.name}_hours", spec.name) for spec in specs if spec.hours]
+
+
 def _expect(doc: dict, key: str, kinds, path: str, default=None, required=False):
     if key not in doc:
         if required:
@@ -234,7 +228,11 @@ def load_config(path, step_seconds: float = 3600.0,
             raise SchemaError("imputer entry must be an object", path=where)
         kind = _expect(entry, "kind", str, f"{where}.kind", required=True)
         params = dict(_expect(entry, "params", dict, f"{where}.params", default={}))
-        for hour_key, sample_key in _HOUR_PARAMS.get(kind, {}).items():
+        try:
+            specs = kind_spec(kind).params
+        except ConfigError as exc:
+            raise SchemaError(str(exc), path=f"{where}.kind") from None
+        for hour_key, sample_key in _hour_keys(specs):
             if hour_key in params:
                 hours = params.pop(hour_key)
                 if not isinstance(hours, (int, float)) or isinstance(hours, bool):
@@ -244,7 +242,7 @@ def load_config(path, step_seconds: float = 3600.0,
                     hours, step_seconds, f"{where}.params.{hour_key}")
         try:
             imputers.append(ImputerConfig(kind, params))
-        except Exception as exc:
+        except GapgaugeError as exc:
             raise SchemaError(f"invalid imputer config: {exc}",
                               path=f"{where}.params") from None
 
@@ -260,7 +258,7 @@ def load_config(path, step_seconds: float = 3600.0,
             aggregation=_expect(doc, "aggregation", str, "aggregation",
                                 default="exact"),
         )
-    except Exception as exc:
+    except GapgaugeError as exc:
         raise SchemaError(f"invalid configuration: {exc}", path="$") from None
 
 
@@ -269,7 +267,7 @@ def dump_config(config: EvalConfig, step_seconds: float = 3600.0) -> dict:
     imputers = []
     for imputer in config.imputers:
         params = dict(imputer.params)
-        for hour_key, sample_key in _HOUR_PARAMS.get(imputer.kind, {}).items():
+        for hour_key, sample_key in _hour_keys(kind_spec(imputer.kind).params):
             if params.get(sample_key) is not None:
                 params[hour_key] = params.pop(sample_key) * step_seconds / 3600.0
         imputers.append({"kind": imputer.kind, "params": params})

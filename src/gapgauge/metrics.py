@@ -108,27 +108,12 @@ def shared_histogram(p, q, bins: int = 10, epsilon: float = 1e-6) -> tuple[Histo
     return smoothed(pv), smoothed(qv)
 
 
-def kl(p: Histogram, q: Histogram) -> float:
-    """Relative entropy sum(p * log2(p/q)) with the 0*log 0 = 0 convention.
-
-    Requires identical edges and strictly positive q mass (guaranteed when q
-    came out of :func:`shared_histogram`).  Asymmetric and unbounded, hence
-    only an internal building block for the symmetric, bounded JSD.
-    """
-    if len(p.edges) != len(q.edges) or not np.array_equal(p.edges, q.edges):
-        raise ShapeError("histograms must share identical edges")
-    if np.any(q.mass <= 0):
-        raise InvalidParameterError("reference histogram must be strictly positive")
-    support = p.mass > 0
-    return float(np.sum(p.mass[support] * np.log2(p.mass[support] / q.mass[support])))
-
-
 def jsd_histograms(p: Histogram, q: Histogram) -> float:
     """Jensen-Shannon divergence of two histograms on shared edges.
 
-    Averages the relative entropies of each input against their even
-    mixture.  Wherever an input has positive mass the mixture does too, so
-    no smoothing is needed at this level.
+    Averages the base-2 relative entropy (Kullback-Leibler divergence) of
+    each input against their even mixture.  Wherever an input has positive
+    mass the mixture does too, so no smoothing is needed at this level.
     """
     if len(p.edges) != len(q.edges) or not np.array_equal(p.edges, q.edges):
         raise ShapeError("histograms must share identical edges")

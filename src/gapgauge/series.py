@@ -113,17 +113,3 @@ def slice_series(series: TimeSeries, start_index: int, length: int) -> TimeSerie
         values=series.values[start_index:start_index + length].copy(),
         observed=series.observed[start_index:start_index + length].copy(),
     )
-
-
-def observed_values(series: TimeSeries, start_index: int, length: int) -> EmpiricalSample:
-    """Values at observed positions within a window, in index order.
-
-    Consumers treat the result as an unordered sample.  A fully missing
-    window raises :class:`EmptySampleError`.
-    """
-    _check_window(series, start_index, length)
-    mask = series.observed[start_index:start_index + length]
-    if not mask.any():
-        raise EmptySampleError("window contains no observed positions",
-                               start_index=start_index, length=length)
-    return EmpiricalSample(series.values[start_index:start_index + length][mask])

@@ -256,3 +256,8 @@ class TestEvalConfig:
             EvalConfig(imputers=small_imputers(), bins=1)
         with pytest.raises(ConfigError):
             EvalConfig(imputers=small_imputers(), aggregation="decile")
+
+    def test_duplicate_imputers_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate"):
+            EvalConfig(imputers=[*small_imputers(),
+                                 ImputerConfig("seasonal_naive", {})])

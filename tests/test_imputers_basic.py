@@ -64,6 +64,21 @@ class TestPolynomial:
             polynomial_fill(series, gap, order=3)
         assert "needed" in str(err.value) and "found" in str(err.value)
 
+    def test_series_end_cutting_right_window_extrapolates(self):
+        # two samples after the gap cannot support order 3 on the right
+        gap = GapSpec(30, 8)
+        values = np.sin(np.arange(40.0) / 5.0)
+        fill = polynomial_fill(masked_series(values, gap), gap, order=3)
+        left_only = polynomial_fill(masked_series(values[:38], gap), gap, order=3)
+        assert np.array_equal(fill, left_only)
+
+    def test_masked_right_context_mid_series_still_errors(self):
+        gap = GapSpec(10, 3)
+        series = masked_series(np.arange(60.0), gap)
+        series.observed[13:20] = False
+        with pytest.raises(ContextError, match="right of gap"):
+            polynomial_fill(series, gap, order=3, context=6)
+
     def test_default_context_scales_with_gap(self):
         gap = GapSpec(30, 10)
         series = masked_series(np.sin(np.arange(80.0)), gap)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from gapgauge import (EvalConfig, ImputerConfig, IngestSpec, MetricRecord,
-                      dump_config, emit_report, ingest_csv, load_config,
-                      read_records_csv, run_evaluation, synthesize_series,
-                      write_series_csv)
-from gapgauge.errors import (CadenceError, DuplicateTimestampError,
-                             ParseError, SchemaError)
+                      ParamSpec, dump_config, emit_report, ingest_csv,
+                      load_config, read_records_csv, register_imputer,
+                      run_evaluation, synthesize_series, write_series_csv)
+from gapgauge.errors import (CadenceError, ConfigError,
+                             DuplicateTimestampError, ParseError, SchemaError)
+from gapgauge.imputers import _REGISTRY
 from gapgauge.io import write_records_csv
 
 REPO_DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -115,6 +116,9 @@ class TestConfig:
         assert config.max_len == 48
         assert [c.kind for c in config.imputers] == \
             ["polynomial", "seasonal_naive", "arima", "sarima", "gbt"]
+        assert [c.imputer_id for c in config.imputers] == [
+            "polynomial-2e5479fc", "seasonal_naive-2bcdc8c9", "arima-d3e7b32f",
+            "sarima-dbfc0f22", "gbt-ada7b7b9"]
 
     def test_hours_convert_with_step(self):
         config = load_config(REPO_DEFAULT_CONFIG, step_seconds=900.0)
@@ -146,6 +150,56 @@ class TestConfig:
         with pytest.raises(SchemaError) as err:
             load_config(path)
         assert "imputers[0].params" in str(err.value)
+
+    def test_duplicate_imputers_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "gap_hours": {"min": 2, "max": 8},
+            "imputers": [{"kind": "polynomial"},
+                         {"kind": "polynomial", "params": {"order": 3}}]}))
+        with pytest.raises(SchemaError, match="duplicate"):
+            load_config(path)
+
+    def test_program_errors_are_not_schema_errors(self, tmp_path):
+        # a bound of the wrong type is a fault in the kind's declaration
+        register_imputer("miswired", lambda masked, gap, params, seed: None,
+                         params=(ParamSpec("width", int, 3, low="1"),))
+        try:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({
+                "schema_version": 1, "gap_hours": {"min": 2, "max": 8},
+                "imputers": [{"kind": "miswired"}]}))
+            with pytest.raises(TypeError):
+                load_config(path)
+        finally:
+            _REGISTRY.pop("miswired")
+
+    def test_plugin_hours_and_history(self, tmp_path):
+        def lagged_fill(masked, gap, params, seed):
+            return np.full(gap.length, masked.values[gap.start_index - params["lag"]])
+
+        register_imputer("lagged", lagged_fill,
+                         params=(ParamSpec("lag", int, 1, low=1, hours=True),),
+                         history=lambda params, max_gap_len: 50 * params["lag"])
+        try:
+            with pytest.raises(ConfigError):
+                ImputerConfig("lagged", {"required_history": 10})
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({
+                "schema_version": 1, "seed": 4, "n_gaps": 10,
+                "gap_hours": {"min": 2, "max": 6},
+                "imputers": [{"kind": "lagged", "params": {"lag_hours": 6}}]}))
+            config = load_config(path, step_seconds=900.0)
+            assert config.imputers[0].params == {"lag": 24}
+            assert dump_config(config, step_seconds=900.0)["imputers"] == [
+                {"kind": "lagged", "params": {"lag_hours": 6.0}}]
+            series = synthesize_series("seasonal", 4000, {}, seed=1)
+            report = run_evaluation(series, config)
+        finally:
+            _REGISTRY.pop("lagged")
+        assert report.provenance["history_reserve"] == 1200
+        assert all(g.start_index >= 1200 for g in report.gaps)
+        assert not any(r.failed for r in report.records)
 
     def test_unsupported_schema_version(self, tmp_path):
         path = tmp_path / "c.json"

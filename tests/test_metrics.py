@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from gapgauge import (Histogram, MetricRecord, jsd, jsd_histograms, kl, mae,
+from gapgauge import (Histogram, MetricRecord, jsd, jsd_histograms, mae,
                       rmse, shared_histogram, wasserstein_1d)
 from gapgauge.errors import (EmptySampleError, InvalidParameterError,
                              InvalidSampleError, ShapeError)
 
-from _oracles import jsd_direct, kl_direct, transport_cost_bruteforce
+from _oracles import jsd_direct, transport_cost_bruteforce
 
 
 def random_sample(rng, max_size=12):
@@ -121,45 +121,6 @@ class TestSharedHistogram:
             shared_histogram([1.0], [2.0], bins=1)
         with pytest.raises(InvalidParameterError):
             shared_histogram([1.0], [2.0], epsilon=0.0)
-
-
-class TestKL:
-    def edges(self, k):
-        return np.arange(k + 1, dtype=float)
-
-    def test_identical_is_zero(self):
-        h = Histogram(self.edges(2), np.array([0.4, 0.6]))
-        assert kl(h, h) == pytest.approx(0.0, abs=1e-12)
-
-    def test_one_bit_hand_value(self):
-        p = Histogram(self.edges(2), np.array([1.0, 0.0]))
-        q = Histogram(self.edges(2), np.array([0.5, 0.5]))
-        assert kl(p, q) == pytest.approx(1.0, abs=1e-12)
-
-    def test_asymmetry_witnessed(self):
-        p = Histogram(self.edges(2), np.array([0.9, 0.1]))
-        q = Histogram(self.edges(2), np.array([0.5, 0.5]))
-        forward = kl(p, q)
-        backward = kl(q, p)
-        assert forward == pytest.approx(kl_direct([0.9, 0.1], [0.5, 0.5]), abs=1e-12)
-        assert backward == pytest.approx(kl_direct([0.5, 0.5], [0.9, 0.1]), abs=1e-12)
-        assert forward != backward
-
-    def test_non_negative(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            k = int(rng.integers(2, 8))
-            p = rng.dirichlet(np.ones(k))
-            q = rng.dirichlet(np.ones(k)) + 1e-9
-            q = q / q.sum()
-            assert kl(Histogram(self.edges(k), p),
-                      Histogram(self.edges(k), q)) >= -1e-12
-
-    def test_mismatched_edges_rejected(self):
-        p = Histogram(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5]))
-        q = Histogram(np.array([0.0, 2.0, 4.0]), np.array([0.5, 0.5]))
-        with pytest.raises(ShapeError):
-            kl(p, q)
 
 
 class TestJSD:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gapgauge import (EmpiricalSample, TimeSeries, observed_values,
-                      slice_series, validate)
+from gapgauge import EmpiricalSample, TimeSeries, slice_series, validate
 from gapgauge.errors import EmptySampleError, InvalidSampleError, RangeError
 
 
@@ -82,39 +81,6 @@ class TestSlice:
             assert direct.start_time == nested.start_time
             assert np.array_equal(direct.values, nested.values)
             assert np.array_equal(direct.observed, nested.observed)
-
-
-class TestObservedValues:
-    def test_fully_observed_window(self):
-        sample = observed_values(hourly([1.0, 2.0, 3.0]), 0, 3)
-        assert np.array_equal(sample.values, [1.0, 2.0, 3.0])
-
-    def test_mask_filters(self):
-        series = hourly([1.0, 0.0, 3.0], observed=[True, False, True])
-        sample = observed_values(series, 0, 3)
-        assert np.array_equal(sample.values, [1.0, 3.0])
-
-    def test_fully_missing_window_errors(self):
-        series = hourly([1.0, 2.0], observed=[False, False])
-        with pytest.raises(EmptySampleError):
-            observed_values(series, 0, 2)
-
-    def test_out_of_bounds_window(self):
-        with pytest.raises(RangeError):
-            observed_values(hourly([1.0, 2.0]), 1, 5)
-
-    def test_values_always_finite_on_validated_series(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            n = int(rng.integers(1, 40))
-            observed = rng.random(n) < 0.7
-            values = rng.normal(size=n)
-            values[~observed] = np.nan  # masked junk must never leak out
-            series = hourly(values, observed=observed)
-            assert validate(series).ok
-            if observed.any():
-                sample = observed_values(series, 0, n)
-                assert np.all(np.isfinite(sample.values))
 
 
 class TestEmpiricalSample:
