@@ -65,7 +65,8 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
     reserve head-of-series history, e.g. for model training windows.
 
     Raises :class:`CapacityError` after ``10_000 * n_gaps`` total rejected
-    draws, reporting how many gaps were placed.
+    draws, reporting how many gaps were placed, and before any draw when the
+    request provably cannot fit.
     """
     if not (1 <= min_len <= max_len):
         raise InvalidParameterError("need 1 <= min_len <= max_len",
@@ -77,6 +78,16 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
     if not 0 <= seed < 2**64:
         raise InvalidParameterError("seed must fit an unsigned 64-bit integer",
                                     seed=seed)
+
+    # Every extended interval spans at least 2 * min_len samples and lies in
+    # [max(0, min_start - max_len), series_length); disjoint ones that do not
+    # fit in that span in total can never all be placed.
+    room = series_length - max(0, min_start - max_len)
+    if n_gaps * 2 * min_len > room:
+        raise CapacityError(
+            "gaps with their windows cannot fit in the series",
+            placed=0, requested=n_gaps, series_length=series_length,
+            min_len=min_len, room=room)
 
     rng = _rng(seed)
     occupied: list[tuple[int, int]] = []  # accepted extended intervals

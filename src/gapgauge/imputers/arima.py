@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (DivergenceError, InvalidParameterError,
+from ..errors import (DivergenceError, GapgaugeError, InvalidParameterError,
                       RankDeficiencyError, SelectionError, TrainingError,
                       TrainingWindowError)
 from ..gaps import GapSpec
@@ -317,7 +317,8 @@ def _select_and_fit(train: TimeSeries, p_max: int, d_max: int, q_max: int,
             levels, ops = level_cache[key]
             core = _fit_core(levels[-1], order,
                              stage1_caches.setdefault(key, {}))
-        except Exception as exc:  # noqa: BLE001 - reason collected per candidate
+        except (GapgaugeError, np.linalg.LinAlgError) as exc:
+            # A typed fit failure rejects this candidate; anything else is a bug.
             failures[order.label()] = str(exc)
             continue
         rank = (core["aic"], order.n_params, order.d + order.D,

@@ -25,6 +25,12 @@ class RegressionTree:
     Splits are midpoints between adjacent distinct feature values; ties in
     gain resolve to the first feature and the lowest threshold, so fitting
     is deterministic.
+
+    The split search is the exact-greedy presorted column layout of XGBoost
+    (Chen & Guestrin, KDD 2016, sections 3.1 and 4.1): every feature column
+    is sorted once per fit, and each node owns one contiguous segment of
+    every sorted column.  A split partitions each segment stably, so a node
+    reads its rows in the order a stable sort of its own values would give.
     """
 
     def __init__(self, max_depth: int = 4, min_samples_leaf: int = 1):
@@ -38,15 +44,28 @@ class RegressionTree:
         self._right: list[int] = []
         self._value: list[float] = []
 
-    def fit(self, X, y) -> "RegressionTree":
+    def fit(self, X, y, order=None, out=None) -> "RegressionTree":
+        """Grow the tree on ``X``, ``y``.
+
+        ``order`` is ``np.argsort(X, axis=0, kind="stable")``; a caller that
+        fits many trees on one ``X`` passes it to skip the sort, and it is
+        not modified.  When ``out`` is given, each training row's leaf value
+        is written to it, which equals ``self.predict(X)``.
+        """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
             raise TrainingError("need a non-empty aligned training set",
                                 rows=len(y))
+        if order is None:
+            order = np.argsort(X, axis=0, kind="stable")
+        # One row of row indices per feature, plus the identity as the last
+        # row: it stays ascending under stable partitions, and means and sums
+        # over ascending rows keep the summation order of a plain y[idx].
+        block = np.vstack([np.asarray(order).T, np.arange(len(y))])
         self._feature, self._threshold = [], []
         self._left, self._right, self._value = [], [], []
-        self._grow(X, y, np.arange(len(y)), depth=0)
+        self._grow(X.T, y, block, 0, len(y), 0, out)
         return self
 
     def _new_node(self, value: float) -> int:
@@ -57,42 +76,53 @@ class RegressionTree:
         self._value.append(value)
         return len(self._value) - 1
 
-    def _grow(self, X, y, idx, depth) -> int:
-        node = self._new_node(float(y[idx].mean()))
-        if depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf:
-            return node
-        split = self._best_split(X, y, idx)
+    def _grow(self, cols, y, block, start, end, depth, out) -> int:
+        rows = block[-1, start:end]
+        # The floats of y[rows].mean() and y[rows].sum(), from one sum.
+        total = y[rows].sum()
+        node = self._new_node(float(total / len(rows)))
+        split = None
+        if depth < self.max_depth and end - start >= 2 * self.min_samples_leaf:
+            split = self._best_split(cols, y, block[:-1, start:end], float(total))
         if split is None:
+            if out is not None:
+                out[rows] = self._value[node]
             return node
         feature, threshold = split
-        mask = X[idx, feature] <= threshold
+        goes_left = np.empty(len(y), dtype=bool)
+        goes_left[rows] = cols[feature][rows] <= threshold
+        # Partition each sorted row of the segment stably, one at a time so
+        # that the temporaries stay the size of one row.
+        for seg in block[:, start:end]:
+            side = goes_left[seg]
+            left, right = seg[side], seg[~side]
+            n_left = len(left)
+            seg[:n_left] = left
+            seg[n_left:] = right
         self._feature[node] = feature
         self._threshold[node] = threshold
-        self._left[node] = self._grow(X, y, idx[mask], depth + 1)
-        self._right[node] = self._grow(X, y, idx[~mask], depth + 1)
+        self._left[node] = self._grow(cols, y, block, start, start + n_left,
+                                      depth + 1, out)
+        self._right[node] = self._grow(cols, y, block, start + n_left, end,
+                                       depth + 1, out)
         return node
 
-    def _best_split(self, X, y, idx):
+    def _best_split(self, cols, y, sorted_rows, total):
         best_gain = 0.0
         best = None
-        total = float(y[idx].sum())
-        n = len(idx)
-        for feature in range(X.shape[1]):
-            xs = X[idx, feature]
-            order = np.argsort(xs, kind="stable")
-            xs_sorted = xs[order]
-            ys_sorted = y[idx][order]
-            left_sum = np.cumsum(ys_sorted)[:-1]
-            left_n = np.arange(1, n)
+        n = sorted_rows.shape[1]
+        left_n = np.arange(1.0, n)
+        right_n = n - left_n
+        enough = (left_n >= self.min_samples_leaf) & (right_n >= self.min_samples_leaf)
+        parent = total ** 2 / n
+        for feature, seg in enumerate(sorted_rows):
+            xs_sorted = cols[feature][seg]
+            left_sum = np.cumsum(y[seg])[:-1]
             right_sum = total - left_sum
-            right_n = n - left_n
             # Gain in SSE reduction; the sum-of-squares term cancels.
-            gain = (left_sum ** 2 / left_n + right_sum ** 2 / right_n
-                    - total ** 2 / n)
-            valid = (xs_sorted[1:] > xs_sorted[:-1]) \
-                & (left_n >= self.min_samples_leaf) \
-                & (right_n >= self.min_samples_leaf)
-            gain = np.where(valid, gain, -np.inf)
+            gain = left_sum ** 2 / left_n + right_sum ** 2 / right_n - parent
+            valid = (xs_sorted[1:] > xs_sorted[:-1]) & enough
+            gain[~valid] = -np.inf
             pos = int(np.argmax(gain))
             if gain[pos] > best_gain:
                 best_gain = float(gain[pos])
@@ -146,6 +176,9 @@ class GradientBoostedTrees:
         current = np.full(len(y), self.base)
         self.stages = []
         self.training_mse = []
+        # The features are the same for every stage, so sort them once.
+        order = np.argsort(X, axis=0, kind="stable")
+        step = np.empty(len(y))
         for _ in range(self.trees):
             residuals = y - current
             if self.subsample < 1.0:
@@ -153,10 +186,13 @@ class GradientBoostedTrees:
                     raise InvalidParameterError("subsample < 1 requires an rng")
                 size = max(1, int(round(self.subsample * len(y))))
                 rows = np.sort(self.rng.choice(len(y), size=size, replace=False))
+                tree = RegressionTree(max_depth=self.max_depth).fit(X[rows], residuals[rows])
+                step = tree.predict(X)
             else:
-                rows = slice(None)
-            tree = RegressionTree(max_depth=self.max_depth).fit(X[rows], residuals[rows])
-            current = current + self.learning_rate * tree.predict(X)
+                # The growing tree writes each row's leaf value into step.
+                tree = RegressionTree(max_depth=self.max_depth).fit(
+                    X, residuals, order=order, out=step)
+            current = current + self.learning_rate * step
             self.stages.append(tree)
             self.training_mse.append(float(np.mean((y - current) ** 2)))
         return self
@@ -232,7 +268,9 @@ def gbt_fill(masked: TimeSeries, gap: GapSpec, train_span: int = DEFAULT_TRAIN_S
                                   gap_start=gap.start_index, train_span=train_span)
 
     values = masked.values[lo:gap.start_index]
-    hours = np.array([masked.hour_of_day(i) for i in range(lo, gap.start_index)])
+    # The float operations of TimeSeries.hour_of_day, over the whole window.
+    hours = ((masked.start_time + np.arange(lo, gap.start_index) * masked.step)
+             % 86400.0 // 3600.0).astype(int)
     X, y = causal_features(values, hours, sma_window, ewma_alpha)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     model = GradientBoostedTrees(trees=trees, max_depth=max_depth,

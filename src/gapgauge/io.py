@@ -234,6 +234,10 @@ def load_config(path, step_seconds: float = 3600.0,
             raise SchemaError(str(exc), path=f"{where}.kind") from None
         for hour_key, sample_key in _hour_keys(specs):
             if hour_key in params:
+                if sample_key in params:
+                    raise SchemaError(
+                        f"{sample_key} given twice, in samples and in hours",
+                        path=f"{where}.params.{sample_key},{where}.params.{hour_key}")
                 hours = params.pop(hour_key)
                 if not isinstance(hours, (int, float)) or isinstance(hours, bool):
                     raise SchemaError("hour-form parameter must be a number",

@@ -119,3 +119,104 @@ def best_single_split_sse(x, y) -> float:
         if len(left) and len(right):
             best = min(best, sse(left) + sse(right))
     return best
+
+
+class ReferenceTree:
+    """The regression tree as first written: a stable argsort of every
+    feature at every node, a boolean mask per split and a per-row predict.
+
+    The library's presorted tree must build the same node arrays."""
+
+    def __init__(self, max_depth: int = 4, min_samples_leaf: int = 1):
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+        self.feature, self.threshold = [], []
+        self.left, self.right, self.value = [], [], []
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self._grow(X, y, np.arange(len(y)), 0)
+        return self
+
+    def _grow(self, X, y, idx, depth):
+        node = len(self.value)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(float(y[idx].mean()))
+        if depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf:
+            return node
+        split = self._best_split(X, y, idx)
+        if split is None:
+            return node
+        feature, threshold = split
+        mask = X[idx, feature] <= threshold
+        self.feature[node] = feature
+        self.threshold[node] = threshold
+        self.left[node] = self._grow(X, y, idx[mask], depth + 1)
+        self.right[node] = self._grow(X, y, idx[~mask], depth + 1)
+        return node
+
+    def _best_split(self, X, y, idx):
+        best_gain = 0.0
+        best = None
+        total = float(y[idx].sum())
+        n = len(idx)
+        for feature in range(X.shape[1]):
+            xs = X[idx, feature]
+            order = np.argsort(xs, kind="stable")
+            xs_sorted = xs[order]
+            ys_sorted = y[idx][order]
+            left_sum = np.cumsum(ys_sorted)[:-1]
+            left_n = np.arange(1, n)
+            right_sum = total - left_sum
+            right_n = n - left_n
+            gain = (left_sum ** 2 / left_n + right_sum ** 2 / right_n
+                    - total ** 2 / n)
+            valid = (xs_sorted[1:] > xs_sorted[:-1]) \
+                & (left_n >= self.min_samples_leaf) \
+                & (right_n >= self.min_samples_leaf)
+            gain = np.where(valid, gain, -np.inf)
+            pos = int(np.argmax(gain))
+            if gain[pos] > best_gain:
+                best_gain = float(gain[pos])
+                best = (feature, float((xs_sorted[pos] + xs_sorted[pos + 1]) / 2.0))
+        return best
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=float)
+        out = np.empty(len(X))
+        for i, row in enumerate(X):
+            node = 0
+            while self.feature[node] >= 0:
+                if row[self.feature[node]] <= self.threshold[node]:
+                    node = self.left[node]
+                else:
+                    node = self.right[node]
+            out[i] = self.value[node]
+        return out
+
+
+def reference_boosting(X, y, trees, max_depth, learning_rate, subsample=1.0,
+                       rng=None):
+    """Stagewise boosting that updates the residuals with a full predict of
+    each new tree.  Returns (base, stage trees, training MSE per stage)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    base = float(y.mean())
+    current = np.full(len(y), base)
+    stages, training_mse = [], []
+    for _ in range(trees):
+        residuals = y - current
+        if subsample < 1.0:
+            size = max(1, int(round(subsample * len(y))))
+            rows = np.sort(rng.choice(len(y), size=size, replace=False))
+        else:
+            rows = slice(None)
+        tree = ReferenceTree(max_depth).fit(X[rows], residuals[rows])
+        current = current + learning_rate * tree.predict(X)
+        stages.append(tree)
+        training_mse.append(float(np.mean((y - current) ** 2)))
+    return base, stages, training_mse

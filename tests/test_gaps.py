@@ -37,6 +37,24 @@ class TestGenerateGaps:
             generate_gaps(8, 3, 4, 4, seed=0)
         assert "placed" in str(err.value)
 
+    def test_provably_infeasible_request_fails_before_drawing(self):
+        # 30 windows of at least 40 samples cannot fit in 1000
+        with pytest.raises(CapacityError) as err:
+            generate_gaps(1000, 30, 20, 24, seed=0)
+        assert err.value.context["placed"] == 0
+        assert err.value.context["requested"] == 30
+        assert err.value.context["series_length"] == 1000
+        assert "attempts" not in err.value.context
+
+    def test_request_that_exactly_fits_is_placed(self):
+        # min_start 96 lets the window start at 92: 8 samples of room, one
+        # window of 8; a sample less of room is infeasible
+        (gap,) = generate_gaps(100, 1, 4, 4, seed=0, min_start=96).gaps
+        assert gap == GapSpec(96, 4)
+        with pytest.raises(CapacityError) as err:
+            generate_gaps(100, 1, 4, 4, seed=0, min_start=97)
+        assert "attempts" not in err.value.context
+
     def test_lengths_within_bounds_and_window_room(self):
         for seed in range(8):
             gap_set = generate_gaps(5_000, 40, 2, 48, seed=seed)

@@ -7,6 +7,7 @@ from gapgauge import (ArimaOrder, GapSpec, TimeSeries, arima_fill, fit_arima,
                       forecast, select_order, slice_series, synthesize_series)
 from gapgauge.errors import (InvalidParameterError, RankDeficiencyError,
                              SelectionError, TrainingWindowError)
+from gapgauge.imputers import arima
 
 from _oracles import arima_forecast_by_hand
 
@@ -112,6 +113,15 @@ class TestSelectOrder:
         with pytest.raises(SelectionError) as err:
             select_order(slice_series(series, 0, 25), p_max=3, d_max=0, q_max=3)
         assert err.value.context["failures"]
+
+    def test_program_error_in_a_candidate_propagates(self, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise TypeError("bug in the candidate fit")
+
+        monkeypatch.setattr(arima, "_fit_core", broken_fit)
+        series = ar_series([0.5], 300, seed=1)
+        with pytest.raises(TypeError, match="bug in the candidate fit"):
+            select_order(series, p_max=1, d_max=0, q_max=1)
 
 
 class TestForecast:

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapgauge import (GapSpec, GradientBoostedTrees, RegressionTree,
                       TimeSeries, gbt_fill, synthesize_series)
 from gapgauge.errors import (InvalidParameterError, TrainingError,
                              TrainingWindowError)
-from gapgauge.imputers import causal_features
+from gapgauge.imputers import causal_features, gbt
 
-from _oracles import best_single_split_sse
+from _oracles import ReferenceTree, best_single_split_sse, reference_boosting
 
 
 class TestRegressionTree:
@@ -55,6 +57,106 @@ class TestRegressionTree:
         a = RegressionTree(max_depth=4).fit(x, y).predict(x)
         b = RegressionTree(max_depth=4).fit(x, y).predict(x)
         assert np.array_equal(a, b)
+
+
+def assert_same_tree(tree, reference):
+    # == on lists of Python floats: equal bits, not merely close values
+    assert (tree._feature, tree._threshold, tree._left, tree._right,
+            tree._value) == (reference.feature, reference.threshold,
+                             reference.left, reference.right, reference.value)
+
+
+def training_sets():
+    """(X, y) pairs: tied values and an hour column, a constant column, all
+    columns constant, and a constant target."""
+    rng = np.random.default_rng(41)
+    n = 300
+    hours = (np.arange(n) % 24).astype(float)
+    smooth = np.round(rng.normal(size=n), 1)
+    y = np.sin(hours / 4.0) + smooth + 0.1 * rng.normal(size=n)
+    yield np.column_stack([smooth, rng.normal(size=n), hours]), y
+    yield np.column_stack([np.full(n, 2.5), smooth, hours]), y
+    yield np.ones((n, 3)), y
+    yield np.column_stack([smooth, hours]), np.full(n, 4.0)
+
+
+class TestPresortedTreeEqualsReference:
+    """The presorted split search builds the tree the per-node sort built,
+    float for float, so the fills and every CSV stay byte-identical."""
+
+    @pytest.mark.parametrize("max_depth", [1, 4, 6])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    def test_node_arrays_and_predictions(self, max_depth, min_samples_leaf):
+        for X, y in training_sets():
+            tree = RegressionTree(max_depth, min_samples_leaf).fit(X, y)
+            reference = ReferenceTree(max_depth, min_samples_leaf).fit(X, y)
+            assert_same_tree(tree, reference)
+            assert np.array_equal(tree.predict(X), reference.predict(X))
+
+    def test_leaf_values_written_for_the_training_rows(self):
+        for X, y in training_sets():
+            leaves = np.full(len(y), np.nan)
+            tree = RegressionTree(max_depth=4).fit(X, y, out=leaves)
+            assert np.array_equal(leaves, tree.predict(X))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_midpoint_that_rounds_up_to_the_upper_value(self):
+        # (a + b) / 2 rounds to b for these adjacent doubles, so every row
+        # goes left and the right child is an empty leaf valued nan
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        X = np.array([[a], [b], [a]])
+        y = np.array([0.0, 5.0, 0.0])
+        leaves = np.full(3, -1.0)
+        tree = RegressionTree(max_depth=2).fit(X, y, out=leaves)
+        reference = ReferenceTree(max_depth=2).fit(X, y)
+        assert (tree._feature, tree._threshold, tree._left, tree._right) == \
+            (reference.feature, reference.threshold, reference.left, reference.right)
+        assert np.array_equal(tree._value, reference.value, equal_nan=True)
+        assert np.array_equal(leaves, reference.predict(X))
+
+    def test_given_order_is_used_and_left_intact(self):
+        X, y = next(training_sets())
+        order = np.argsort(X, axis=0, kind="stable")
+        kept = order.copy()
+        tree = RegressionTree(max_depth=4).fit(X, y, order=order)
+        assert np.array_equal(order, kept)
+        assert_same_tree(tree, ReferenceTree(max_depth=4).fit(X, y))
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    def test_boosting_matches_predict_in_fit(self, subsample):
+        for X, y in training_sets():
+            model = GradientBoostedTrees(
+                trees=15, max_depth=3, learning_rate=0.3, subsample=subsample,
+                rng=np.random.Generator(np.random.Philox(key=np.uint64(5)))).fit(X, y)
+            base, stages, mse = reference_boosting(
+                X, y, 15, 3, 0.3, subsample,
+                np.random.Generator(np.random.Philox(key=np.uint64(5))))
+            assert model.base == base
+            assert model.training_mse == mse
+            for tree, reference in zip(model.stages, stages, strict=True):
+                assert_same_tree(tree, reference)
+            expected = np.full(len(y), base)
+            for reference in stages:
+                expected += 0.3 * reference.predict(X)
+            assert np.array_equal(model.predict(X), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(1, 3),
+           st.integers(0, 2), st.integers(1, 6), st.integers(1, 4))
+    def test_rounded_random_inputs(self, seed, n, n_features, decimals,
+                                   max_depth, min_samples_leaf):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, n_features)), decimals)
+        y = np.round(rng.normal(size=n), 2)
+        tree = RegressionTree(max_depth, min_samples_leaf).fit(X, y)
+        reference = ReferenceTree(max_depth, min_samples_leaf).fit(X, y)
+        assert_same_tree(tree, reference)
+        model = GradientBoostedTrees(trees=4, max_depth=max_depth).fit(X, y)
+        _, stages, mse = reference_boosting(X, y, 4, max_depth, 0.1)
+        assert model.training_mse == mse
+        for tree, reference in zip(model.stages, stages, strict=True):
+            assert_same_tree(tree, reference)
 
 
 class TestBoosting:
@@ -160,6 +262,24 @@ class TestGbtFill:
         series.observed[200] = False
         with pytest.raises(TrainingWindowError):
             gbt_fill(series, GapSpec(400, 5), train_span=300)
+
+    @pytest.mark.parametrize("step", [900.0, 1800.0, 3600.0, 5400.0])
+    def test_training_hours_equal_hour_of_day(self, step, monkeypatch):
+        seen = []
+
+        def recording_features(values, hours, sma_window, ewma_alpha):
+            seen.append(hours)
+            return causal_features(values, hours, sma_window, ewma_alpha)
+
+        monkeypatch.setattr(gbt, "causal_features", recording_features)
+        series = synthesize_series("seasonal", 600, {}, seed=4)
+        series.start_time = 1_600_000_000.0 + 1234.5  # not at midnight
+        series.step = step
+        gap = GapSpec(500, 6)
+        gbt_fill(series, gap, train_span=400, trees=2, max_depth=2)
+        (hours,) = seen
+        assert hours.dtype.kind == "i"
+        assert hours.tolist() == [series.hour_of_day(i) for i in range(100, 500)]
 
     def test_parameter_validation(self):
         series = synthesize_series("constant", 500, {}, seed=0)

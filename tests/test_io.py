@@ -151,6 +151,18 @@ class TestConfig:
             load_config(path)
         assert "imputers[0].params" in str(err.value)
 
+    def test_param_given_in_samples_and_hours_names_both(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "gap_hours": {"min": 2, "max": 8},
+            "imputers": [{"kind": "polynomial"},
+                         {"kind": "gbt", "params": {"train_span": 500,
+                                                    "train_span_hours": 100}}]}))
+        with pytest.raises(SchemaError) as err:
+            load_config(path)
+        assert err.value.path == \
+            "imputers[1].params.train_span,imputers[1].params.train_span_hours"
+
     def test_duplicate_imputers_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
