@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import GapgaugeError
+from .errors import ConfigError, GapgaugeError
 from .harness import aggregate, rank_agreement, run_evaluation
 from .io import (IngestSpec, emit_report, ingest_csv, load_config,
                  read_records_csv, write_series_csv)
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--bins", type=int, default=None,
                      help="overrides the JSD histogram bin count")
     run.add_argument("--parallel", type=int, default=0, metavar="N",
-                     help="worker threads (0 = sequential)")
+                     help="worker threads (0 or 1 = sequential)")
     run.add_argument("--quiet", action="store_true")
 
     agree = sub.add_parser("agree", help="recompute rank agreement from records.csv")
@@ -142,6 +142,8 @@ def _cmd_run(args) -> int:
     try:
         report = run_evaluation(series, config, parallel=args.parallel)
         emit_report(report, args.out)
+    except ConfigError:
+        raise  # a configuration error, e.g. a negative --parallel, exits 1
     except GapgaugeError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_RUN

@@ -81,7 +81,7 @@ class SeasonalReferenceError(GapgaugeError):
 
 
 class TrainingWindowError(GapgaugeError):
-    """A training window underflows the series or contains missing values."""
+    """A training window starts before the series or contains missing values."""
 
     code = "training-window"
 
@@ -110,12 +110,6 @@ class SelectionError(GapgaugeError):
     code = "selection"
 
 
-class SearchError(GapgaugeError):
-    """Every configuration in a hyperparameter grid failed."""
-
-    code = "search"
-
-
 class DegenerateError(GapgaugeError):
     """Too few imputers for a rank comparison."""
 
@@ -138,35 +132,27 @@ class SchemaError(GapgaugeError):
         self.path = path
 
 
-class ParseError(GapgaugeError):
-    """A data file could not be parsed; names the offending line."""
-
-    code = "parse"
+class _LineError(GapgaugeError):
+    """An input-file error that names the offending line."""
 
     def __init__(self, message: str, line: int, **context):
         super().__init__(message, line=line, **context)
         self.line = line
 
 
-class CadenceError(GapgaugeError):
+class ParseError(_LineError):
+    """A data file could not be parsed."""
+
+    code = "parse"
+
+
+class CadenceError(_LineError):
     """Timestamps do not follow the expected uniform step."""
 
     code = "cadence"
 
-    def __init__(self, message: str, line: int | None = None, **context):
-        if line is not None:
-            context["line"] = line
-        super().__init__(message, **context)
-        self.line = line
 
-
-class DuplicateTimestampError(GapgaugeError):
+class DuplicateTimestampError(_LineError):
     """Two rows carry the same timestamp."""
 
     code = "duplicate-timestamp"
-
-    def __init__(self, message: str, line: int | None = None, **context):
-        if line is not None:
-            context["line"] = line
-        super().__init__(message, **context)
-        self.line = line

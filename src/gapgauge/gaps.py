@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CapacityError, GapConflictError, InvalidParameterError,
-                     RangeError, ReferenceWindowError)
+                     RangeError, ReferenceWindowError, TrainingWindowError)
 from .series import EmpiricalSample, TimeSeries
 
 # Counter-based generator so gap placement is bit-reproducible across
@@ -23,7 +23,8 @@ from .series import EmpiricalSample, TimeSeries
 PRNG_ALGORITHM = "philox4x64"
 
 
-def _rng(seed: int) -> np.random.Generator:
+def philox_generator(seed: int) -> np.random.Generator:
+    """The generator behind every seeded draw: gap placement, synthesis, GBT."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -52,6 +53,14 @@ class GapSet:
 
     def __iter__(self):
         return iter(self.gaps)
+
+    def to_json_dict(self) -> dict:
+        """Byte-stable field order: seed, source_length, gaps."""
+        return {
+            "seed": self.seed,
+            "source_length": self.source_length,
+            "gaps": [{"start": g.start_index, "len": g.length} for g in self.gaps],
+        }
 
 
 def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
@@ -89,7 +98,7 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
             placed=0, requested=n_gaps, series_length=series_length,
             min_len=min_len, room=room)
 
-    rng = _rng(seed)
+    rng = philox_generator(seed)
     occupied: list[tuple[int, int]] = []  # accepted extended intervals
     placed: list[GapSpec] = []
     max_attempts = 10_000 * n_gaps
@@ -106,12 +115,12 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
         hi = series_length - length  # inclusive upper bound for start
         if hi < lo:
             continue
-        start = int(rng.integers(lo, hi + 1))
-        ext = (start - length, start + length)
+        gap = GapSpec(int(rng.integers(lo, hi + 1)), length)
+        ext = gap.extended_interval()
         if any(ext[0] < b and a < ext[1] for a, b in occupied):
             continue
         occupied.append(ext)
-        placed.append(GapSpec(start, length))
+        placed.append(gap)
 
     placed.sort(key=lambda g: g.start_index)
     return GapSet(gaps=tuple(placed), seed=int(seed), source_length=series_length)
@@ -158,18 +167,22 @@ def pre_gap_window(series: TimeSeries, gap: GapSpec) -> EmpiricalSample:
     return EmpiricalSample(series.values[window].copy())
 
 
+def training_window_start(series: TimeSeries, gap: GapSpec, span: int) -> int:
+    """Start of the ``span`` samples immediately preceding the gap.
+
+    The window must lie inside the series and be fully observed, else
+    :class:`TrainingWindowError`.
+    """
+    lo = gap.start_index - span
+    if lo < 0:
+        raise TrainingWindowError("training window underflows the series",
+                                  gap_start=gap.start_index, train_span=span)
+    if not series.observed[lo:gap.start_index].all():
+        raise TrainingWindowError("training window overlaps missing data",
+                                  gap_start=gap.start_index, train_span=span)
+    return lo
+
+
 def gap_set_to_json(gap_set: GapSet) -> str:
     """Serialize with byte-stable field order: seed, source_length, gaps."""
-    doc = {
-        "seed": gap_set.seed,
-        "source_length": gap_set.source_length,
-        "gaps": [{"start": g.start_index, "len": g.length} for g in gap_set],
-    }
-    return json.dumps(doc)
-
-
-def gap_set_from_json(text: str) -> GapSet:
-    doc = json.loads(text)
-    gaps = tuple(GapSpec(int(g["start"]), int(g["len"])) for g in doc["gaps"])
-    return GapSet(gaps=gaps, seed=int(doc["seed"]),
-                  source_length=int(doc["source_length"]))
+    return json.dumps(gap_set.to_json_dict())

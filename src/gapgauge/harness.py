@@ -105,11 +105,7 @@ class EvalReport:
             "records": [vars(r) for r in self.records],
             "aggregates": [vars(a) for a in self.aggregates],
             "rank_agreement": self.agreement,
-            "gaps": None if self.gaps is None else {
-                "seed": self.gaps.seed,
-                "source_length": self.gaps.source_length,
-                "gaps": [{"start": g.start_index, "len": g.length} for g in self.gaps],
-            },
+            "gaps": None if self.gaps is None else self.gaps.to_json_dict(),
         }
 
 
@@ -125,13 +121,16 @@ def _single_gap_view(series: TimeSeries, gap: GapSpec) -> TimeSeries:
 
 
 def run_evaluation(series: TimeSeries, config: EvalConfig,
-                   parallel: bool | int = False) -> EvalReport:
+                   parallel: int = 0) -> EvalReport:
     """Run the full protocol; per-(gap, imputer) failures never abort the run.
 
-    ``parallel`` may be True or a worker count; parallel and sequential
-    executions produce identical reports because every job is pure and the
-    record order is fixed (gaps by position, imputers in declared order).
+    ``parallel`` is a thread count: 0 or 1 runs the jobs sequentially, N > 1
+    on N threads.  Both produce identical reports because every job is pure
+    and the record order is fixed (gaps by position, imputers in declared
+    order).
     """
+    if parallel < 0:
+        raise ConfigError("parallel must be >= 0", parallel=parallel)
     check = validate(series)
     if not check.ok:
         raise ConfigError("series failed validation", violations=check.violations)
@@ -173,9 +172,8 @@ def run_evaluation(series: TimeSeries, config: EvalConfig,
                                 gap_len=gap.length,
                                 error=f"{exc.code}: {exc.message}")
 
-    if parallel:
-        workers = parallel if isinstance(parallel, int) and parallel > 1 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if parallel > 1:
+        with ThreadPoolExecutor(max_workers=parallel) as pool:
             records = list(pool.map(run_job, jobs))
     else:
         records = [run_job(job) for job in jobs]

@@ -13,17 +13,14 @@ strings.  New methods (e.g. neural ones) plug in through
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ..errors import (ConfigError, GapgaugeError, InvalidParameterError,
-                      SearchError, ShapeError)
-from ..gaps import GapSet, GapSpec, apply_gaps
-from ..metrics import rmse
+from ..errors import ConfigError, InvalidParameterError, ShapeError
+from ..gaps import GapSpec
 from ..series import TimeSeries
 from .arima import (ArimaOrder, FittedArima, arima_fill, fit_arima, forecast,
                     select_order)
@@ -36,8 +33,8 @@ __all__ = [
     "ArimaOrder", "FittedArima", "GradientBoostedTrees", "ImputationResult",
     "ImputerConfig", "KindSpec", "ParamSpec", "RegressionTree", "arima_fill",
     "causal_features", "derive_seed", "fit_arima", "forecast", "gbt_fill",
-    "grid_search", "impute", "imputer_kinds", "kind_spec", "polynomial_fill",
-    "register_imputer", "seasonal_naive_fill", "select_order",
+    "impute", "kind_spec", "polynomial_fill", "register_imputer",
+    "seasonal_naive_fill", "select_order",
 ]
 
 
@@ -184,10 +181,6 @@ def kind_spec(kind: str) -> KindSpec:
     return _REGISTRY[kind]
 
 
-def imputer_kinds() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
 @dataclass
 class ImputerConfig:
     """A kind plus normalized, validated kind-specific parameters."""
@@ -226,42 +219,3 @@ def impute(masked: TimeSeries, gap: GapSpec, config: ImputerConfig,
     """Run one imputer on one gap; deterministic given (inputs, config, seed)."""
     filled = _REGISTRY[config.kind].fill(masked, gap, config.params, seed)
     return ImputationResult(imputer_id=config.imputer_id, gap=gap, filled=filled)
-
-
-def grid_search(series: TimeSeries, validation_gaps: GapSet, kind: str,
-                grid: dict[str, list], seed: int = 0) -> ImputerConfig:
-    """Pick the config with the lowest mean RMSE over held-out validation gaps.
-
-    ``grid`` maps parameter names to candidate values; the cartesian product
-    is evaluated exhaustively in declared order and ties keep the earlier
-    config.  Each validation gap is imputed on a view of ``series`` where
-    only that gap is masked, mirroring the evaluation protocol.  Validation
-    gaps must be kept disjoint from any gaps used for final evaluation, or
-    the chosen config is tuned on its own test set.
-    """
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise SearchError("grid must be non-empty", grid=sorted(grid))
-    names = list(grid)
-    failures: dict[str, str] = {}
-    best: tuple[float, ImputerConfig] | None = None
-    for combo in itertools.product(*(grid[name] for name in names)):
-        params = dict(zip(names, combo))
-        label = json.dumps(params, sort_keys=True, default=str)
-        try:
-            config = ImputerConfig(kind, params)
-            errors = []
-            for i, gap in enumerate(validation_gaps):
-                view, truth = apply_gaps(
-                    series, GapSet((gap,), seed=validation_gaps.seed,
-                                   source_length=len(series)))
-                result = impute(view, gap, config, seed=derive_seed(seed, i))
-                errors.append(rmse(result.filled, truth[gap]))
-            score = float(np.mean(errors))
-        except GapgaugeError as exc:
-            failures[label] = str(exc)
-            continue
-        if best is None or score < best[0]:
-            best = (score, config)
-    if best is None:
-        raise SearchError("every grid configuration failed", failures=failures)
-    return best[1]

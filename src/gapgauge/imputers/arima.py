@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import (DivergenceError, GapgaugeError, InvalidParameterError,
                       RankDeficiencyError, SelectionError, TrainingError,
                       TrainingWindowError)
-from ..gaps import GapSpec
+from ..gaps import GapSpec, training_window_start
 from ..series import TimeSeries, slice_series
 
 DEFAULT_TRAIN_SPAN = 1008  # six weeks of hourly samples
@@ -156,8 +156,14 @@ def _stage1_innovations(w: np.ndarray, h: int) -> np.ndarray:
     return e
 
 
-def _fit_core(w: np.ndarray, order: ArimaOrder,
-              stage1_cache: dict | None = None) -> dict:
+def _fit_core(levels: list[np.ndarray], ops: list[int], order: ArimaOrder,
+              stage1_cache: dict) -> FittedArima:
+    """Fit ``order`` on the deepest differencing level.
+
+    ``stage1_cache`` maps a long-AR order to its innovations on that level,
+    so candidates sharing a differencing share the stage-one fit.
+    """
+    w = levels[-1]
     n_w = len(w)
     if n_w < 10 * (order.p + order.q + 1):
         raise TrainingError("differenced series shorter than 10*(p+q+1)",
@@ -176,12 +182,9 @@ def _fit_core(w: np.ndarray, order: ArimaOrder,
         if h + max_ma + order.k + 1 >= n_w:
             raise TrainingError("training window too short for long-AR stage",
                                 length=n_w, long_ar=h, order=order.label())
-        if stage1_cache is not None and h in stage1_cache:
-            e = stage1_cache[h]
-        else:
-            e = _stage1_innovations(w, h)
-            if stage1_cache is not None:
-                stage1_cache[h] = e
+        if h not in stage1_cache:
+            stage1_cache[h] = _stage1_innovations(w, h)
+        e = stage1_cache[h]
         t0 = max(max_ar, h + max_ma)
     else:
         e = np.zeros(n_w)
@@ -209,18 +212,12 @@ def _fit_core(w: np.ndarray, order: ArimaOrder,
     innovations[t0:] = resid
     n_ar = order.p + order.P
     n_ma = order.q + order.Q
-    return {
-        "ar": coef[:order.p],
-        "sar": coef[order.p:n_ar],
-        "ma": coef[n_ar:n_ar + order.q],
-        "sma": coef[n_ar + order.q:n_ar + n_ma],
-        "intercept": float(coef[-1]),
-        "sse": sse,
-        "sigma2": sse / n_obs,
-        "aic": float(aic),
-        "n_obs": n_obs,
-        "innovations": innovations,
-    }
+    return FittedArima(
+        order=order, ar=coef[:order.p], sar=coef[order.p:n_ar],
+        ma=coef[n_ar:n_ar + order.q], sma=coef[n_ar + order.q:n_ar + n_ma],
+        intercept=float(coef[-1]), sigma2=sse / n_obs, sse=sse,
+        aic=float(aic), n_obs=n_obs, _levels=levels, _ops=ops,
+        _innovations=innovations)
 
 
 def fit_arima(train: TimeSeries, order: ArimaOrder) -> FittedArima:
@@ -228,12 +225,7 @@ def fit_arima(train: TimeSeries, order: ArimaOrder) -> FittedArima:
     if not train.observed.all():
         raise TrainingWindowError("training window contains missing values")
     levels, ops = _difference_levels(train.values, order)
-    core = _fit_core(levels[-1], order)
-    return FittedArima(
-        order=order, ar=core["ar"], sar=core["sar"], ma=core["ma"],
-        sma=core["sma"], intercept=core["intercept"], sigma2=core["sigma2"],
-        sse=core["sse"], aic=core["aic"], n_obs=core["n_obs"],
-        _levels=levels, _ops=ops, _innovations=core["innovations"])
+    return _fit_core(levels, ops, order, {})
 
 
 def forecast(fitted: FittedArima, steps: int) -> np.ndarray:
@@ -300,7 +292,7 @@ def _candidate_orders(p_max: int, d_max: int, q_max: int,
 
 def _select_and_fit(train: TimeSeries, p_max: int, d_max: int, q_max: int,
                     seasonal: tuple[int, int, int, int] | None = None
-                    ) -> tuple[ArimaOrder, FittedArima]:
+                    ) -> FittedArima:
     if not train.observed.all():
         raise TrainingWindowError("training window contains missing values")
     failures: dict[str, str] = {}
@@ -315,26 +307,20 @@ def _select_and_fit(train: TimeSeries, p_max: int, d_max: int, q_max: int,
             if key not in level_cache:
                 level_cache[key] = _difference_levels(train.values, order)
             levels, ops = level_cache[key]
-            core = _fit_core(levels[-1], order,
-                             stage1_caches.setdefault(key, {}))
+            fitted = _fit_core(levels, ops, order,
+                               stage1_caches.setdefault(key, {}))
         except (GapgaugeError, np.linalg.LinAlgError) as exc:
             # A typed fit failure rejects this candidate; anything else is a bug.
             failures[order.label()] = str(exc)
             continue
-        rank = (core["aic"], order.n_params, order.d + order.D,
+        rank = (fitted.aic, order.n_params, order.d + order.D,
                 (order.p, order.d, order.q, order.P, order.D, order.Q))
         if best is None or rank < best[0]:
-            fitted = FittedArima(
-                order=order, ar=core["ar"], sar=core["sar"], ma=core["ma"],
-                sma=core["sma"], intercept=core["intercept"],
-                sigma2=core["sigma2"], sse=core["sse"], aic=core["aic"],
-                n_obs=core["n_obs"], _levels=levels, _ops=ops,
-                _innovations=core["innovations"])
             best = (rank, fitted)
     if best is None:
         raise SelectionError("no candidate order could be fitted",
                              failures=failures)
-    return best[1].order, best[1]
+    return best[1]
 
 
 def select_order(train: TimeSeries, p_max: int = 3, d_max: int = 2, q_max: int = 3,
@@ -345,8 +331,7 @@ def select_order(train: TimeSeries, p_max: int = 3, d_max: int = 2, q_max: int =
     lexicographically smaller orders.  ``seasonal`` is ``None`` or a tuple
     ``(P_max, D_max, Q_max, s)``.
     """
-    order, _ = _select_and_fit(train, p_max, d_max, q_max, seasonal)
-    return order
+    return _select_and_fit(train, p_max, d_max, q_max, seasonal).order
 
 
 def arima_fill(masked: TimeSeries, gap: GapSpec, train_span: int = DEFAULT_TRAIN_SPAN,
@@ -357,13 +342,7 @@ def arima_fill(masked: TimeSeries, gap: GapSpec, train_span: int = DEFAULT_TRAIN
     The ``train_span`` samples immediately before the gap must exist and be
     fully observed.
     """
-    lo = gap.start_index - train_span
-    if lo < 0:
-        raise TrainingWindowError("training window underflows the series",
-                                  gap_start=gap.start_index, train_span=train_span)
-    if not masked.observed[lo:gap.start_index].all():
-        raise TrainingWindowError("training window overlaps missing data",
-                                  gap_start=gap.start_index, train_span=train_span)
+    lo = training_window_start(masked, gap, train_span)
     train = slice_series(masked, lo, train_span)
-    _, fitted = _select_and_fit(train, p_max, d_max, q_max, seasonal)
+    fitted = _select_and_fit(train, p_max, d_max, q_max, seasonal)
     return forecast(fitted, gap.length)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import (DivergenceError, InvalidParameterError, TrainingError,
-                      TrainingWindowError)
-from ..gaps import GapSpec
+from ..errors import DivergenceError, InvalidParameterError, TrainingError
+from ..gaps import GapSpec, philox_generator, training_window_start
 from ..series import TimeSeries
 
 DEFAULT_TRAIN_SPAN = 8760  # one year of hourly samples
@@ -126,7 +125,11 @@ class RegressionTree:
             pos = int(np.argmax(gain))
             if gain[pos] > best_gain:
                 best_gain = float(gain[pos])
-                best = (feature, float((xs_sorted[pos] + xs_sorted[pos + 1]) / 2.0))
+                lower, upper = xs_sorted[pos], xs_sorted[pos + 1]
+                mid = (lower + upper) / 2.0
+                # For adjacent doubles the midpoint can round up to the upper
+                # value, which would send every row left.
+                best = (feature, float(mid if mid < upper else lower))
         return best
 
     def predict(self, X) -> np.ndarray:
@@ -259,20 +262,14 @@ def gbt_fill(masked: TimeSeries, gap: GapSpec, train_span: int = DEFAULT_TRAIN_S
     if not 0.0 < ewma_alpha <= 1.0:
         raise InvalidParameterError("ewma_alpha must lie in (0, 1]",
                                     ewma_alpha=ewma_alpha)
-    lo = gap.start_index - train_span
-    if lo < 0:
-        raise TrainingWindowError("training window underflows the series",
-                                  gap_start=gap.start_index, train_span=train_span)
-    if not masked.observed[lo:gap.start_index].all():
-        raise TrainingWindowError("training window overlaps missing data",
-                                  gap_start=gap.start_index, train_span=train_span)
+    lo = training_window_start(masked, gap, train_span)
 
     values = masked.values[lo:gap.start_index]
     # The float operations of TimeSeries.hour_of_day, over the whole window.
     hours = ((masked.start_time + np.arange(lo, gap.start_index) * masked.step)
              % 86400.0 // 3600.0).astype(int)
     X, y = causal_features(values, hours, sma_window, ewma_alpha)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox_generator(seed)
     model = GradientBoostedTrees(trees=trees, max_depth=max_depth,
                                  learning_rate=learning_rate,
                                  subsample=subsample, rng=rng).fit(X, y)

@@ -162,11 +162,6 @@ def _hours_to_samples(hours: float, step_seconds: float, path: str) -> int:
     return rounded
 
 
-def _hour_keys(specs):
-    """(config key in hours, parameter in samples) for each hour-form parameter."""
-    return [(f"{spec.name}_hours", spec.name) for spec in specs if spec.hours]
-
-
 def _expect(doc: dict, key: str, kinds, path: str, default=None, required=False):
     if key not in doc:
         if required:
@@ -232,8 +227,9 @@ def load_config(path, step_seconds: float = 3600.0,
             specs = kind_spec(kind).params
         except ConfigError as exc:
             raise SchemaError(str(exc), path=f"{where}.kind") from None
-        for hour_key, sample_key in _hour_keys(specs):
-            if hour_key in params:
+        for spec in specs:
+            hour_key, sample_key = f"{spec.name}_hours", spec.name
+            if spec.hours and hour_key in params:
                 if sample_key in params:
                     raise SchemaError(
                         f"{sample_key} given twice, in samples and in hours",
@@ -264,28 +260,6 @@ def load_config(path, step_seconds: float = 3600.0,
         )
     except GapgaugeError as exc:
         raise SchemaError(f"invalid configuration: {exc}", path="$") from None
-
-
-def dump_config(config: EvalConfig, step_seconds: float = 3600.0) -> dict:
-    """Inverse of :func:`load_config` on the canonical (hours) form."""
-    imputers = []
-    for imputer in config.imputers:
-        params = dict(imputer.params)
-        for hour_key, sample_key in _hour_keys(kind_spec(imputer.kind).params):
-            if params.get(sample_key) is not None:
-                params[hour_key] = params.pop(sample_key) * step_seconds / 3600.0
-        imputers.append({"kind": imputer.kind, "params": params})
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": config.seed,
-        "n_gaps": config.n_gaps,
-        "gap_hours": {"min": config.min_len * step_seconds / 3600.0,
-                      "max": config.max_len * step_seconds / 3600.0},
-        "bins": config.bins,
-        "epsilon": config.epsilon,
-        "aggregation": config.aggregation,
-        "imputers": imputers,
-    }
 
 
 def _format_cell(value) -> str:
@@ -359,9 +333,8 @@ def write_aggregates_csv(rows: list[AggregateRow], path) -> None:
     _atomic_write_csv(path, emit())
 
 
-def _plot_rows(records: list[MetricRecord], metric: str, imputer_ids: list[str]):
+def _plot_rows(exact: list[AggregateRow], metric: str, imputer_ids: list[str]):
     """Plot-ready wide table: one row per gap size, one column per imputer."""
-    exact = aggregate(records, "exact")
     table: dict[int, dict[str, float]] = {}
     for row in exact:
         table.setdefault(row.gap_len, {})[row.imputer_id] = getattr(row, f"mean_{metric}")
@@ -390,8 +363,9 @@ def emit_report(report: EvalReport, out_dir) -> list[Path]:
     written.append(aggregates_path)
 
     imputer_ids = [c["imputer_id"] for c in report.provenance["config"]["imputers"]]
+    exact = aggregate(report.records, "exact")
     for metric in ("wd", "jsd", "rmse", "mae"):
         plot_path = out / f"plot_{metric}.csv"
-        _atomic_write_csv(plot_path, _plot_rows(report.records, metric, imputer_ids))
+        _atomic_write_csv(plot_path, _plot_rows(exact, metric, imputer_ids))
         written.append(plot_path)
     return written

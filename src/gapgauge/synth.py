@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
+from .gaps import philox_generator
 from .series import TimeSeries
 
 # 2021-01-01T00:00:00Z; hour-aligned so hour-of-day features start at 0.
@@ -37,7 +38,7 @@ def synthesize_series(kind: str, length: int, params: dict | None = None,
     if length < 1:
         raise InvalidParameterError("length must be >= 1", length=length)
     params = dict(params or {})
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox_generator(seed)
     i = np.arange(length, dtype=float)
 
     if kind == "constant":

@@ -182,7 +182,11 @@ class ReferenceTree:
             pos = int(np.argmax(gain))
             if gain[pos] > best_gain:
                 best_gain = float(gain[pos])
-                best = (feature, float((xs_sorted[pos] + xs_sorted[pos + 1]) / 2.0))
+                lower, upper = xs_sorted[pos], xs_sorted[pos + 1]
+                mid = (lower + upper) / 2.0
+                # a midpoint that rounds up to the upper value falls back to
+                # the lower one, so the split still separates the two
+                best = (feature, float(mid if mid < upper else lower))
         return best
 
     def predict(self, X):

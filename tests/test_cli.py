@@ -114,6 +114,13 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--series",
                      str(synth_series), "--out", str(tmp_path / "x")]) == 1
 
+    def test_negative_parallel_exits_one(self, synth_series, small_config,
+                                         tmp_path, capsys):
+        assert main(["run", "--config", str(small_config), "--series",
+                     str(synth_series), "--out", str(tmp_path / "x"),
+                     "--parallel", "-1", "--quiet"]) == 1
+        assert "parallel must be >= 0" in capsys.readouterr().err
+
     def test_capacity_abort_exits_two(self, synth_series, tmp_path, capsys):
         doc = {"schema_version": 1, "n_gaps": 500,
                "gap_hours": {"min": 40, "max": 48},

@@ -1,9 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from gapgauge import (GapSet, GapSpec, TimeSeries, apply_gaps,
-                      gap_set_from_json, gap_set_to_json, generate_gaps,
-                      pre_gap_window)
+                      gap_set_to_json, generate_gaps, pre_gap_window)
 from gapgauge.errors import (CapacityError, GapConflictError,
                              RangeError, ReferenceWindowError)
 
@@ -76,8 +77,8 @@ class TestGenerateGaps:
         gap_set = generate_gaps(500, 4, 2, 10, seed=11)
         text = gap_set_to_json(gap_set)
         assert text.startswith('{"seed": 11, "source_length": 500, "gaps": [')
-        assert gap_set_from_json(text) == gap_set
-        assert gap_set_to_json(gap_set_from_json(text)) == text
+        assert json.loads(text)["gaps"] == [
+            {"start": g.start_index, "len": g.length} for g in gap_set]
 
 
 class TestApplyGaps:

@@ -1,10 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from gapgauge import (EvalConfig, ImputerConfig, MetricRecord, aggregate,
-                      jsd, pre_gap_window, rank_agreement, register_imputer,
-                      required_history, run_evaluation, synthesize_series,
-                      wasserstein_1d)
+                      harness, jsd, pre_gap_window, rank_agreement,
+                      register_imputer, required_history, run_evaluation,
+                      synthesize_series, wasserstein_1d)
 from gapgauge.errors import ConfigError, DegenerateError, InvalidParameterError
 from gapgauge.gaps import GapSet, apply_gaps
 from gapgauge.imputers import _REGISTRY
@@ -206,6 +208,25 @@ class TestRunEvaluation:
         parallel = run_evaluation(series, config, parallel=4)
         assert sequential.records == again.records == parallel.records
         assert sequential.aggregates == parallel.aggregates
+
+    def test_parallel_is_a_thread_count(self, monkeypatch):
+        workers = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingExecutor)
+        series = synthesize_series("seasonal", 3000, {}, seed=2)
+        config = EvalConfig(imputers=small_imputers(), n_gaps=4,
+                            min_len=2, max_len=10, seed=0)
+        for parallel in (0, 1, True, 3):
+            run_evaluation(series, config, parallel=parallel)
+        assert workers == [3]
+        with pytest.raises(ConfigError):
+            run_evaluation(series, config, parallel=-2)
+        assert workers == [3]
 
     def test_gap_starts_clear_training_reserve(self):
         series = synthesize_series("seasonal", 4000, {}, seed=2)

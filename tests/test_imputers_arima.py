@@ -123,6 +123,23 @@ class TestSelectOrder:
         with pytest.raises(TypeError, match="bug in the candidate fit"):
             select_order(series, p_max=1, d_max=0, q_max=1)
 
+    @pytest.mark.parametrize("seasonal", [None, (1, 1, 1, 24)])
+    def test_fit_arima_equals_the_selected_model(self, seasonal):
+        # a 1008-sample window of the acceptance protocol's series
+        series = synthesize_series(
+            "seasonal", 2000, {"daily_amplitude": 50.0, "weekly_amplitude": 4.0,
+                               "yearly_amplitude": 40.0, "harmonic2": 0.30,
+                               "harmonic3": 0.08, "noise_sd": 3.0}, seed=20210601)
+        train = slice_series(series, 900, 1008)
+        selected = arima._select_and_fit(train, 3, 2, 3, seasonal)
+        assert selected.order == select_order(train, 3, 2, 3, seasonal)
+        assert selected.order.q + selected.order.Q > 0  # uses stage one
+        refit = fit_arima(train, selected.order)
+        for name in ("ar", "sar", "ma", "sma", "innovations", "working_series"):
+            assert np.array_equal(getattr(refit, name), getattr(selected, name)), name
+        assert (refit.intercept, refit.sse, refit.aic) == \
+            (selected.intercept, selected.sse, selected.aic)
+
 
 class TestForecast:
     def test_one_step_ar1_matches_hand_recursion(self):

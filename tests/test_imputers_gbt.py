@@ -1,5 +1,7 @@
 """Regression trees, boosting, causal features, recursive gap fill."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,20 +101,27 @@ class TestPresortedTreeEqualsReference:
             tree = RegressionTree(max_depth=4).fit(X, y, out=leaves)
             assert np.array_equal(leaves, tree.predict(X))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_midpoint_that_rounds_up_to_the_upper_value(self):
-        # (a + b) / 2 rounds to b for these adjacent doubles, so every row
-        # goes left and the right child is an empty leaf valued nan
+        # (a + b) / 2 rounds to b for these adjacent doubles; the split then
+        # uses a, so the rows at a go left and the row at b goes right
         a = np.nextafter(1.0, 2.0)
         b = np.nextafter(a, 2.0)
+        assert (a + b) / 2.0 == b
         X = np.array([[a], [b], [a]])
         y = np.array([0.0, 5.0, 0.0])
         leaves = np.full(3, -1.0)
-        tree = RegressionTree(max_depth=2).fit(X, y, out=leaves)
-        reference = ReferenceTree(max_depth=2).fit(X, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tree = RegressionTree(max_depth=2).fit(X, y, out=leaves)
+            reference = ReferenceTree(max_depth=2).fit(X, y)
         assert (tree._feature, tree._threshold, tree._left, tree._right) == \
-            (reference.feature, reference.threshold, reference.left, reference.right)
-        assert np.array_equal(tree._value, reference.value, equal_nan=True)
+            ([0, -1, -1], [a, 0.0, 0.0], [1, -1, -1], [2, -1, -1])
+        assert tree._value == [5.0 / 3.0, 0.0, 5.0]
+        assert np.array_equal(leaves, [0.0, 5.0, 0.0])
+        assert np.array_equal(tree.predict(np.array([[b + 1.0]])), [5.0])
+        assert (tree._feature, tree._threshold, tree._left, tree._right,
+                tree._value) == (reference.feature, reference.threshold,
+                                 reference.left, reference.right, reference.value)
         assert np.array_equal(leaves, reference.predict(X))
 
     def test_given_order_is_used_and_left_intact(self):

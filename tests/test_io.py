@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gapgauge import (EvalConfig, ImputerConfig, IngestSpec, MetricRecord,
-                      ParamSpec, dump_config, emit_report, ingest_csv,
+                      ParamSpec, emit_report, gap_set_to_json, ingest_csv,
                       load_config, read_records_csv, register_imputer,
                       run_evaluation, synthesize_series, write_series_csv)
 from gapgauge.errors import (CadenceError, ConfigError,
@@ -203,8 +203,6 @@ class TestConfig:
                 "imputers": [{"kind": "lagged", "params": {"lag_hours": 6}}]}))
             config = load_config(path, step_seconds=900.0)
             assert config.imputers[0].params == {"lag": 24}
-            assert dump_config(config, step_seconds=900.0)["imputers"] == [
-                {"kind": "lagged", "params": {"lag_hours": 6.0}}]
             series = synthesize_series("seasonal", 4000, {}, seed=1)
             report = run_evaluation(series, config)
         finally:
@@ -245,9 +243,15 @@ class TestConfig:
             n_gaps=7, min_len=8, max_len=192, seed=5, bins=12,
             epsilon=1e-7, aggregation="quartile")
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(dump_config(config, step_seconds=900.0)))
-        back = load_config(path, step_seconds=900.0)
-        assert back == config
+        path.write_text(json.dumps({
+            "schema_version": 1, "seed": 5, "n_gaps": 7,
+            "gap_hours": {"min": 2.0, "max": 48.0}, "bins": 12,
+            "epsilon": 1e-7, "aggregation": "quartile",
+            "imputers": [
+                {"kind": "seasonal_naive", "params": {"season_hours": 24.0}},
+                {"kind": "gbt", "params": {"train_span_hours": 200.0,
+                                           "trees": 30}}]}))
+        assert load_config(path, step_seconds=900.0) == config
 
 
 class TestReportFiles:
@@ -291,6 +295,8 @@ class TestReportFiles:
         assert doc["provenance"]["config"]["n_gaps"] == 6
         assert len(doc["records"]) == 12
         assert doc["gaps"]["seed"] == 3
+        assert list(doc["gaps"]) == ["seed", "source_length", "gaps"]
+        assert doc["gaps"] == json.loads(gap_set_to_json(report.gaps))
 
     def test_plot_csv_shape(self, tmp_path):
         report = self.make_report()
