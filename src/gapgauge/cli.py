@@ -10,6 +10,7 @@ run-aborting harness errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -124,7 +125,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config, step_seconds=series.step,
                          seed_override=args.seed)
     if args.bins is not None:
-        config.bins = args.bins
+        config = dataclasses.replace(config, bins=args.bins)  # re-validates
     if args.imputers is not None:
         wanted = [w.strip() for w in args.imputers.split(",") if w.strip()]
         kept = [c for c in config.imputers

@@ -9,6 +9,7 @@ extended intervals gap-plus-window are pairwise disjoint across a GapSet.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 
@@ -99,7 +100,7 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
             min_len=min_len, room=room)
 
     rng = philox_generator(seed)
-    occupied: list[tuple[int, int]] = []  # accepted extended intervals
+    occupied: list[tuple[int, int]] = []  # accepted extended intervals, sorted
     placed: list[GapSpec] = []
     max_attempts = 10_000 * n_gaps
     attempts = 0
@@ -117,9 +118,14 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
             continue
         gap = GapSpec(int(rng.integers(lo, hi + 1)), length)
         ext = gap.extended_interval()
-        if any(ext[0] < b and a < ext[1] for a, b in occupied):
+        # The accepted intervals are disjoint, so sorted by start they are
+        # sorted by end too: only the neighbours of ext's slot can overlap it.
+        slot = bisect.bisect_left(occupied, ext)
+        if slot > 0 and occupied[slot - 1][1] > ext[0]:
             continue
-        occupied.append(ext)
+        if slot < len(occupied) and occupied[slot][0] < ext[1]:
+            continue
+        occupied.insert(slot, ext)
         placed.append(gap)
 
     placed.sort(key=lambda g: g.start_index)

@@ -7,12 +7,14 @@ aggregate per gap size, and measure rank agreement between the families.
 
 Each gap is imputed in isolation: the imputer sees the original series with
 only that gap masked, so one method's training window is never corrupted by
-a different artificial gap.  Gap placement reserves the largest
+a different artificial gap.  The gap's held-out values read as NaN and the
+series an imputer receives is read-only.  Gap placement reserves the largest
 head-of-series history that the configured imputer kinds declare.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -114,10 +116,29 @@ def required_history(config: ImputerConfig, max_gap_len: int) -> int:
     return kind_spec(config.kind).history(config.params, max_gap_len)
 
 
-def _single_gap_view(series: TimeSeries, gap: GapSpec) -> TimeSeries:
-    view = series.copy()
-    view.observed[gap.start_index:gap.end_index] = False
-    return view
+def _single_gap_view(work: TimeSeries, gap: GapSpec) -> TimeSeries:
+    """Mask ``gap`` in the working copy in place and hand out a read-only view.
+
+    The gap's values become NaN, so an imputer cannot read the held-out
+    truth; both arrays stay read-only until :func:`_restore_gap` runs, so an
+    imputer that writes into its input raises instead of leaking into the
+    next job.
+    """
+    window = slice(gap.start_index, gap.end_index)
+    work.observed[window] = False
+    work.values[window] = np.nan
+    work.values.flags.writeable = False
+    work.observed.flags.writeable = False
+    return TimeSeries(work.start_time, work.step, work.values, work.observed)
+
+
+def _restore_gap(work: TimeSeries, series: TimeSeries, gap: GapSpec) -> None:
+    """Undo :func:`_single_gap_view` from the caller's untouched ``series``."""
+    window = slice(gap.start_index, gap.end_index)
+    work.values.flags.writeable = True
+    work.observed.flags.writeable = True
+    work.values[window] = series.values[window]
+    work.observed[window] = series.observed[window]
 
 
 def run_evaluation(series: TimeSeries, config: EvalConfig,
@@ -149,13 +170,18 @@ def run_evaluation(series: TimeSeries, config: EvalConfig,
 
     jobs = [(gi, mi) for gi in range(len(gap_set))
             for mi in range(len(config.imputers))]
+    # One working copy per worker thread; each job masks its gap in place
+    # and restores it before the next job on that thread.
+    local = threading.local()
 
     def run_job(job: tuple[int, int]) -> MetricRecord:
         gi, mi = job
         gap = gap_set.gaps[gi]
         imputer = config.imputers[mi]
+        if not hasattr(local, "work"):
+            local.work = series.copy()
         try:
-            view = _single_gap_view(series, gap)
+            view = _single_gap_view(local.work, gap)
             result = impute(view, gap, imputer,
                             seed=derive_seed(config.seed, gi, mi))
             filled = result.filled
@@ -171,6 +197,8 @@ def run_evaluation(series: TimeSeries, config: EvalConfig,
             return MetricRecord(gap_id=gap_ids[gi], imputer_id=imputer.imputer_id,
                                 gap_len=gap.length,
                                 error=f"{exc.code}: {exc.message}")
+        finally:
+            _restore_gap(local.work, series, gap)
 
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:

@@ -75,21 +75,14 @@ class Histogram:
         object.__setattr__(self, "mass", mass)
 
 
-def shared_histogram(p, q, bins: int = 10, epsilon: float = 1e-6) -> tuple[Histogram, Histogram]:
-    """Histogram both samples on one set of edges spanning the pooled range.
-
-    A zero-width pooled range is widened by +-0.5.  Each bin's mass gets
-    ``epsilon`` added before renormalization so downstream log ratios stay
-    finite.
-    """
+def _check_histogram_parameters(bins: int, epsilon: float) -> None:
     if bins < 2:
         raise InvalidParameterError("bins must be >= 2", bins=bins)
     if not epsilon > 0:
         raise InvalidParameterError("epsilon must be > 0", epsilon=epsilon)
-    pv = _sample_values(p)
-    qv = _sample_values(q)
-    lo = min(pv.min(), qv.min())
-    hi = max(pv.max(), qv.max())
+
+
+def _shared_edges(lo: float, hi: float, bins: int) -> np.ndarray:
     # Widen ranges too narrow to carve into distinct float bin edges,
     # offsetting by half a bin so the cluster sits strictly inside one bin
     # rather than straddling an edge.
@@ -98,12 +91,50 @@ def shared_histogram(p, q, bins: int = 10, epsilon: float = 1e-6) -> tuple[Histo
         half_bin = 0.5 / bins
         lo = mid - 0.5 + half_bin
         hi = mid + 0.5 + half_bin
-    edges = np.linspace(lo, hi, bins + 1)
+    return np.linspace(lo, hi, bins + 1)
+
+
+def _smoothed_mass(counts: np.ndarray, epsilon: float) -> np.ndarray:
+    mass = counts / counts.sum() + epsilon
+    return mass / mass.sum()
+
+
+def _sorted_counts(sorted_values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``np.histogram(values, bins=edges)`` counts of already sorted values.
+
+    The same cumulative search numpy runs for explicit edges: every bin is
+    half-open except the last, which also holds its right edge.
+    """
+    cumulative = np.concatenate((sorted_values.searchsorted(edges[:-1], "left"),
+                                 sorted_values.searchsorted(edges[-1:], "right")))
+    return np.diff(cumulative)
+
+
+def _jsd_masses(p_mass: np.ndarray, q_mass: np.ndarray) -> float:
+    mixture = (p_mass + q_mass) / 2.0
+
+    def against_mixture(mass):
+        support = mass > 0
+        return float(np.sum(mass[support] * np.log2(mass[support] / mixture[support])))
+
+    return 0.5 * against_mixture(p_mass) + 0.5 * against_mixture(q_mass)
+
+
+def shared_histogram(p, q, bins: int = 10, epsilon: float = 1e-6) -> tuple[Histogram, Histogram]:
+    """Histogram both samples on one set of edges spanning the pooled range.
+
+    A zero-width pooled range is widened by +-0.5.  Each bin's mass gets
+    ``epsilon`` added before renormalization so downstream log ratios stay
+    finite.
+    """
+    _check_histogram_parameters(bins, epsilon)
+    pv = _sample_values(p)
+    qv = _sample_values(q)
+    edges = _shared_edges(min(pv.min(), qv.min()), max(pv.max(), qv.max()), bins)
 
     def smoothed(values):
         counts, _ = np.histogram(values, bins=edges)
-        mass = counts / counts.sum() + epsilon
-        return Histogram(edges, mass / mass.sum())
+        return Histogram(edges, _smoothed_mass(counts, epsilon))
 
     return smoothed(pv), smoothed(qv)
 
@@ -117,13 +148,7 @@ def jsd_histograms(p: Histogram, q: Histogram) -> float:
     """
     if len(p.edges) != len(q.edges) or not np.array_equal(p.edges, q.edges):
         raise ShapeError("histograms must share identical edges")
-    mixture = (p.mass + q.mass) / 2.0
-
-    def against_mixture(mass):
-        support = mass > 0
-        return float(np.sum(mass[support] * np.log2(mass[support] / mixture[support])))
-
-    return 0.5 * against_mixture(p.mass) + 0.5 * against_mixture(q.mass)
+    return _jsd_masses(p.mass, q.mass)
 
 
 def jsd(p, q, bins: int = 10, epsilon: float = 1e-6) -> float:
@@ -131,10 +156,15 @@ def jsd(p, q, bins: int = 10, epsilon: float = 1e-6) -> float:
 
     Builds shared histograms, forms the even mixture of the two, and
     averages the two relative entropies against it.  Symmetric in its
-    arguments; 0 for identical samples up to smoothing.
+    arguments; 0 for identical samples up to smoothing.  Equal to
+    ``jsd_histograms(*shared_histogram(p, q, bins, epsilon))``.
     """
-    hp, hq = shared_histogram(p, q, bins=bins, epsilon=epsilon)
-    return jsd_histograms(hp, hq)
+    _check_histogram_parameters(bins, epsilon)
+    ps = np.sort(_sample_values(p))
+    qs = np.sort(_sample_values(q))
+    edges = _shared_edges(min(ps[0], qs[0]), max(ps[-1], qs[-1]), bins)
+    return _jsd_masses(_smoothed_mass(_sorted_counts(ps, edges), epsilon),
+                       _smoothed_mass(_sorted_counts(qs, edges), epsilon))
 
 
 def rmse(imputed, truth) -> float:

@@ -14,6 +14,9 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
+from gapgauge.errors import CapacityError
+from gapgauge.gaps import GapSet, GapSpec, philox_generator
+
 
 def transport_cost_bruteforce(p, q) -> float:
     """Minimum-cost coupling between two equal-mass empirical distributions.
@@ -224,3 +227,36 @@ def reference_boosting(X, y, trees, max_depth, learning_rate, subsample=1.0,
         stages.append(tree)
         training_mse.append(float(np.mean((y - current) ** 2)))
     return base, stages, training_mse
+
+
+def reference_gap_placement(series_length, n_gaps, min_len, max_len, seed,
+                            min_start=0):
+    """Gap placement as first written: every draw scans all accepted
+    extended intervals for an overlap.
+
+    Only the draw loop is kept; callers pass requests that clear the
+    library's feasibility precheck.  The library's bisect over sorted
+    intervals must place the same gaps, or fail after the same draws."""
+    rng = philox_generator(seed)
+    occupied, placed = [], []
+    max_attempts = 10_000 * n_gaps
+    attempts = 0
+    while len(placed) < n_gaps:
+        if attempts >= max_attempts:
+            raise CapacityError("could not place all gaps disjointly",
+                                placed=len(placed), requested=n_gaps,
+                                series_length=series_length, attempts=attempts)
+        attempts += 1
+        length = int(rng.integers(min_len, max_len + 1))
+        lo = max(length, min_start)
+        hi = series_length - length
+        if hi < lo:
+            continue
+        gap = GapSpec(int(rng.integers(lo, hi + 1)), length)
+        a, b = gap.start_index - length, gap.end_index
+        if any(a < y and x < b for x, y in occupied):
+            continue
+        occupied.append((a, b))
+        placed.append(gap)
+    placed.sort(key=lambda g: g.start_index)
+    return GapSet(gaps=tuple(placed), seed=int(seed), source_length=series_length)

@@ -121,6 +121,15 @@ class TestRun:
                      "--parallel", "-1", "--quiet"]) == 1
         assert "parallel must be >= 0" in capsys.readouterr().err
 
+    def test_bins_override_is_validated(self, synth_series, small_config,
+                                        tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(small_config), "--series",
+                     str(synth_series), "--out", str(out),
+                     "--bins", "1", "--quiet"]) == 1
+        assert "bins must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_capacity_abort_exits_two(self, synth_series, tmp_path, capsys):
         doc = {"schema_version": 1, "n_gaps": 500,
                "gap_hours": {"min": 40, "max": 48},

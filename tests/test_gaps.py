@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapgauge import (GapSet, GapSpec, TimeSeries, apply_gaps,
                       gap_set_to_json, generate_gaps, pre_gap_window)
 from gapgauge.errors import (CapacityError, GapConflictError,
                              RangeError, ReferenceWindowError)
+
+from _oracles import reference_gap_placement
 
 
 def series_1_to_10():
@@ -79,6 +83,30 @@ class TestGenerateGaps:
         assert text.startswith('{"seed": 11, "source_length": 500, "gaps": [')
         assert json.loads(text)["gaps"] == [
             {"start": g.start_index, "len": g.length} for g in gap_set]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 200), st.integers(1, 24),
+           st.integers(0, 24), st.integers(0, 500), st.integers(0, 2_000))
+    def test_placement_equals_linear_scan(self, seed, n_gaps, min_len, spread,
+                                          min_start, slack):
+        # at most half the series is covered, so the request always packs
+        max_len = min_len + spread
+        length = min_start + 4 * n_gaps * max_len + slack
+        args = (length, n_gaps, min_len, max_len, seed)
+        assert generate_gaps(*args, min_start=min_start) == \
+            reference_gap_placement(*args, min_start=min_start)
+
+    @pytest.mark.parametrize("args", [(40, 3, 5, 8, 1), (30, 2, 6, 9, 1),
+                                      (60, 4, 5, 9, 2)])
+    def test_unpackable_request_fails_like_linear_scan(self, args):
+        # each passes the precheck, then jams with one gap short
+        with pytest.raises(CapacityError) as ours:
+            generate_gaps(*args)
+        with pytest.raises(CapacityError) as reference:
+            reference_gap_placement(*args)
+        assert ours.value.context == reference.value.context
+        assert ours.value.context["placed"] == args[1] - 1
+        assert ours.value.context["attempts"] == 10_000 * args[1]
 
 
 class TestApplyGaps:

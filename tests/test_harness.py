@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -171,6 +172,7 @@ class TestRunEvaluation:
 
     def test_per_job_failures_recorded_not_raised(self):
         series = synthesize_series("seasonal", 3000, {}, seed=1)
+        values, observed = series.values.tobytes(), series.observed.tobytes()
 
         def broken_fill(masked, gap, params, seed):
             raise InvalidParameterError("always broken")
@@ -190,6 +192,9 @@ class TestRunEvaluation:
                    for r in failures)
         assert all(not r.failed for r in report.records
                    if r.imputer_id != broken_id)
+        assert series.values.tobytes() == values
+        assert series.observed.tobytes() == observed
+        assert series.values.flags.writeable and series.observed.flags.writeable
 
     def test_every_pair_appears_exactly_once(self):
         series = synthesize_series("seasonal", 4000, {}, seed=6)
@@ -227,6 +232,58 @@ class TestRunEvaluation:
         with pytest.raises(ConfigError):
             run_evaluation(series, config, parallel=-2)
         assert workers == [3]
+
+    @pytest.mark.parametrize("parallel", [0, 4])
+    def test_each_job_sees_only_its_gap_hidden(self, parallel):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        hidden = []
+
+        def peeking_fill(masked, gap, params, seed):
+            hidden.append((gap, np.flatnonzero(~masked.observed).tolist(),
+                           np.flatnonzero(np.isnan(masked.values)).tolist()))
+            return masked.values[gap.start_index:gap.end_index]
+
+        register_imputer("peeking", peeking_fill)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches inside each job
+        try:
+            config = EvalConfig(
+                imputers=[*small_imputers(), ImputerConfig("peeking", {})],
+                n_gaps=12, min_len=2, max_len=10, seed=4)
+            report = run_evaluation(series, config, parallel=parallel)
+        finally:
+            sys.setswitchinterval(interval)
+            _REGISTRY.pop("peeking")
+        assert len(hidden) == 12
+        for gap, unobserved, nan in hidden:
+            assert unobserved == nan == list(range(gap.start_index, gap.end_index))
+        peeking = [r for r in report.records if r.imputer_id.startswith("peeking")]
+        assert len(peeking) == 12
+        assert all(r.error == "shape: fill contains non-finite values"
+                   for r in peeking)
+        assert not any(r.failed for r in report.records
+                       if not r.imputer_id.startswith("peeking"))
+
+    @pytest.mark.parametrize("field", ["values", "observed"])
+    def test_writing_into_the_view_raises(self, field):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        values, observed = series.values.tobytes(), series.observed.tobytes()
+
+        def writing_fill(masked, gap, params, seed):
+            getattr(masked, field)[0] = 0
+            return np.zeros(gap.length)
+
+        register_imputer("writing", writing_fill)
+        try:
+            config = EvalConfig(imputers=[*small_imputers(),
+                                          ImputerConfig("writing", {})],
+                                n_gaps=4, min_len=2, max_len=10, seed=4)
+            with pytest.raises(ValueError, match="read-only"):
+                run_evaluation(series, config)
+        finally:
+            _REGISTRY.pop("writing")
+        assert series.values.tobytes() == values
+        assert series.observed.tobytes() == observed
 
     def test_gap_starts_clear_training_reserve(self):
         series = synthesize_series("seasonal", 4000, {}, seed=2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapgauge import (Histogram, MetricRecord, jsd, jsd_histograms, mae,
                       rmse, shared_histogram, wasserstein_1d)
@@ -12,6 +14,17 @@ from _oracles import jsd_direct, transport_cost_bruteforce
 def random_sample(rng, max_size=12):
     size = int(rng.integers(1, max_size + 1))
     return rng.normal(scale=rng.uniform(0.5, 5.0), size=size)
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_samples = st.one_of(
+    st.lists(_finite, min_size=1, max_size=48),
+    # heavy ties
+    st.lists(st.sampled_from([-2.5, -0.0, 0.0, 0.1, 0.3, 1.0, 7.0]),
+             min_size=1, max_size=48),
+    # constant samples, a single value among them
+    st.builds(lambda value, size: [value] * size, _finite, st.integers(1, 48)),
+)
 
 
 class TestWasserstein:
@@ -155,6 +168,18 @@ class TestJSD:
             hp, hq = shared_histogram(p, q, bins=8)
             assert jsd_histograms(hp, hq) == pytest.approx(
                 jsd_direct(hp.mass, hq.mass), abs=1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_samples, _samples, st.integers(2, 32),
+           st.sampled_from([1e-12, 1e-6, 1e-2]), st.data())
+    def test_equals_the_histogram_path_exactly(self, p, q, bins, epsilon, data):
+        hp, _ = shared_histogram(p, q, bins=bins, epsilon=epsilon)
+        # values lying exactly on the bin edges of the pair
+        on_edges = data.draw(st.lists(st.sampled_from(hp.edges.tolist()),
+                                      max_size=8))
+        for pp, qq in ((p, q), (p + on_edges, q + on_edges[::-1])):
+            assert jsd(pp, qq, bins, epsilon) == jsd_histograms(
+                *shared_histogram(pp, qq, bins, epsilon))
 
 
 class TestPointwiseErrors:
