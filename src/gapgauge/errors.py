@@ -104,6 +104,12 @@ class DivergenceError(GapgaugeError):
     code = "divergence"
 
 
+class NumericalError(GapgaugeError):
+    """A numpy linear-algebra or floating-point error escaped an imputer."""
+
+    code = "numerical"
+
+
 class SelectionError(GapgaugeError):
     """No candidate model order could be fitted."""
 

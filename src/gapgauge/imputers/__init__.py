@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError, InvalidParameterError, ShapeError
+from ..errors import (ConfigError, InvalidParameterError, NumericalError,
+                      ShapeError)
 from ..gaps import GapSpec
 from ..series import TimeSeries
 from .arima import (ArimaOrder, FittedArima, arima_fill, fit_arima, forecast,
@@ -216,6 +217,15 @@ class ImputationResult:
 
 def impute(masked: TimeSeries, gap: GapSpec, config: ImputerConfig,
            seed: int = 0) -> ImputationResult:
-    """Run one imputer on one gap; deterministic given (inputs, config, seed)."""
-    filled = _REGISTRY[config.kind].fill(masked, gap, config.params, seed)
+    """Run one imputer on one gap; deterministic given (inputs, config, seed).
+
+    A ``LinAlgError`` or ``FloatingPointError`` escaping the fill becomes a
+    ``NumericalError``; any other exception that is not a ``GapgaugeError``
+    is a bug and propagates unchanged.
+    """
+    try:
+        filled = _REGISTRY[config.kind].fill(masked, gap, config.params, seed)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise NumericalError(f"{type(exc).__name__}: {exc}",
+                             kind=config.kind) from exc
     return ImputationResult(imputer_id=config.imputer_id, gap=gap, filled=filled)

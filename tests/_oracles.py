@@ -3,7 +3,9 @@
 Nothing here may share code with the library paths under test: the
 transport cost is solved as a coupling problem (permutation enumeration for
 equal sizes, an explicit linear program otherwise), divergences by direct
-summation, and forecasts by a hand-rolled recursion.
+summation, and forecasts by a hand-rolled recursion.  The one exception is
+ARIMA order selection: the exhaustive grid reuses the library's
+per-candidate fit, because what it checks is which candidate gets picked.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from gapgauge.errors import CapacityError
+from gapgauge.errors import CapacityError, GapgaugeError, SelectionError
 from gapgauge.gaps import GapSet, GapSpec, philox_generator
+from gapgauge.imputers import arima
 
 
 def transport_cost_bruteforce(p, q) -> float:
@@ -260,3 +263,34 @@ def reference_gap_placement(series_length, n_gaps, min_len, max_len, seed,
         placed.append(gap)
     placed.sort(key=lambda g: g.start_index)
     return GapSet(gaps=tuple(placed), seed=int(seed), source_length=series_length)
+
+
+def exhaustive_select_and_fit(train, p_max, d_max, q_max, seasonal=None):
+    """ARIMA order selection as first written: fit every candidate of the
+    lattice with the exact least-squares path and keep the best rank tuple.
+
+    Returns the fitted model and the reason each rejected candidate failed.
+    The library's screened selection must return the same fitted model."""
+    failures: dict[str, str] = {}
+    best = None
+    level_cache: dict[tuple[int, int], tuple[list, list]] = {}
+    stage1_caches: dict[tuple[int, int], dict] = {}
+    for order in arima._candidate_orders(p_max, d_max, q_max, seasonal):
+        key = (order.d, order.D)
+        try:
+            if key not in level_cache:
+                level_cache[key] = arima._difference_levels(train.values, order)
+            levels, ops = level_cache[key]
+            fitted = arima._fit_core(levels, ops, order,
+                                     stage1_caches.setdefault(key, {}))
+        except (GapgaugeError, np.linalg.LinAlgError) as exc:
+            failures[order.label()] = str(exc)
+            continue
+        rank = (fitted.aic, order.n_params, order.d + order.D,
+                (order.p, order.d, order.q, order.P, order.D, order.Q))
+        if best is None or rank < best[0]:
+            best = (rank, fitted)
+    if best is None:
+        raise SelectionError("no candidate order could be fitted",
+                             failures=failures)
+    return best[1], failures

@@ -96,6 +96,22 @@ class TestGenerateGaps:
         assert generate_gaps(*args, min_start=min_start) == \
             reference_gap_placement(*args, min_start=min_start)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 60), st.integers(1, 24),
+           st.integers(0, 24), st.integers(0, 300), st.integers(0, 400))
+    def test_gap_plus_window_intervals_disjoint(self, seed, n_gaps, min_len,
+                                                spread, min_start, slack):
+        max_len = min_len + spread
+        length = min_start + 4 * n_gaps * max_len + slack
+        gap_set = generate_gaps(length, n_gaps, min_len, max_len, seed,
+                                min_start=min_start)
+        assert len(gap_set) == n_gaps
+        assert extended_intervals_disjoint(gap_set)
+        for gap in gap_set:
+            lo, hi = gap.extended_interval()
+            assert min_start <= gap.start_index and 0 <= lo and hi <= length
+            assert min_len <= gap.length <= max_len
+
     @pytest.mark.parametrize("args", [(40, 3, 5, 8, 1), (30, 2, 6, 9, 1),
                                       (60, 4, 5, 9, 2)])
     def test_unpackable_request_fails_like_linear_scan(self, args):

@@ -4,11 +4,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gapgauge import (EvalConfig, ImputerConfig, MetricRecord, aggregate,
-                      harness, jsd, pre_gap_window, rank_agreement,
-                      register_imputer, required_history, run_evaluation,
-                      synthesize_series, wasserstein_1d)
-from gapgauge.errors import ConfigError, DegenerateError, InvalidParameterError
+from gapgauge import (EvalConfig, GapSpec, ImputerConfig, MetricRecord,
+                      aggregate, harness, impute, imputers, jsd, pre_gap_window,
+                      rank_agreement, register_imputer, required_history,
+                      run_evaluation, synthesize_series, wasserstein_1d)
+from gapgauge.errors import (ConfigError, DegenerateError, InvalidParameterError,
+                             NumericalError)
 from gapgauge.gaps import GapSet, apply_gaps
 from gapgauge.imputers import _REGISTRY
 
@@ -319,6 +320,60 @@ class TestRunEvaluation:
             imputers=[ImputerConfig("arima", {"train_span": 800})],
             n_gaps=2, min_len=2, max_len=48, seed=0)
         with pytest.raises(ConfigError):
+            run_evaluation(series, config)
+
+
+class TestImputerBoundary:
+    """Fault-injection kinds registered through ``register_imputer``."""
+
+    @pytest.fixture(autouse=True)
+    def faulty_kinds(self, monkeypatch):
+        monkeypatch.setattr(imputers, "_REGISTRY", dict(imputers._REGISTRY))
+
+        def overflowing(masked, gap, params, seed):
+            with np.errstate(over="raise"):
+                return np.full(gap.length, np.float64(1e308) * 10.0)
+
+        def buggy(masked, gap, params, seed):
+            raise TypeError("bug in a fill")
+
+        register_imputer("nan", lambda masked, gap, params, seed:
+                         np.full(gap.length, np.nan))
+        register_imputer("short", lambda masked, gap, params, seed:
+                         np.zeros(gap.length - 1))
+        register_imputer("singular", lambda masked, gap, params, seed:
+                         np.linalg.inv(np.zeros((2, 2))))
+        register_imputer("overflowing", overflowing)
+        register_imputer("buggy", buggy)
+
+    def test_failures_recorded_by_code(self):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        kinds = ("nan", "short", "singular", "overflowing")
+        config = EvalConfig(
+            imputers=[*(ImputerConfig(kind, {}) for kind in kinds), *small_imputers()],
+            n_gaps=4, min_len=2, max_len=10, seed=4)
+        report = run_evaluation(series, config)
+        codes = {}
+        for imputer in config.imputers:
+            codes[imputer.kind] = {r.error.split(":")[0] if r.failed else None
+                                   for r in report.records
+                                   if r.imputer_id == imputer.imputer_id}
+        assert codes == {"nan": {"shape"}, "short": {"shape"},
+                         "singular": {"numerical"}, "overflowing": {"numerical"},
+                         "polynomial": {None}, "seasonal_naive": {None}}
+
+    def test_numerical_error_keeps_its_cause(self):
+        series = synthesize_series("seasonal", 300, {}, seed=1)
+        with pytest.raises(NumericalError, match="LinAlgError") as err:
+            impute(series, GapSpec(200, 5), ImputerConfig("singular", {}))
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        assert err.value.code == "numerical"
+
+    def test_other_exceptions_propagate(self):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        config = EvalConfig(imputers=[ImputerConfig("buggy", {}), *small_imputers()],
+                            n_gaps=4, min_len=2, max_len=10, seed=4)
+        with pytest.raises(TypeError, match="bug in a fill"):
             run_evaluation(series, config)
 
 

@@ -9,7 +9,7 @@ from gapgauge.errors import (InvalidParameterError, RankDeficiencyError,
                              SelectionError, TrainingWindowError)
 from gapgauge.imputers import arima
 
-from _oracles import arima_forecast_by_hand
+from _oracles import arima_forecast_by_hand, exhaustive_select_and_fit
 
 
 def ar_series(coeffs, n, seed, noise_sd=1.0, intercept=0.0):
@@ -109,10 +109,17 @@ class TestSelectOrder:
             select_order(series, p_max=0, d_max=0, q_max=0)
 
     def test_failure_reasons_carried(self):
+        # Some candidates fail the length checks, the rest are rank deficient
+        # on a constant window: the error names each candidate of the lattice.
         series = synthesize_series("constant", 80, {}, seed=0)
         with pytest.raises(SelectionError) as err:
             select_order(slice_series(series, 0, 25), p_max=3, d_max=0, q_max=3)
-        assert err.value.context["failures"]
+        failures = err.value.context["failures"]
+        assert set(failures) == {order.label() for order in
+                                 arima._candidate_orders(3, 0, 3, None)}
+        assert len(failures) == 15
+        assert any("rank-deficiency" in reason for reason in failures.values())
+        assert any("[training]" in reason for reason in failures.values())
 
     def test_program_error_in_a_candidate_propagates(self, monkeypatch):
         def broken_fit(*args, **kwargs):
@@ -139,6 +146,75 @@ class TestSelectOrder:
             assert np.array_equal(getattr(refit, name), getattr(selected, name)), name
         assert (refit.intercept, refit.sse, refit.aic) == \
             (selected.intercept, selected.sse, selected.aic)
+        assert_same_fit(selected, exhaustive_select_and_fit(train, 3, 2, 3, seasonal)[0])
+
+
+def assert_same_fit(screened, exhaustive):
+    assert screened.order == exhaustive.order
+    for name in ("ar", "sar", "ma", "sma", "innovations"):
+        assert np.array_equal(getattr(screened, name), getattr(exhaustive, name)), name
+    assert (screened.intercept, screened.sse, screened.aic) == \
+        (exhaustive.intercept, exhaustive.sse, exhaustive.aic)
+
+
+def training_windows(kind):
+    """52 training windows of one kind, 72 to 240 samples long."""
+    for seed in range(52):
+        length = (72, 120, 168, 240)[seed % 4]
+        if kind == "seasonal":
+            series = synthesize_series(
+                "seasonal", 2000, {"noise_sd": 0.5 + seed % 5, "harmonic2": 0.3,
+                                   "weekly_amplitude": 4.0}, seed=seed)
+        elif kind == "ar2":
+            series = ar_series([1.2, -0.5], 2000, seed=seed)
+        elif kind == "random_walk":
+            rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+            series = TimeSeries.fully_observed(
+                0.0, 3600.0, np.cumsum(rng.standard_normal(2000)))
+        else:
+            series = synthesize_series("constant", 2000,
+                                       {"value": float(seed % 7 - 3)}, seed=seed)
+        yield slice_series(series, 30 * seed, length)
+
+
+class TestScreenedSelectionEqualsExhaustive:
+    """The screen refits exactly every candidate it cannot rule out, so the
+    selected model must be bit-equal to the exhaustive grid's."""
+
+    BOUNDS = {"arima": (3, 2, 3, None), "sarima": (2, 1, 2, (1, 1, 1, 24))}
+
+    @pytest.mark.parametrize("kind", ["seasonal", "ar2", "random_walk", "constant"])
+    def test_same_model_as_the_exhaustive_grid(self, kind):
+        reasons, aics = [], []
+        for i, train in enumerate(training_windows(kind)):
+            bounds = self.BOUNDS["sarima" if i % 2 else "arima"]
+            exhaustive, failures = exhaustive_select_and_fit(train, *bounds)
+            assert_same_fit(arima._select_and_fit(train, *bounds), exhaustive)
+            reasons.extend(failures.values())
+            aics.append(exhaustive.aic)
+        if kind == "constant":
+            # rank-deficient candidates and zero-SSE winners both occur
+            assert any("rank-deficiency" in reason for reason in reasons)
+            assert all(aic == -np.inf for aic in aics)
+        else:
+            assert np.all(np.isfinite(aics))
+
+    def test_screen_errors_within_the_allowance_keep_the_model(self, monkeypatch):
+        # white noise whose two best candidates lie 0.0008 AIC apart
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(33)))
+        train = TimeSeries.fully_observed(0.0, 3600.0, rng.standard_normal(120))
+        exhaustive, _ = exhaustive_select_and_fit(train, 2, 1, 2)
+        screen = arima._screen
+
+        def against_the_best(values, orders, levels):
+            # nearly the largest error the screen may make unrefitted,
+            # every candidate's in the direction that hides the exact best
+            shift = 0.45 * arima.MARGIN
+            return [(order, aic + (shift if order == exhaustive.order else -shift), sure)
+                    for order, aic, sure in screen(values, orders, levels)]
+
+        monkeypatch.setattr(arima, "_screen", against_the_best)
+        assert_same_fit(arima._select_and_fit(train, 2, 1, 2), exhaustive)
 
 
 class TestForecast:

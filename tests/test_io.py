@@ -1,13 +1,17 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapgauge import (EvalConfig, ImputerConfig, IngestSpec, MetricRecord,
-                      ParamSpec, emit_report, gap_set_to_json, ingest_csv,
-                      load_config, read_records_csv, register_imputer,
-                      run_evaluation, synthesize_series, write_series_csv)
+                      ParamSpec, TimeSeries, emit_report, gap_set_to_json,
+                      ingest_csv, load_config, read_records_csv,
+                      register_imputer, run_evaluation, synthesize_series,
+                      write_series_csv)
 from gapgauge.errors import (CadenceError, ConfigError,
                              DuplicateTimestampError, ParseError, SchemaError)
 from gapgauge.imputers import _REGISTRY
@@ -98,6 +102,25 @@ class TestIngest:
         assert back.start_time == original.start_time
         assert back.step == original.step
         assert np.array_equal(back.values, original.values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.0, 2e9), st.floats(1.0, 86_400.0),
+           st.lists(st.tuples(st.floats(-1e12, 1e12, allow_nan=False,
+                                        allow_infinity=False), st.booleans()),
+                    min_size=1, max_size=40))
+    def test_write_ingest_round_trip(self, start, step, samples):
+        values = np.array([value for value, _ in samples])
+        observed = np.array([seen for _, seen in samples])
+        series = TimeSeries(start_time=start, step=step, values=values,
+                            observed=observed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "s.csv")
+            write_series_csv(series, path)
+            back = ingest_csv(IngestSpec(path=path, expected_step=step,
+                                         missing_policy="mask"))
+        assert (back.start_time, back.step) == (start, step)
+        assert np.array_equal(back.observed, observed)
+        assert back.values[observed].tobytes() == values[observed].tobytes()
 
     def test_round_trip_preserves_mask(self, tmp_path):
         original = synthesize_series("seasonal", 100, {}, seed=1)

@@ -182,6 +182,29 @@ class TestJSD:
                 *shared_histogram(pp, qq, bins, epsilon))
 
 
+class TestAxioms:
+    """Metric axioms over generated samples, ties and constant samples included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_samples, _samples, _finite)
+    def test_wasserstein(self, p, q, shift):
+        scale = 1.0 + max(map(abs, [*p, *q, shift]))
+        d = wasserstein_1d(p, q)
+        assert d >= 0.0
+        assert d == pytest.approx(wasserstein_1d(q, p), abs=1e-12 * scale)
+        assert wasserstein_1d(p, p[::-1]) == 0.0
+        assert wasserstein_1d(np.add(p, shift), np.add(q, shift)) == \
+            pytest.approx(d, abs=1e-9 * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_samples, _samples, st.integers(2, 32))
+    def test_jsd(self, p, q, bins):
+        d = jsd(p, q, bins)
+        assert 0.0 <= d <= 1.0
+        assert d == jsd(q, p, bins)
+        assert jsd(p, p[::-1], bins) == 0.0
+
+
 class TestPointwiseErrors:
     def test_identical_vectors(self):
         assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
