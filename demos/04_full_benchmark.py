@@ -29,7 +29,7 @@ config = EvalConfig(
     ],
     n_gaps=20, min_len=2, max_len=48, seed=99)
 
-report = run_evaluation(series, config, parallel=4)
+report = run_evaluation(series, config)
 failed = sum(1 for r in report.records if r.failed)
 print(f"{len(report.records)} (gap, imputer) jobs, {failed} failures, "
       f"prng {report.provenance['prng_algorithm']}")

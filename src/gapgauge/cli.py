@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .errors import ConfigError, GapgaugeError
 from .harness import aggregate, rank_agreement, run_evaluation
-from .io import (IngestSpec, emit_report, ingest_csv, load_config,
-                 read_records_csv, write_series_csv)
+from .io import (IngestSpec, _atomic_write_text, emit_report, ingest_csv,
+                 load_config, read_records_csv, write_series_csv)
 from .series import TimeSeries
 from .synth import SERIES_KINDS, synthesize_series
 
@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated kinds or imputer ids to keep")
     run.add_argument("--bins", type=int, default=None,
                      help="overrides the JSD histogram bin count")
-    run.add_argument("--parallel", type=int, default=0, metavar="N",
-                     help="worker threads (0 or 1 = sequential)")
+    # still accepted so that existing scripts run; jobs are always sequential
+    run.add_argument("--parallel", type=int, default=0, help=argparse.SUPPRESS)
     run.add_argument("--quiet", action="store_true")
 
     agree = sub.add_parser("agree", help="recompute rank agreement from records.csv")
@@ -107,7 +107,10 @@ def _cmd_synth(args) -> int:
         key, _, value = item.partition("=")
         if not _:
             raise GapgaugeError(f"--param needs KEY=VALUE, got {item!r}")
-        params[key] = float(value)
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise GapgaugeError(f"--param {key} needs a number, got {value!r}") from None
     kwargs = {} if args.start_time is None else {"start_time": args.start_time}
     series = synthesize_series(args.kind, args.length, params,
                                seed=args.seed, step=args.step, **kwargs)
@@ -140,11 +143,13 @@ def _cmd_run(args) -> int:
                                 available=known)
         config.imputers = kept
 
+    if args.parallel > 1 and not args.quiet:
+        print("note: --parallel is ignored; jobs run sequentially", file=sys.stderr)
     try:
-        report = run_evaluation(series, config, parallel=args.parallel)
+        report = run_evaluation(series, config)
         emit_report(report, args.out)
     except ConfigError:
-        raise  # a configuration error, e.g. a negative --parallel, exits 1
+        raise  # a series that fails validation or is too short exits 1
     except GapgaugeError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_RUN
@@ -174,7 +179,7 @@ def _cmd_agree(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "agreement.json").write_text(text + "\n", encoding="utf-8")
+        _atomic_write_text(out / "agreement.json", text + "\n")
         if not args.quiet:
             print(f"wrote {out / 'agreement.json'}")
     if not args.quiet:

@@ -14,8 +14,6 @@ head-of-series history that the configured imputer kinds declare.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -141,17 +139,12 @@ def _restore_gap(work: TimeSeries, series: TimeSeries, gap: GapSpec) -> None:
     work.observed[window] = series.observed[window]
 
 
-def run_evaluation(series: TimeSeries, config: EvalConfig,
-                   parallel: int = 0) -> EvalReport:
+def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
     """Run the full protocol; per-(gap, imputer) failures never abort the run.
 
-    ``parallel`` is a thread count: 0 or 1 runs the jobs sequentially, N > 1
-    on N threads.  Both produce identical reports because every job is pure
-    and the record order is fixed (gaps by position, imputers in declared
-    order).
+    Jobs run in record order (gaps by position, imputers in declared order),
+    so reruns produce identical reports.
     """
-    if parallel < 0:
-        raise ConfigError("parallel must be >= 0", parallel=parallel)
     check = validate(series)
     if not check.ok:
         raise ConfigError("series failed validation", violations=check.violations)
@@ -166,45 +159,34 @@ def run_evaluation(series: TimeSeries, config: EvalConfig,
                             config.max_len, config.seed, min_start=reserve)
     masked, truth = apply_gaps(series, gap_set)
     references = [pre_gap_window(masked, gap) for gap in gap_set]
-    gap_ids = [f"gap{i:03d}" for i in range(len(gap_set))]
 
-    jobs = [(gi, mi) for gi in range(len(gap_set))
-            for mi in range(len(config.imputers))]
-    # One working copy per worker thread; each job masks its gap in place
-    # and restores it before the next job on that thread.
-    local = threading.local()
-
-    def run_job(job: tuple[int, int]) -> MetricRecord:
-        gi, mi = job
-        gap = gap_set.gaps[gi]
-        imputer = config.imputers[mi]
-        if not hasattr(local, "work"):
-            local.work = series.copy()
-        try:
-            view = _single_gap_view(local.work, gap)
-            result = impute(view, gap, imputer,
-                            seed=derive_seed(config.seed, gi, mi))
-            filled = result.filled
-            return MetricRecord(
-                gap_id=gap_ids[gi], imputer_id=imputer.imputer_id,
-                gap_len=gap.length,
-                wd=wasserstein_1d(filled, references[gi]),
-                jsd=jsd(filled, references[gi],
-                        bins=config.bins, epsilon=config.epsilon),
-                rmse=rmse(filled, truth[gap]),
-                mae=mae(filled, truth[gap]))
-        except GapgaugeError as exc:
-            return MetricRecord(gap_id=gap_ids[gi], imputer_id=imputer.imputer_id,
-                                gap_len=gap.length,
-                                error=f"{exc.code}: {exc.message}")
-        finally:
-            _restore_gap(local.work, series, gap)
-
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            records = list(pool.map(run_job, jobs))
-    else:
-        records = [run_job(job) for job in jobs]
+    # One working copy; each job masks its gap in place and restores it
+    # before the next job.
+    work = series.copy()
+    records = []
+    for gi, gap in enumerate(gap_set.gaps):
+        gap_id = f"gap{gi:03d}"
+        for mi, imputer in enumerate(config.imputers):
+            try:
+                view = _single_gap_view(work, gap)
+                result = impute(view, gap, imputer,
+                                seed=derive_seed(config.seed, gi, mi))
+                filled = result.filled
+                record = MetricRecord(
+                    gap_id=gap_id, imputer_id=imputer.imputer_id,
+                    gap_len=gap.length,
+                    wd=wasserstein_1d(filled, references[gi]),
+                    jsd=jsd(filled, references[gi],
+                            bins=config.bins, epsilon=config.epsilon),
+                    rmse=rmse(filled, truth[gap]),
+                    mae=mae(filled, truth[gap]))
+            except GapgaugeError as exc:
+                record = MetricRecord(gap_id=gap_id, imputer_id=imputer.imputer_id,
+                                      gap_len=gap.length,
+                                      error=f"{exc.code}: {exc.message}")
+            finally:
+                _restore_gap(work, series, gap)
+            records.append(record)
 
     aggregates = aggregate(records, config.aggregation)
     try:

@@ -34,9 +34,17 @@ def synthesize_series(kind: str, length: int, params: dict | None = None,
       started at the stationary mean.
     * ``seasonal``: daily plus weekly sinusoids over ``base`` with noise,
       period counts derived from ``step``.
+
+    Every parameter value, ``start_time`` and ``step`` must be finite, and
+    ``step`` positive.
     """
     if length < 1:
         raise InvalidParameterError("length must be >= 1", length=length)
+    for key, value in {**(params or {}), "start_time": start_time, "step": step}.items():
+        if not np.isfinite(value):
+            raise InvalidParameterError(f"{key} must be finite", value=value)
+    if not step > 0:
+        raise InvalidParameterError("step must be > 0", step=step)
     params = dict(params or {})
     rng = philox_generator(seed)
     i = np.arange(length, dtype=float)

@@ -54,6 +54,13 @@ class TestSynthAndIngest:
         with pytest.raises(SystemExit):
             main(["synth", "--kind", "fractal", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_synth_bad_param_exits_one(self, tmp_path, capsys, value):
+        assert main(["synth", "--length", "100", "--out", str(tmp_path),
+                     "--param", f"daily_amplitude={value}"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "series.csv").exists()
+
 
 class TestRun:
     def test_full_run_writes_outputs_and_exits_zero(self, synth_series,
@@ -114,13 +121,6 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--series",
                      str(synth_series), "--out", str(tmp_path / "x")]) == 1
 
-    def test_negative_parallel_exits_one(self, synth_series, small_config,
-                                         tmp_path, capsys):
-        assert main(["run", "--config", str(small_config), "--series",
-                     str(synth_series), "--out", str(tmp_path / "x"),
-                     "--parallel", "-1", "--quiet"]) == 1
-        assert "parallel must be >= 0" in capsys.readouterr().err
-
     def test_bins_override_is_validated(self, synth_series, small_config,
                                         tmp_path, capsys):
         out = tmp_path / "x"
@@ -143,15 +143,18 @@ class TestRun:
         assert "aborted" in capsys.readouterr().err
 
     def test_parallel_run_matches_sequential(self, synth_series, small_config,
-                                             tmp_path):
+                                             tmp_path, capsys):
         out_seq, out_par = tmp_path / "seq", tmp_path / "par"
-        main(["run", "--config", str(small_config), "--series",
-              str(synth_series), "--out", str(out_seq), "--quiet"])
-        main(["run", "--config", str(small_config), "--series",
-              str(synth_series), "--out", str(out_par), "--quiet",
-              "--parallel", "4"])
-        assert (out_seq / "records.csv").read_bytes() == \
-            (out_par / "records.csv").read_bytes()
+        assert main(["run", "--config", str(small_config), "--series",
+                     str(synth_series), "--out", str(out_seq)]) == 0
+        assert "--parallel" not in capsys.readouterr().err
+        assert main(["run", "--config", str(small_config), "--series",
+                     str(synth_series), "--out", str(out_par),
+                     "--parallel", "4"]) == 0
+        assert "note: --parallel is ignored; jobs run sequentially" in \
+            capsys.readouterr().err
+        for name in ("records.csv", "aggregates.csv"):
+            assert (out_seq / name).read_bytes() == (out_par / name).read_bytes()
 
 
 class TestAgree:
@@ -166,6 +169,7 @@ class TestAgree:
         assert code == 0
         recomputed = json.loads((out / "agreement.json").read_text())
         assert recomputed == report["rank_agreement"]
+        assert not [p for p in out.iterdir() if ".tmp-" in p.name]
 
     def test_agree_single_imputer_exits_two(self, tmp_path):
         records = tmp_path / "records.csv"

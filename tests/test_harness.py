@@ -1,11 +1,8 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
 from gapgauge import (EvalConfig, GapSpec, ImputerConfig, MetricRecord,
-                      aggregate, harness, impute, imputers, jsd, pre_gap_window,
+                      aggregate, impute, imputers, jsd, pre_gap_window,
                       rank_agreement, register_imputer, required_history,
                       run_evaluation, synthesize_series, wasserstein_1d)
 from gapgauge.errors import (ConfigError, DegenerateError, InvalidParameterError,
@@ -205,37 +202,16 @@ class TestRunEvaluation:
         keys = {(r.gap_id, r.imputer_id) for r in report.records}
         assert len(keys) == len(report.records) == 16
 
-    def test_deterministic_and_parallel_equals_sequential(self):
+    def test_deterministic_reruns(self):
         series = synthesize_series("seasonal", 4000, {"noise_sd": 5.0}, seed=8)
         config = EvalConfig(imputers=small_imputers(), n_gaps=8,
                             min_len=2, max_len=24, seed=1)
-        sequential = run_evaluation(series, config)
+        first = run_evaluation(series, config)
         again = run_evaluation(series, config)
-        parallel = run_evaluation(series, config, parallel=4)
-        assert sequential.records == again.records == parallel.records
-        assert sequential.aggregates == parallel.aggregates
+        assert first.records == again.records
+        assert first.aggregates == again.aggregates
 
-    def test_parallel_is_a_thread_count(self, monkeypatch):
-        workers = []
-
-        class CountingExecutor(ThreadPoolExecutor):
-            def __init__(self, max_workers=None):
-                workers.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingExecutor)
-        series = synthesize_series("seasonal", 3000, {}, seed=2)
-        config = EvalConfig(imputers=small_imputers(), n_gaps=4,
-                            min_len=2, max_len=10, seed=0)
-        for parallel in (0, 1, True, 3):
-            run_evaluation(series, config, parallel=parallel)
-        assert workers == [3]
-        with pytest.raises(ConfigError):
-            run_evaluation(series, config, parallel=-2)
-        assert workers == [3]
-
-    @pytest.mark.parametrize("parallel", [0, 4])
-    def test_each_job_sees_only_its_gap_hidden(self, parallel):
+    def test_each_job_sees_only_its_gap_hidden(self):
         series = synthesize_series("seasonal", 3000, {}, seed=1)
         hidden = []
 
@@ -245,15 +221,12 @@ class TestRunEvaluation:
             return masked.values[gap.start_index:gap.end_index]
 
         register_imputer("peeking", peeking_fill)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # more thread switches inside each job
         try:
             config = EvalConfig(
                 imputers=[*small_imputers(), ImputerConfig("peeking", {})],
                 n_gaps=12, min_len=2, max_len=10, seed=4)
-            report = run_evaluation(series, config, parallel=parallel)
+            report = run_evaluation(series, config)
         finally:
-            sys.setswitchinterval(interval)
             _REGISTRY.pop("peeking")
         assert len(hidden) == 12
         for gap, unobserved, nan in hidden:

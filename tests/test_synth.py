@@ -52,6 +52,20 @@ class TestSynthesizeSeries:
         with pytest.raises(ConfigError):
             synthesize_series("constant", 100, {"amplitude": 2.0}, seed=0)
 
+    @pytest.mark.parametrize("kind,params,kwargs", [
+        ("sine", {"noise_sd": np.nan}, {}),
+        ("sine", {"amplitude": np.nan}, {}),
+        ("seasonal", {"daily_amplitude": np.inf}, {}),
+        ("constant", {"value": -np.inf}, {}),
+        ("seasonal", {}, {"step": 0.0}),
+        ("seasonal", {}, {"step": -5.0}),
+        ("seasonal", {}, {"step": np.nan}),
+        ("seasonal", {}, {"start_time": np.nan}),
+    ])
+    def test_bad_parameter_values_rejected(self, kind, params, kwargs):
+        with pytest.raises(InvalidParameterError):
+            synthesize_series(kind, 50, params, **kwargs)
+
     def test_length_validation(self):
         with pytest.raises(InvalidParameterError):
             synthesize_series("constant", 0, {}, seed=0)
