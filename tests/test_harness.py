@@ -211,7 +211,8 @@ class TestRunEvaluation:
         assert first.records == again.records
         assert first.aggregates == again.aggregates
 
-    def test_each_job_sees_only_its_gap_hidden(self):
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_each_job_sees_only_its_gap_hidden(self, seed):
         series = synthesize_series("seasonal", 3000, {}, seed=1)
         hidden = []
 
@@ -224,7 +225,7 @@ class TestRunEvaluation:
         try:
             config = EvalConfig(
                 imputers=[*small_imputers(), ImputerConfig("peeking", {})],
-                n_gaps=12, min_len=2, max_len=10, seed=4)
+                n_gaps=12, min_len=2, max_len=10, seed=seed)
             report = run_evaluation(series, config)
         finally:
             _REGISTRY.pop("peeking")
