@@ -7,10 +7,12 @@ window right before it, which later stands in for ground truth when the
 distribution metrics score a fill.
 """
 
+import json
+
 import numpy as np
 
-from gapgauge import (apply_gaps, gap_set_to_json, generate_gaps,
-                      pre_gap_window, synthesize_series, wasserstein_1d)
+from gapgauge import (apply_gaps, generate_gaps, pre_gap_window,
+                      synthesize_series, wasserstein_1d)
 
 series = synthesize_series("seasonal", 5_000, {"noise_sd": 5.0}, seed=42)
 print(f"synthetic hourly series: {len(series)} samples, "
@@ -22,7 +24,7 @@ print(f"\nplaced {len(gaps)} disjoint gaps (seed {gaps.seed}):")
 for gap in gaps:
     print(f"  start {gap.start_index:5d}  length {gap.length:3d}")
 
-print("\nserialized:", gap_set_to_json(gaps)[:80], "...")
+print("\nserialized:", json.dumps(gaps.to_json_dict())[:80], "...")
 
 same = generate_gaps(len(series), 8, 2, 48, seed=7, min_start=200)
 print("regenerating with the same seed is bit-identical:", same == gaps)

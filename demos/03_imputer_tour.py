@@ -32,12 +32,12 @@ configs = [
 print(f"gap: {gap.length} hours starting at index {gap.start_index}\n")
 print(f"{'imputer':16s} {'wd':>8} {'jsd':>8} {'rmse':>8} {'mae':>8}")
 for config in configs:
-    result = impute(view, gap, config, seed=1)
+    filled = impute(view, gap, config, seed=1)
     print(f"{config.kind:16s}"
-          f" {wasserstein_1d(result.filled, reference):8.2f}"
-          f" {jsd(result.filled, reference):8.3f}"
-          f" {rmse(result.filled, truth):8.2f}"
-          f" {mae(result.filled, truth):8.2f}")
+          f" {wasserstein_1d(filled, reference):8.2f}"
+          f" {jsd(filled, reference):8.3f}"
+          f" {rmse(filled, truth):8.2f}"
+          f" {mae(filled, truth):8.2f}")
 
 print("""
 Reading the table: the no-ground-truth columns (wd, jsd) are computed only

@@ -7,7 +7,6 @@ per metric pairing).  Writes the same file set as the CLI `run` command.
 """
 
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -50,8 +49,8 @@ for pairing, stats in report.agreement["pooled"].items():
     print(f"  {pairing:12s} spearman {stats['spearman']:+.3f}"
           f"  kendall {stats['kendall']:+.3f}")
 
-out_dir = Path(tempfile.mkdtemp(prefix="gapgauge_demo_"))
-written = emit_report(report, out_dir)
-print(f"\nreport files written to {out_dir}:")
-for path in written:
-    print("  ", path.name)
+with tempfile.TemporaryDirectory(prefix="gapgauge_demo_") as out_dir:
+    written = emit_report(report, out_dir)
+    print(f"\nreport files written to {out_dir} (removed on exit):")
+    for path in written:
+        print("  ", path.name)

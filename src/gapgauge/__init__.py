@@ -10,14 +10,13 @@ well the reference-window metrics stand in for the classic ones.
 
 from .errors import GapgaugeError
 from .gaps import (PRNG_ALGORITHM, GapSet, GapSpec, apply_gaps,
-                   gap_set_to_json, generate_gaps, pre_gap_window)
+                   generate_gaps, pre_gap_window)
 from .harness import (AggregateRow, EvalConfig, EvalReport, aggregate,
                       rank_agreement, required_history, run_evaluation)
 from .imputers import (ArimaOrder, FittedArima, GradientBoostedTrees,
-                       ImputationResult, ImputerConfig, ParamSpec,
-                       RegressionTree, arima_fill, fit_arima, forecast,
-                       gbt_fill, impute, polynomial_fill, register_imputer,
-                       seasonal_naive_fill, select_order)
+                       ImputerConfig, ParamSpec, RegressionTree, arima_fill,
+                       fit_arima, forecast, gbt_fill, impute, polynomial_fill,
+                       register_imputer, seasonal_naive_fill, select_order)
 from .io import (IngestSpec, emit_report, ingest_csv, load_config,
                  read_records_csv, write_series_csv)
 from .metrics import (Histogram, MetricRecord, jsd, jsd_histograms, mae,
@@ -31,15 +30,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateRow", "ArimaOrder", "EmpiricalSample", "EvalConfig",
     "EvalReport", "FittedArima", "GapSet", "GapSpec", "GapgaugeError",
-    "GradientBoostedTrees", "Histogram", "ImputationResult", "ImputerConfig",
-    "IngestSpec", "MetricRecord", "PRNG_ALGORITHM", "ParamSpec",
-    "RegressionTree", "SERIES_KINDS", "TimeSeries", "aggregate", "apply_gaps",
-    "arima_fill", "average_ranks", "emit_report", "fit_arima", "forecast",
-    "gap_set_to_json", "gbt_fill", "generate_gaps", "impute", "ingest_csv",
-    "jsd", "jsd_histograms", "kendall", "load_config", "mae",
-    "polynomial_fill", "pre_gap_window", "rank_agreement", "read_records_csv",
-    "register_imputer", "required_history", "rmse", "run_evaluation",
-    "seasonal_naive_fill", "select_order", "shared_histogram", "slice_series",
-    "spearman", "synthesize_series", "validate", "wasserstein_1d",
-    "write_series_csv",
+    "GradientBoostedTrees", "Histogram", "ImputerConfig", "IngestSpec",
+    "MetricRecord", "PRNG_ALGORITHM", "ParamSpec", "RegressionTree",
+    "SERIES_KINDS", "TimeSeries", "aggregate", "apply_gaps", "arima_fill",
+    "average_ranks", "emit_report", "fit_arima", "forecast", "gbt_fill",
+    "generate_gaps", "impute", "ingest_csv", "jsd", "jsd_histograms",
+    "kendall", "load_config", "mae", "polynomial_fill", "pre_gap_window",
+    "rank_agreement", "read_records_csv", "register_imputer",
+    "required_history", "rmse", "run_evaluation", "seasonal_naive_fill",
+    "select_order", "shared_histogram", "slice_series", "spearman",
+    "synthesize_series", "validate", "wasserstein_1d", "write_series_csv",
 ]

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .errors import ConfigError, GapgaugeError
 from .harness import aggregate, rank_agreement, run_evaluation
-from .io import (IngestSpec, _atomic_write_text, emit_report, ingest_csv,
-                 load_config, read_records_csv, write_series_csv)
+from .io import (IngestSpec, emit_report, ingest_csv, load_config,
+                 read_records_csv, write_json, write_series_csv)
 from .series import TimeSeries
 from .synth import SERIES_KINDS, synthesize_series
 
@@ -175,15 +175,14 @@ def _cmd_agree(args) -> int:
     except GapgaugeError as exc:
         print(f"agree failed: {exc}", file=sys.stderr)
         return EXIT_RUN
-    text = json.dumps(agreement, indent=2)
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(out / "agreement.json", text + "\n")
+        write_json(out / "agreement.json", agreement)
         if not args.quiet:
             print(f"wrote {out / 'agreement.json'}")
     if not args.quiet:
-        print(text)
+        print(json.dumps(agreement, indent=2))
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ extended intervals gap-plus-window are pairwise disjoint across a GapSet.
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +186,3 @@ def training_window_start(series: TimeSeries, gap: GapSpec, span: int) -> int:
         raise TrainingWindowError("training window overlaps missing data",
                                   gap_start=gap.start_index, train_span=span)
     return lo
-
-
-def gap_set_to_json(gap_set: GapSet) -> str:
-    """Serialize with byte-stable field order: seed, source_length, gaps."""
-    return json.dumps(gap_set.to_json_dict())

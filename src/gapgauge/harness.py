@@ -23,7 +23,7 @@ from .errors import (ConfigError, DegenerateError, GapgaugeError,
                      InvalidParameterError, ShapeError)
 from .gaps import PRNG_ALGORITHM, GapSet, GapSpec, apply_gaps, generate_gaps, pre_gap_window
 from .imputers import ImputerConfig, derive_seed, impute, kind_spec
-from .metrics import MetricRecord, jsd, mae, rmse, wasserstein_1d
+from .metrics import METRICS, MetricRecord, jsd, mae, rmse, wasserstein_1d
 from .ranking import kendall, spearman
 from .series import TimeSeries, validate
 
@@ -169,9 +169,8 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
         for mi, imputer in enumerate(config.imputers):
             try:
                 view = _single_gap_view(work, gap)
-                result = impute(view, gap, imputer,
+                filled = impute(view, gap, imputer,
                                 seed=derive_seed(config.seed, gi, mi))
-                filled = result.filled
                 record = MetricRecord(
                     gap_id=gap_id, imputer_id=imputer.imputer_id,
                     gap_len=gap.length,
@@ -236,16 +235,11 @@ def aggregate(records: list[MetricRecord], bucketing: str = "exact") -> list[Agg
             return label[quartile[record.gap_len]]
 
     groups: dict[tuple[str, int], list[MetricRecord]] = {}
-    order: list[tuple[str, int]] = []
     for record in records:
-        key = (record.imputer_id, bucket_of(record))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record)
+        groups.setdefault((record.imputer_id, bucket_of(record)), []).append(record)
 
     rows = []
-    for imputer_id, bucket in sorted(order, key=lambda k: (k[0], k[1])):
+    for imputer_id, bucket in sorted(groups):
         members = groups[(imputer_id, bucket)]
         ok = [r for r in members if not r.failed]
         n_failed = len(members) - len(ok)
@@ -253,10 +247,8 @@ def aggregate(records: list[MetricRecord], bucketing: str = "exact") -> list[Agg
             continue
         rows.append(AggregateRow(
             imputer_id=imputer_id, gap_len=bucket,
-            mean_wd=float(np.mean([r.wd for r in ok])),
-            mean_jsd=float(np.mean([r.jsd for r in ok])),
-            mean_rmse=float(np.mean([r.rmse for r in ok])),
-            mean_mae=float(np.mean([r.mae for r in ok])),
+            **{f"mean_{m}": float(np.mean([getattr(r, m) for r in ok]))
+               for m in METRICS},
             n=len(ok), n_failed=n_failed))
     return rows
 
@@ -268,10 +260,7 @@ def rank_agreement(aggregates: list[AggregateRow]) -> dict:
     each ground-truth metric; every pairing is reported per gap size (sizes
     where all imputers have successes) and pooled over all records.
     """
-    imputer_ids = []
-    for row in aggregates:
-        if row.imputer_id not in imputer_ids:
-            imputer_ids.append(row.imputer_id)
+    imputer_ids = list(dict.fromkeys(row.imputer_id for row in aggregates))
     if len(imputer_ids) < 2:
         raise DegenerateError("rank agreement needs at least two imputers",
                               found=len(imputer_ids))
@@ -304,5 +293,5 @@ def rank_agreement(aggregates: list[AggregateRow]) -> dict:
         total = sum(r.n for r in rows)
         pooled_scores[imputer_id] = {
             f"mean_{m}": sum(getattr(r, f"mean_{m}") * r.n for r in rows) / total
-            for m in ("wd", "jsd", "rmse", "mae")}
+            for m in METRICS}
     return {"pooled": pair_block(pooled_scores), "per_gap_len": per_size}

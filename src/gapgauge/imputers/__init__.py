@@ -31,8 +31,8 @@ from .polynomial import polynomial_fill
 from .seasonal import seasonal_naive_fill
 
 __all__ = [
-    "ArimaOrder", "FittedArima", "GradientBoostedTrees", "ImputationResult",
-    "ImputerConfig", "KindSpec", "ParamSpec", "RegressionTree", "arima_fill",
+    "ArimaOrder", "FittedArima", "GradientBoostedTrees", "ImputerConfig",
+    "KindSpec", "ParamSpec", "RegressionTree", "arima_fill",
     "causal_features", "derive_seed", "fit_arima", "forecast", "gbt_fill",
     "impute", "kind_spec", "polynomial_fill", "register_imputer",
     "seasonal_naive_fill", "select_order",
@@ -199,33 +199,25 @@ class ImputerConfig:
         return f"{self.kind}-{digest}"
 
 
-@dataclass(frozen=True)
-class ImputationResult:
-    imputer_id: str
-    gap: GapSpec
-    filled: np.ndarray
-
-    def __post_init__(self):
-        filled = np.asarray(self.filled, dtype=float)
-        if len(filled) != self.gap.length:
-            raise ShapeError("fill length must match the gap",
-                             filled=len(filled), gap=self.gap.length)
-        if not np.all(np.isfinite(filled)):
-            raise ShapeError("fill contains non-finite values")
-        object.__setattr__(self, "filled", filled)
-
-
 def impute(masked: TimeSeries, gap: GapSpec, config: ImputerConfig,
-           seed: int = 0) -> ImputationResult:
-    """Run one imputer on one gap; deterministic given (inputs, config, seed).
+           seed: int = 0) -> np.ndarray:
+    """Run one imputer on one gap and return its ``gap.length`` finite values.
 
-    A ``LinAlgError`` or ``FloatingPointError`` escaping the fill becomes a
-    ``NumericalError``; any other exception that is not a ``GapgaugeError``
-    is a bug and propagates unchanged.
+    Deterministic given (inputs, config, seed).  A fill of the wrong length
+    or with non-finite values raises ``ShapeError``.  A ``LinAlgError`` or
+    ``FloatingPointError`` escaping the fill becomes a ``NumericalError``;
+    any other exception that is not a ``GapgaugeError`` is a bug and
+    propagates unchanged.
     """
     try:
         filled = _REGISTRY[config.kind].fill(masked, gap, config.params, seed)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise NumericalError(f"{type(exc).__name__}: {exc}",
                              kind=config.kind) from exc
-    return ImputationResult(imputer_id=config.imputer_id, gap=gap, filled=filled)
+    filled = np.asarray(filled, dtype=float)
+    if len(filled) != gap.length:
+        raise ShapeError("fill length must match the gap",
+                         filled=len(filled), gap=gap.length)
+    if not np.all(np.isfinite(filled)):
+        raise ShapeError("fill contains non-finite values")
+    return filled

@@ -234,13 +234,13 @@ def causal_features(values: np.ndarray, hours: np.ndarray,
 class _FeatureTracker:
     """Carries the SMA window and EWMA state across recursive gap fills."""
 
-    def __init__(self, history: np.ndarray, sma_window: int, ewma_alpha: float):
+    def __init__(self, history: np.ndarray, last_row: np.ndarray,
+                 sma_window: int, ewma_alpha: float):
         self.window = sma_window
         self.alpha = ewma_alpha
         self.recent = list(history[-sma_window:])
-        self.ewma = float(history[0])
-        for v in history[1:]:
-            self.ewma = ewma_alpha * float(v) + (1.0 - ewma_alpha) * self.ewma
+        # last_row[1] is the EWMA of history[:-1]; one more step takes in history[-1].
+        self.ewma = float(ewma_alpha * history[-1] + (1.0 - ewma_alpha) * last_row[1])
 
     def row(self, hour: int) -> np.ndarray:
         return np.array([sum(self.recent) / len(self.recent), self.ewma, float(hour)])
@@ -274,7 +274,7 @@ def gbt_fill(masked: TimeSeries, gap: GapSpec, train_span: int = DEFAULT_TRAIN_S
                                  learning_rate=learning_rate,
                                  subsample=subsample, rng=rng).fit(X, y)
 
-    tracker = _FeatureTracker(values, sma_window, ewma_alpha)
+    tracker = _FeatureTracker(values, X[-1], sma_window, ewma_alpha)
     filled = np.empty(gap.length)
     for offset, i in enumerate(range(gap.start_index, gap.end_index)):
         prediction = float(model.predict(tracker.row(masked.hour_of_day(i))[None, :])[0])

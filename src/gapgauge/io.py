@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,14 +22,14 @@ from .errors import (CadenceError, ConfigError, DuplicateTimestampError,
                      GapgaugeError, ParseError, SchemaError)
 from .harness import AggregateRow, EvalConfig, EvalReport, aggregate
 from .imputers import ImputerConfig, kind_spec
-from .metrics import MetricRecord
+from .metrics import METRICS, MetricRecord
 from .series import TimeSeries
 
 SCHEMA_VERSION = 1
 
-RECORD_COLUMNS = ("gap_id", "imputer_id", "gap_len", "wd", "jsd", "rmse", "mae", "error")
-AGGREGATE_COLUMNS = ("imputer_id", "gap_len", "mean_wd", "mean_jsd",
-                     "mean_rmse", "mean_mae", "n", "n_failed")
+# The CSV columns are the record fields, in declaration order.
+RECORD_COLUMNS = tuple(f.name for f in fields(MetricRecord))
+AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateRow))
 
 @dataclass
 class IngestSpec:
@@ -53,7 +54,10 @@ class IngestSpec:
 def _parse_timestamp(text: str, fmt: str, line: int) -> float:
     try:
         if fmt == "epoch":
-            return float(text)
+            stamp = float(text)
+            if not math.isfinite(stamp):
+                raise ParseError(f"non-finite timestamp {text!r}", line=line)
+            return stamp
         stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
         if stamp.tzinfo is None:
             stamp = stamp.replace(tzinfo=timezone.utc)
@@ -150,7 +154,7 @@ def write_series_csv(series: TimeSeries, path, timestamp_column: str = "timestam
             text = repr(int(stamp)) if stamp.is_integer() else repr(stamp)
             yield (text, repr(float(series.values[i])) if series.observed[i] else "")
 
-    _atomic_write_csv(path, rows())
+    _write_rows(path, rows())
 
 
 def _hours_to_samples(hours: float, step_seconds: float, path: str) -> int:
@@ -270,33 +274,37 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _atomic_write_csv(path, rows) -> None:
+def _atomic_write(path, fill) -> None:
+    """Let ``fill(handle)`` write a temp file beside ``path``, then rename it."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     with open(tmp, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for row in rows:
-            writer.writerow(row)
+        fill(handle)
     os.replace(tmp, path)
 
 
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _write_rows(path, rows) -> None:
+    _atomic_write(path, lambda handle: csv.writer(
+        handle, lineterminator="\n").writerows(rows))
+
+
+def _write_table(path, columns: tuple[str, ...], items) -> None:
+    """One CSV row per item, its ``columns`` attributes as cells, streamed."""
+    def rows():
+        yield columns
+        for item in items:
+            yield [_format_cell(getattr(item, name)) for name in columns]
+
+    _write_rows(path, rows())
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON plus a newline, atomically."""
+    _atomic_write(path, lambda handle: handle.write(json.dumps(doc, indent=2) + "\n"))
 
 
 def write_records_csv(records: list[MetricRecord], path) -> None:
-    def rows():
-        yield RECORD_COLUMNS
-        for r in records:
-            yield (r.gap_id, r.imputer_id, str(r.gap_len),
-                   _format_cell(r.wd), _format_cell(r.jsd),
-                   _format_cell(r.rmse), _format_cell(r.mae),
-                   r.error or "")
-
-    _atomic_write_csv(path, rows())
+    _write_table(path, RECORD_COLUMNS, records)
 
 
 def read_records_csv(path) -> list[MetricRecord]:
@@ -309,28 +317,20 @@ def read_records_csv(path) -> list[MetricRecord]:
         for line, row in enumerate(reader, start=2):
             if len(row) != len(RECORD_COLUMNS):
                 raise ParseError("wrong column count", line=line)
-            gap_id, imputer_id, gap_len, wd, jsd, rmse_, mae_, error = row
+            cells = dict(zip(RECORD_COLUMNS, row))
             try:
                 records.append(MetricRecord(
-                    gap_id=gap_id, imputer_id=imputer_id, gap_len=int(gap_len),
-                    wd=float(wd) if wd else None,
-                    jsd=float(jsd) if jsd else None,
-                    rmse=float(rmse_) if rmse_ else None,
-                    mae=float(mae_) if mae_ else None,
-                    error=error or None))
+                    gap_id=cells["gap_id"], imputer_id=cells["imputer_id"],
+                    gap_len=int(cells["gap_len"]),
+                    **{m: float(cells[m]) if cells[m] else None for m in METRICS},
+                    error=cells["error"] or None))
             except ValueError:
                 raise ParseError("unparseable record row", line=line) from None
     return records
 
 
 def write_aggregates_csv(rows: list[AggregateRow], path) -> None:
-    def emit():
-        yield AGGREGATE_COLUMNS
-        for a in rows:
-            yield (a.imputer_id, str(a.gap_len), repr(a.mean_wd), repr(a.mean_jsd),
-                   repr(a.mean_rmse), repr(a.mean_mae), str(a.n), str(a.n_failed))
-
-    _atomic_write_csv(path, emit())
+    _write_table(path, AGGREGATE_COLUMNS, rows)
 
 
 def _plot_rows(exact: list[AggregateRow], metric: str, imputer_ids: list[str]):
@@ -348,24 +348,14 @@ def emit_report(report: EvalReport, out_dir) -> list[Path]:
     """Write report.json plus the CSV set; every file lands atomically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    json_path = out / "report.json"
-    _atomic_write_text(json_path, json.dumps(report.to_json_dict(), indent=2) + "\n")
-    written.append(json_path)
-
-    records_path = out / "records.csv"
-    write_records_csv(report.records, records_path)
-    written.append(records_path)
-
-    aggregates_path = out / "aggregates.csv"
-    write_aggregates_csv(report.aggregates, aggregates_path)
-    written.append(aggregates_path)
+    written = [out / "report.json", out / "records.csv", out / "aggregates.csv"]
+    write_json(written[0], report.to_json_dict())
+    write_records_csv(report.records, written[1])
+    write_aggregates_csv(report.aggregates, written[2])
 
     imputer_ids = [c["imputer_id"] for c in report.provenance["config"]["imputers"]]
     exact = aggregate(report.records, "exact")
-    for metric in ("wd", "jsd", "rmse", "mae"):
-        plot_path = out / f"plot_{metric}.csv"
-        _atomic_write_csv(plot_path, _plot_rows(exact, metric, imputer_ids))
-        written.append(plot_path)
+    for metric in METRICS:
+        written.append(out / f"plot_{metric}.csv")
+        _write_rows(written[-1], _plot_rows(exact, metric, imputer_ids))
     return written

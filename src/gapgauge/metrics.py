@@ -21,6 +21,8 @@ import numpy as np
 from .errors import EmptySampleError, InvalidParameterError, InvalidSampleError, ShapeError
 from .series import EmpiricalSample
 
+METRICS = ("wd", "jsd", "rmse", "mae")
+
 
 def _sample_values(sample) -> np.ndarray:
     """Accept an EmpiricalSample or any 1-D array-like of finite reals."""
@@ -209,7 +211,7 @@ class MetricRecord:
 
     def __post_init__(self):
         if self.error is None:
-            for name in ("wd", "jsd", "rmse", "mae"):
+            for name in METRICS:
                 value = getattr(self, name)
                 if value is None or not np.isfinite(value):
                     raise ShapeError(f"metric {name} must be finite on a success record",

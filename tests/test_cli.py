@@ -50,6 +50,15 @@ class TestSynthAndIngest:
         assert main(["ingest", "--series", str(path)]) == 1
         assert "cadence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_ingest_non_finite_timestamp_exits_one(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"timestamp,value\n0,1\n{cell},2\n")
+        assert main(["ingest", "--series", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite timestamp" in err
+        assert "Traceback" not in err
+
     def test_synth_unknown_kind_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["synth", "--kind", "fractal", "--out", str(tmp_path)])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapgauge import (GapSet, GapSpec, TimeSeries, apply_gaps,
-                      gap_set_to_json, generate_gaps, pre_gap_window)
+                      generate_gaps, pre_gap_window)
 from gapgauge.errors import (CapacityError, GapConflictError,
                              RangeError, ReferenceWindowError)
 
@@ -79,7 +79,7 @@ class TestGenerateGaps:
 
     def test_json_round_trip_is_byte_stable(self):
         gap_set = generate_gaps(500, 4, 2, 10, seed=11)
-        text = gap_set_to_json(gap_set)
+        text = json.dumps(gap_set.to_json_dict())
         assert text.startswith('{"seed": 11, "source_length": 500, "gaps": [')
         assert json.loads(text)["gaps"] == [
             {"start": g.start_index, "len": g.length} for g in gap_set]

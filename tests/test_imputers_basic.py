@@ -7,7 +7,7 @@ from gapgauge import (GapSpec, ImputerConfig, TimeSeries, impute,
                       polynomial_fill, register_imputer, seasonal_naive_fill,
                       synthesize_series)
 from gapgauge.errors import (ConfigError, ContextError, InvalidParameterError,
-                             SeasonalReferenceError)
+                             SeasonalReferenceError, ShapeError)
 from gapgauge.imputers import kind_spec
 
 
@@ -154,11 +154,24 @@ class TestImputerConfig:
         try:
             gap = GapSpec(5, 3)
             series = masked_series(np.arange(20.0), gap)
-            result = impute(series, gap, ImputerConfig("always_zero", {}))
-            assert np.array_equal(result.filled, np.zeros(3))
+            filled = impute(series, gap, ImputerConfig("always_zero", {}))
+            assert np.array_equal(filled, np.zeros(3))
         finally:
             from gapgauge.imputers import _REGISTRY
             _REGISTRY.pop("always_zero")
+
+    @pytest.mark.parametrize("fill", [np.zeros(2), np.array([0.0, np.nan, 0.0])],
+                             ids=["short", "nan"])
+    def test_impute_rejects_wrong_length_or_non_finite_fill(self, fill):
+        register_imputer("fixed", lambda masked, gap, params, seed: fill)
+        try:
+            gap = GapSpec(5, 3)
+            with pytest.raises(ShapeError):
+                impute(masked_series(np.arange(20.0), gap), gap,
+                       ImputerConfig("fixed", {}))
+        finally:
+            from gapgauge.imputers import _REGISTRY
+            _REGISTRY.pop("fixed")
 
     def test_impute_results_have_gap_length_and_finite_values(self):
         series = synthesize_series("seasonal", 3000, {"noise_sd": 5.0}, seed=1)
@@ -168,9 +181,9 @@ class TestImputerConfig:
         for kind, params in [("polynomial", {}), ("seasonal_naive", {}),
                              ("arima", {"train_span": 400, "p_max": 1, "d_max": 1, "q_max": 1}),
                              ("gbt", {"train_span": 500, "trees": 10})]:
-            result = impute(view, gap, ImputerConfig(kind, params), seed=3)
-            assert len(result.filled) == 30
-            assert np.all(np.isfinite(result.filled))
+            filled = impute(view, gap, ImputerConfig(kind, params), seed=3)
+            assert len(filled) == 30
+            assert np.all(np.isfinite(filled))
 
     def test_imputers_deterministic_given_seed(self):
         series = synthesize_series("seasonal", 3000, {"noise_sd": 5.0}, seed=1)
@@ -181,4 +194,4 @@ class TestImputerConfig:
                                        "subsample": 0.7})
         first = impute(view, gap, config, seed=11)
         second = impute(view, gap, config, seed=11)
-        assert np.array_equal(first.filled, second.filled)
+        assert np.array_equal(first, second)

@@ -236,6 +236,19 @@ class TestCausalFeatures:
         with pytest.raises(TrainingError):
             causal_features(np.array([1.0]), np.array([0]), 3, 0.5)
 
+    @pytest.mark.parametrize("n", [2, 3, 50, 2001, 8761])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0])
+    def test_fill_tracker_starts_from_the_whole_window(self, n, alpha):
+        values = np.random.default_rng(n).normal(50.0, 10.0, size=n)
+        X, _ = causal_features(values, np.arange(n) % 24, 24, alpha)
+        ewma = float(values[0])
+        for v in values[1:]:
+            ewma = alpha * float(v) + (1.0 - alpha) * ewma
+        row = gbt._FeatureTracker(values, X[-1], 24, alpha).row(7)
+        assert row[0] == sum(values[-24:]) / len(values[-24:])
+        assert row[1] == ewma  # bit for bit, not approximately
+        assert row[2] == 7.0
+
 
 class TestGbtFill:
     def test_constant_series(self):

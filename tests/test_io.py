@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapgauge import (EvalConfig, ImputerConfig, IngestSpec, MetricRecord,
-                      ParamSpec, TimeSeries, emit_report, gap_set_to_json,
+                      ParamSpec, TimeSeries, emit_report,
                       ingest_csv, load_config, read_records_csv,
                       register_imputer, run_evaluation, synthesize_series,
                       write_series_csv)
@@ -55,6 +55,13 @@ class TestIngest:
         path = write_csv(tmp_path / "s.csv", ["0,1", "3600,2", "3600,5"])
         with pytest.raises(DuplicateTimestampError):
             ingest_csv(IngestSpec(path=path))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_names_line(self, tmp_path, cell):
+        path = write_csv(tmp_path / "s.csv", ["0,1", f"{cell},2"])
+        with pytest.raises(ParseError, match="non-finite timestamp") as err:
+            ingest_csv(IngestSpec(path=path))
+        assert err.value.line == 3
 
     def test_off_grid_timestamp(self, tmp_path):
         path = write_csv(tmp_path / "s.csv", ["0,1", "3700,2"])
@@ -294,6 +301,14 @@ class TestReportFiles:
                          "plot_rmse.csv", "plot_wd.csv", "records.csv",
                          "report.json"]
         assert not list((tmp_path / "out").glob("*.tmp*"))
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
+
+    def test_csv_headers(self, tmp_path):
+        emit_report(self.make_report(), tmp_path)
+        assert (tmp_path / "records.csv").read_text().splitlines()[0] == \
+            "gap_id,imputer_id,gap_len,wd,jsd,rmse,mae,error"
+        assert (tmp_path / "aggregates.csv").read_text().splitlines()[0] == \
+            "imputer_id,gap_len,mean_wd,mean_jsd,mean_rmse,mean_mae,n,n_failed"
 
     def test_records_round_trip(self, tmp_path):
         report = self.make_report()
@@ -319,7 +334,7 @@ class TestReportFiles:
         assert len(doc["records"]) == 12
         assert doc["gaps"]["seed"] == 3
         assert list(doc["gaps"]) == ["seed", "source_length", "gaps"]
-        assert doc["gaps"] == json.loads(gap_set_to_json(report.gaps))
+        assert doc["gaps"] == report.gaps.to_json_dict()
 
     def test_plot_csv_shape(self, tmp_path):
         report = self.make_report()
