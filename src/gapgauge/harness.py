@@ -1,9 +1,10 @@
 """End-to-end evaluation protocol.
 
 Generate reproducible artificial gaps in a complete series, run every
-configured imputer on every gap, score each fill with both metric families
-(WD/JSD against the pre-gap window, RMSE/MAE against held-out truth),
-aggregate per gap size, and measure rank agreement between the families.
+configured imputer on every gap, then score every fill with both metric
+families (WD/JSD against the pre-gap window, RMSE/MAE against held-out
+truth) in one row-batched call per gap length, aggregate per gap size, and
+measure rank agreement between the families.
 
 Each gap is imputed in isolation: the imputer sees the original series with
 only that gap masked, so one method's training window is never corrupted by
@@ -139,6 +140,35 @@ def _restore_gap(work: TimeSeries, series: TimeSeries, gap: GapSpec) -> None:
     work.observed[window] = series.observed[window]
 
 
+def _failure(exc: GapgaugeError) -> str:
+    return f"{exc.code}: {exc.message}"
+
+
+def _score_fills(jobs, outcomes, references, truth, config) -> list[dict | None]:
+    """Both metric families of every fill, one batch call per gap length.
+
+    ``jobs[j]`` is ``(gap index, gap, imputer_id)`` and ``outcomes[j]`` its
+    fill, or its error string, which scores ``None``.  The fills of each
+    length are stacked into rows beside their reference windows (indexed
+    by gap) and held-out truths (keyed by gap).
+    """
+    by_length: dict[int, list[int]] = {}
+    for j, outcome in enumerate(outcomes):
+        if not isinstance(outcome, str):
+            by_length.setdefault(len(outcome), []).append(j)
+    scores: list[dict | None] = [None] * len(outcomes)
+    for members in by_length.values():
+        filled = np.stack([outcomes[j] for j in members])
+        reference = np.stack([references[jobs[j][0]].values for j in members])
+        held_out = np.stack([truth[jobs[j][1]] for j in members])
+        columns = (wasserstein_1d(filled, reference),
+                   jsd(filled, reference, bins=config.bins, epsilon=config.epsilon),
+                   rmse(filled, held_out), mae(filled, held_out))
+        for j, values in zip(members, zip(*(c.tolist() for c in columns))):
+            scores[j] = dict(zip(METRICS, values))
+    return scores
+
+
 def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
     """Run the full protocol; per-(gap, imputer) failures never abort the run.
 
@@ -161,31 +191,35 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
     references = [pre_gap_window(masked, gap) for gap in gap_set]
 
     # One working copy; each job masks its gap in place and restores it
-    # before the next job.
+    # before the next job.  A job's outcome is its fill or its error string;
+    # all fills are scored together once every job has run.
     work = series.copy()
-    records = []
+    imputer_ids = [c.imputer_id for c in config.imputers]
+    reads_seed = [kind_spec(c.kind).reads_seed for c in config.imputers]
+    jobs, outcomes = [], []
     for gi, gap in enumerate(gap_set.gaps):
-        gap_id = f"gap{gi:03d}"
         for mi, imputer in enumerate(config.imputers):
+            jobs.append((gi, gap, imputer_ids[mi]))
             try:
                 view = _single_gap_view(work, gap)
-                filled = impute(view, gap, imputer,
-                                seed=derive_seed(config.seed, gi, mi))
-                record = MetricRecord(
-                    gap_id=gap_id, imputer_id=imputer.imputer_id,
-                    gap_len=gap.length,
-                    wd=wasserstein_1d(filled, references[gi]),
-                    jsd=jsd(filled, references[gi],
-                            bins=config.bins, epsilon=config.epsilon),
-                    rmse=rmse(filled, truth[gap]),
-                    mae=mae(filled, truth[gap]))
+                seed = derive_seed(config.seed, gi, mi) if reads_seed[mi] else 0
+                outcomes.append(impute(view, gap, imputer, seed=seed))
             except GapgaugeError as exc:
-                record = MetricRecord(gap_id=gap_id, imputer_id=imputer.imputer_id,
-                                      gap_len=gap.length,
-                                      error=f"{exc.code}: {exc.message}")
+                outcomes.append(_failure(exc))
             finally:
                 _restore_gap(work, series, gap)
-            records.append(record)
+
+    scores = _score_fills(jobs, outcomes, references, truth, config)
+    records = []
+    for (gi, gap, imputer_id), outcome, score in zip(jobs, outcomes, scores):
+        keys = dict(gap_id=f"gap{gi:03d}", imputer_id=imputer_id, gap_len=gap.length)
+        if score is None:
+            records.append(MetricRecord(**keys, error=outcome))
+            continue
+        try:
+            records.append(MetricRecord(**keys, **score))
+        except ShapeError as exc:  # a non-finite metric
+            records.append(MetricRecord(**keys, error=_failure(exc)))
 
     aggregates = aggregate(records, config.aggregation)
     try:

@@ -90,12 +90,14 @@ class KindSpec:
 
     ``fill(masked, gap, params, seed)`` returns the gap's values;
     ``history(params, max_gap_len)`` is how many head-of-series samples it
-    may read before any gap, which gap placement reserves.
+    may read before any gap, which gap placement reserves.  ``reads_seed``
+    is false for a fill that ignores its seed, so a run need not derive one.
     """
 
     fill: Callable
     params: tuple[ParamSpec, ...] = ()
     history: Callable[[dict, int], int] = _no_history
+    reads_seed: bool = True
 
     def normalize(self, kind: str, params: dict) -> dict:
         unknown = sorted(set(params) - {spec.name for spec in self.params})
@@ -138,19 +140,20 @@ _REGISTRY: dict[str, KindSpec] = {
         lambda masked, gap, params, seed: polynomial_fill(masked, gap, **params),
         (ParamSpec("order", int, 3, low=1),
          ParamSpec("context", int, None, low=1, nullable=True, hours=True)),
-        lambda params, max_gap_len: params["context"] or max(2 * max_gap_len, 4)),
+        lambda params, max_gap_len: params["context"] or max(2 * max_gap_len, 4),
+        reads_seed=False),
     "seasonal_naive": KindSpec(
         lambda masked, gap, params, seed: seasonal_naive_fill(masked, gap, **params),
         (ParamSpec("season", int, 24, low=2, hours=True),),
-        _seasonal_history),
-    "arima": KindSpec(_fill_arima, _ARIMA_PARAMS, _train_span_history),
+        _seasonal_history, reads_seed=False),
+    "arima": KindSpec(_fill_arima, _ARIMA_PARAMS, _train_span_history, reads_seed=False),
     "sarima": KindSpec(
         _fill_arima,
         _ARIMA_PARAMS + (ParamSpec("P_max", int, 1, low=0),
                          ParamSpec("D_max", int, 1, low=0),
                          ParamSpec("Q_max", int, 1, low=0),
                          ParamSpec("season", int, 24, low=2, hours=True)),
-        _train_span_history),
+        _train_span_history, reads_seed=False),
     "gbt": KindSpec(
         lambda masked, gap, params, seed: gbt_fill(masked, gap, seed=seed, **params),
         (ParamSpec("train_span", int, 8760, low=2, hours=True),
@@ -170,7 +173,8 @@ def register_imputer(kind: str, fill: Callable, params: tuple[ParamSpec, ...] = 
 
     ``params`` declares every parameter the kind accepts; any other key is
     rejected.  ``history(params, max_gap_len)`` returns the head-of-series
-    samples the kind needs before any gap (none when omitted).
+    samples the kind needs before any gap (none when omitted).  A run passes
+    every such kind the job's derived seed.
     """
     _REGISTRY[kind] = KindSpec(fill, tuple(params), history or _no_history)
 

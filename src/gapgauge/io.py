@@ -101,7 +101,7 @@ def ingest_csv(spec: IngestSpec) -> TimeSeries:
                     value = float(raw)
                 except ValueError:
                     raise ParseError(f"unparseable value {raw!r}", line=line) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ParseError(f"non-finite value {raw!r}", line=line)
             rows.append((stamp, value, line))
     if not rows:
@@ -275,12 +275,19 @@ def _format_cell(value) -> str:
 
 
 def _atomic_write(path, fill) -> None:
-    """Let ``fill(handle)`` write a temp file beside ``path``, then rename it."""
+    """Let ``fill(handle)`` write a temp file beside ``path``, then rename it.
+
+    If ``fill`` raises, the temp file is removed and the error propagates.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    with open(tmp, "w", newline="", encoding="utf-8") as handle:
-        fill(handle)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as handle:
+            fill(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_rows(path, rows) -> None:

@@ -66,6 +66,76 @@ def jsd_direct(p_mass, q_mass) -> float:
     return 0.5 * kl_direct(p_mass, mix) + 0.5 * kl_direct(q_mass, mix)
 
 
+# Per-pair scoring: the one-pair-at-a-time code the library ran before its
+# metrics took row batches, with the narrow-range widening scaled to the
+# data's magnitude.  The batched metrics must equal it bit for bit.
+
+def _pair_values(sample) -> np.ndarray:
+    return np.asarray(getattr(sample, "values", sample), dtype=float).ravel()
+
+
+def wasserstein_pair(p, q) -> float:
+    pv = np.sort(_pair_values(p))
+    qv = np.sort(_pair_values(q))
+    if len(pv) == len(qv):
+        return float(np.mean(np.abs(pv - qv)))
+    support = np.sort(np.concatenate([pv, qv]))
+    widths = np.diff(support)
+    cdf_p = np.searchsorted(pv, support[:-1], side="right") / len(pv)
+    cdf_q = np.searchsorted(qv, support[:-1], side="right") / len(qv)
+    return float(np.sum(np.abs(cdf_p - cdf_q) * widths))
+
+
+def shared_edges_pair(lo: float, hi: float, bins: int) -> np.ndarray:
+    scale = max(1.0, abs(lo), abs(hi))
+    if hi - lo <= scale * 1e-9:
+        mid = (lo + hi) / 2.0
+        width = max(1.0, 1e-6 * scale)
+        half_bin = 0.5 / bins
+        lo = mid - 0.5 * width + half_bin * width
+        hi = mid + 0.5 * width + half_bin * width
+    return np.linspace(lo, hi, bins + 1)
+
+
+def _smoothed_mass_pair(counts, epsilon: float) -> np.ndarray:
+    mass = counts / counts.sum() + epsilon
+    return mass / mass.sum()
+
+
+def _sorted_counts_pair(sorted_values, edges) -> np.ndarray:
+    cumulative = np.concatenate((sorted_values.searchsorted(edges[:-1], "left"),
+                                 sorted_values.searchsorted(edges[-1:], "right")))
+    return np.diff(cumulative)
+
+
+def _jsd_masses_pair(p_mass, q_mass) -> float:
+    mixture = (p_mass + q_mass) / 2.0
+
+    def against_mixture(mass):
+        support = mass > 0
+        return float(np.sum(mass[support] * np.log2(mass[support] / mixture[support])))
+
+    return 0.5 * against_mixture(p_mass) + 0.5 * against_mixture(q_mass)
+
+
+def jsd_pair(p, q, bins: int = 10, epsilon: float = 1e-6) -> float:
+    ps = np.sort(_pair_values(p))
+    qs = np.sort(_pair_values(q))
+    edges = shared_edges_pair(min(ps[0], qs[0]), max(ps[-1], qs[-1]), bins)
+    return _jsd_masses_pair(_smoothed_mass_pair(_sorted_counts_pair(ps, edges), epsilon),
+                            _smoothed_mass_pair(_sorted_counts_pair(qs, edges), epsilon))
+
+
+def rmse_pair(imputed, truth) -> float:
+    a, b = _pair_values(imputed), _pair_values(truth)
+    return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+def mae_pair(imputed, truth) -> float:
+    a, b = _pair_values(imputed), _pair_values(truth)
+    return float(np.mean(np.abs(a - b)))
+
+
 def arima_forecast_by_hand(fitted, steps: int) -> np.ndarray:
     """Re-run the forecast recursion from the fitted coefficients alone.
 

@@ -5,10 +5,12 @@ from gapgauge import (EvalConfig, GapSpec, ImputerConfig, MetricRecord,
                       aggregate, impute, imputers, jsd, pre_gap_window,
                       rank_agreement, register_imputer, required_history,
                       run_evaluation, synthesize_series, wasserstein_1d)
-from gapgauge.errors import (ConfigError, DegenerateError, InvalidParameterError,
-                             NumericalError)
+from gapgauge.errors import (ConfigError, DegenerateError, GapgaugeError,
+                             InvalidParameterError, NumericalError)
 from gapgauge.gaps import GapSet, apply_gaps
-from gapgauge.imputers import _REGISTRY
+from gapgauge.imputers import _REGISTRY, derive_seed, kind_spec
+
+from _oracles import jsd_pair, mae_pair, rmse_pair, wasserstein_pair
 
 
 def small_imputers():
@@ -319,6 +321,9 @@ class TestImputerBoundary:
                          np.linalg.inv(np.zeros((2, 2))))
         register_imputer("overflowing", overflowing)
         register_imputer("buggy", buggy)
+        # finite values whose distances to any ordinary series overflow
+        register_imputer("huge", lambda masked, gap, params, seed:
+                         np.resize([-1e308, 1e308], gap.length))
 
     def test_failures_recorded_by_code(self):
         series = synthesize_series("seasonal", 3000, {}, seed=1)
@@ -335,6 +340,62 @@ class TestImputerBoundary:
         assert codes == {"nan": {"shape"}, "short": {"shape"},
                          "singular": {"numerical"}, "overflowing": {"numerical"},
                          "polynomial": {None}, "seasonal_naive": {None}}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_batched_scores_equal_per_fill_oracle_scores(self):
+        series = synthesize_series("seasonal", 3000, {"noise_sd": 3.0}, seed=2)
+        config = EvalConfig(
+            imputers=[*small_imputers(), ImputerConfig("singular", {}),
+                      ImputerConfig("huge", {}),
+                      ImputerConfig("polynomial", {"order": 1, "context": 4})],
+            n_gaps=12, min_len=1, max_len=10, seed=7)
+        report = run_evaluation(series, config)
+
+        expected = []
+        for gi, gap in enumerate(report.gaps):
+            window = slice(gap.start_index, gap.end_index)
+            masked = series.copy()
+            masked.values[window] = np.nan
+            masked.observed[window] = False
+            reference = pre_gap_window(masked, gap)
+            truth = series.values[window]
+            for mi, imputer in enumerate(config.imputers):
+                keys = dict(gap_id=f"gap{gi:03d}", imputer_id=imputer.imputer_id,
+                            gap_len=gap.length)
+                try:
+                    filled = impute(masked, gap, imputer,
+                                    seed=derive_seed(config.seed, gi, mi))
+                    expected.append(MetricRecord(
+                        **keys, wd=wasserstein_pair(filled, reference),
+                        jsd=jsd_pair(filled, reference, config.bins, config.epsilon),
+                        rmse=rmse_pair(filled, truth), mae=mae_pair(filled, truth)))
+                except GapgaugeError as exc:
+                    expected.append(MetricRecord(**keys, error=f"{exc.code}: {exc.message}"))
+        assert report.records == expected
+        errors = {r.error for r in report.records if r.failed}
+        assert errors >= {"numerical: LinAlgError: Singular matrix",
+                          "shape: metric wd must be finite on a success record"}
+        assert all(r.failed for r in report.records if r.imputer_id.startswith("huge"))
+        assert len({r.gap_len for r in report.records}) > 1
+
+    def test_registered_kinds_receive_the_derived_seed(self):
+        seeds = []
+
+        def seed_reader(masked, gap, params, seed):
+            seeds.append(seed)
+            return np.zeros(gap.length)
+
+        register_imputer("seed_reader", seed_reader)
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        config = EvalConfig(imputers=[*small_imputers(), ImputerConfig("seed_reader", {})],
+                            n_gaps=5, min_len=2, max_len=10, seed=11)
+        run_evaluation(series, config)
+        assert seeds == [derive_seed(11, gi, 2) for gi in range(5)]
+        assert kind_spec("seed_reader").reads_seed
+        assert kind_spec("gbt").reads_seed
+        assert not any(kind_spec(kind).reads_seed for kind in
+                       ("polynomial", "seasonal_naive", "arima", "sarima"))
 
     def test_numerical_error_keeps_its_cause(self):
         series = synthesize_series("seasonal", 300, {}, seed=1)

@@ -63,6 +63,13 @@ class TestIngest:
             ingest_csv(IngestSpec(path=path))
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, cell):
+        path = write_csv(tmp_path / "s.csv", ["0,1", f"3600,{cell}"])
+        with pytest.raises(ParseError, match="non-finite value") as err:
+            ingest_csv(IngestSpec(path=path))
+        assert err.value.line == 3
+
     def test_off_grid_timestamp(self, tmp_path):
         path = write_csv(tmp_path / "s.csv", ["0,1", "3700,2"])
         with pytest.raises(CadenceError) as err:
@@ -324,6 +331,13 @@ class TestReportFiles:
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
         assert read_records_csv(path) == records
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        record = MetricRecord(gap_id="g0", imputer_id="m", gap_len=3,
+                              wd=1.5, jsd=0.25, rmse=2.0, mae=1.0)
+        with pytest.raises(AttributeError):
+            write_records_csv([record, object()], tmp_path / "records.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_json_is_valid_and_carries_provenance(self, tmp_path):
         report = self.make_report()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from gapgauge import (Histogram, MetricRecord, jsd, jsd_histograms, mae,
                       rmse, shared_histogram, wasserstein_1d)
 from gapgauge.errors import (EmptySampleError, InvalidParameterError,
                              InvalidSampleError, ShapeError)
+from gapgauge.metrics import _bin_counts, _shared_edges
 
-from _oracles import jsd_direct, transport_cost_bruteforce
+from _oracles import (jsd_direct, jsd_pair, mae_pair, rmse_pair,
+                      transport_cost_bruteforce, wasserstein_pair)
 
 
 def random_sample(rng, max_size=12):
@@ -238,3 +242,141 @@ class TestMetricRecord:
         record = MetricRecord(gap_id="g", imputer_id="m", gap_len=2,
                               error="context: not enough points")
         assert record.failed and record.wd is None
+
+
+# Rows for the batched metrics: each row pair shares a regime, so narrow and
+# large-magnitude pooled ranges really occur.
+_TIE_VALUES = [-2.5, -0.0, 0.0, 0.1, 0.3, 1.0, 7.0]
+_LARGE_BASES = [1e9, -3e12, 1e12, 1e15, -1e17, 1e17, 2.0**60]
+
+
+@st.composite
+def _row_pair(draw, length):
+    regime = draw(st.sampled_from(["any", "ties", "constant", "narrow", "large"]))
+
+    def row():
+        if regime == "any":
+            return draw(st.lists(_finite, min_size=length, max_size=length))
+        if regime == "ties":
+            return draw(st.lists(st.sampled_from(_TIE_VALUES),
+                                 min_size=length, max_size=length))
+        if regime == "constant":
+            return [draw(_finite)] * length
+        offsets = draw(st.lists(st.integers(-1000, 1000), min_size=length,
+                                max_size=length))
+        if regime == "narrow":
+            return [base + k * tiny for k in offsets]
+        return [base + k for k in offsets]
+
+    base = draw(_finite if regime == "narrow" else st.sampled_from(_LARGE_BASES))
+    tiny = draw(st.sampled_from([1e-15, 1e-12, 1e-10]))
+    return row(), row()
+
+
+@st.composite
+def _batches(draw):
+    length = draw(st.integers(1, 48))
+    pairs = draw(st.lists(_row_pair(length), min_size=1, max_size=6))
+    return (np.array([p for p, _ in pairs], dtype=float),
+            np.array([q for _, q in pairs], dtype=float))
+
+
+class TestRowBatches:
+    """Each row of a batched call equals the per-pair oracle exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_batches(), st.integers(2, 32),
+           st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4, 1e-2]))
+    def test_each_row_equals_the_per_pair_oracle(self, batch, bins, epsilon):
+        p, q = batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wd = wasserstein_1d(p, q)
+            js = jsd(p, q, bins, epsilon)
+            rm, ma = rmse(p, q), mae(p, q)
+        for out in (wd, js, rm, ma):
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64
+            assert out.shape == (len(p),)
+        for i in range(len(p)):
+            assert wd[i] == wasserstein_pair(p[i], q[i])
+            assert js[i] == jsd_pair(p[i], q[i], bins, epsilon)
+            assert rm[i] == rmse_pair(p[i], q[i])
+            assert ma[i] == mae_pair(p[i], q[i])
+        one = (p[:1], q[:1])
+        assert wasserstein_1d(*one)[0] == wasserstein_1d(p[0], q[0])
+        assert jsd(*one, bins, epsilon)[0] == jsd(p[0], q[0], bins, epsilon)
+        assert rmse(*one)[0] == rmse(p[0], q[0])
+        assert mae(*one)[0] == mae(p[0], q[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_samples, _samples, st.integers(2, 32))
+    def test_one_pair_of_any_sizes_equals_the_oracle(self, p, q, bins):
+        result = wasserstein_1d(p, q)
+        assert type(result) is float and result == wasserstein_pair(p, q)
+        result = jsd(p, q, bins)
+        assert type(result) is float and result == jsd_pair(p, q, bins)
+
+    @pytest.mark.parametrize("metric", [wasserstein_1d, jsd, rmse, mae])
+    def test_shape_mismatch_rejected(self, metric):
+        with pytest.raises(ShapeError):
+            metric(np.zeros((2, 3)), np.zeros((2, 4)))
+        with pytest.raises(ShapeError):
+            metric(np.zeros((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(ShapeError):
+            metric(np.zeros((1, 3)), np.zeros(3))
+        with pytest.raises(ShapeError):
+            metric(np.zeros((1, 1, 3)), np.zeros((1, 1, 3)))
+
+    @pytest.mark.parametrize("metric", [wasserstein_1d, jsd])
+    def test_empty_or_non_finite_rows_rejected(self, metric):
+        with pytest.raises(EmptySampleError):
+            metric(np.zeros((2, 0)), np.zeros((2, 0)))
+        for bad in (np.nan, np.inf):
+            rows = np.zeros((3, 4))
+            rows[2, 1] = bad
+            with pytest.raises(InvalidSampleError):
+                metric(rows, np.zeros((3, 4)))
+            with pytest.raises(InvalidSampleError):
+                metric(np.zeros((3, 4)), rows)
+
+    @pytest.mark.parametrize("metric", [rmse, mae])
+    def test_empty_rows_misalign(self, metric):
+        with pytest.raises(ShapeError):
+            metric(np.zeros((2, 0)), np.zeros((2, 0)))
+
+
+class TestRangeWidening:
+    """A narrow range far from zero is widened in proportion to its scale."""
+
+    @pytest.mark.parametrize("p, q", [
+        ([1e12, 1e12 + 500], [1e12 + 250, 1e12]),
+        ([1e12, 1e12 + 500], [1e12 + 600, 1e12 + 100]),
+        ([1e17, 1e17 + 64], [1e17 + 32, 1e17]),
+    ])
+    def test_widened_edges_hold_every_value(self, p, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hp, hq = shared_histogram(p, q, bins=10, epsilon=1e-12)
+            divergence = jsd(p, q)
+        assert hp.edges[0] <= min(p + q) and max(p + q) <= hp.edges[-1]
+        assert np.all(np.isfinite(hp.mass)) and np.all(np.isfinite(hq.mass))
+        # every value falls into one bin of the widened range
+        assert hp.mass.max() == hq.mass.max() > 0.99
+        assert divergence == 0.0
+
+    def test_small_magnitudes_keep_the_unit_range(self):
+        hp, _ = shared_histogram([1e6, 1e6], [1e6], bins=4)
+        assert hp.edges[-1] - hp.edges[0] == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_batches(), st.integers(2, 32))
+    def test_counts_sum_to_each_sample_size(self, batch, bins):
+        p, q = batch
+        lo = np.minimum(p.min(axis=-1), q.min(axis=-1))
+        hi = np.maximum(p.max(axis=-1), q.max(axis=-1))
+        edges = _shared_edges(lo, hi, bins)
+        assert np.all(np.diff(edges, axis=-1) > 0)
+        for rows, counts in zip((p, q), _bin_counts(p, q, edges)):
+            assert np.all(counts.sum(axis=-1) == rows.shape[-1])
+            for row, row_edges, row_counts in zip(rows, edges, counts):
+                assert np.array_equal(row_counts, np.histogram(row, row_edges)[0])
