@@ -161,9 +161,12 @@ def _score_fills(jobs, outcomes, references, truth, config) -> list[dict | None]
         filled = np.stack([outcomes[j] for j in members])
         reference = np.stack([references[jobs[j][0]].values for j in members])
         held_out = np.stack([truth[jobs[j][1]] for j in members])
-        columns = (wasserstein_1d(filled, reference),
-                   jsd(filled, reference, bins=config.bins, epsilon=config.epsilon),
-                   rmse(filled, held_out), mae(filled, held_out))
+        # A finite fill can still overflow a metric; the non-finite score
+        # becomes a typed failure on its record, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = (wasserstein_1d(filled, reference),
+                       jsd(filled, reference, bins=config.bins, epsilon=config.epsilon),
+                       rmse(filled, held_out), mae(filled, held_out))
         for j, values in zip(members, zip(*(c.tolist() for c in columns))):
             scores[j] = dict(zip(METRICS, values))
     return scores

@@ -27,8 +27,8 @@ from .arima import (ArimaOrder, FittedArima, arima_fill, fit_arima, forecast,
                     select_order)
 from .gbt import (GradientBoostedTrees, RegressionTree, causal_features,
                   gbt_fill)
-from .polynomial import polynomial_fill
-from .seasonal import seasonal_naive_fill
+from .polynomial import polynomial_fill, polynomial_reach
+from .seasonal import seasonal_naive_fill, seasonal_reach
 
 __all__ = [
     "ArimaOrder", "FittedArima", "GradientBoostedTrees", "ImputerConfig",
@@ -118,12 +118,6 @@ def _fill_arima(masked, gap, params, seed):
     return arima_fill(masked, gap, seasonal=seasonal, **params)
 
 
-def _seasonal_history(params: dict, max_gap_len: int) -> int:
-    season = params["season"]
-    # worst case the ancestor must clear the whole gap
-    return season * ((max_gap_len + season - 1) // season + 1)
-
-
 def _train_span_history(params: dict, max_gap_len: int) -> int:
     return params["train_span"]
 
@@ -140,12 +134,13 @@ _REGISTRY: dict[str, KindSpec] = {
         lambda masked, gap, params, seed: polynomial_fill(masked, gap, **params),
         (ParamSpec("order", int, 3, low=1),
          ParamSpec("context", int, None, low=1, nullable=True, hours=True)),
-        lambda params, max_gap_len: params["context"] or max(2 * max_gap_len, 4),
+        lambda params, max_gap_len: polynomial_reach(params["context"], max_gap_len),
         reads_seed=False),
     "seasonal_naive": KindSpec(
         lambda masked, gap, params, seed: seasonal_naive_fill(masked, gap, **params),
         (ParamSpec("season", int, 24, low=2, hours=True),),
-        _seasonal_history, reads_seed=False),
+        lambda params, max_gap_len: seasonal_reach(params["season"], max_gap_len),
+        reads_seed=False),
     "arima": KindSpec(_fill_arima, _ARIMA_PARAMS, _train_span_history, reads_seed=False),
     "sarima": KindSpec(
         _fill_arima,

@@ -100,20 +100,16 @@ class FittedArima:
     sse: float
     aic: float
     n_obs: int
+    # In-sample innovation estimates aligned with the working series (zero
+    # where the regression had no row).
+    innovations: np.ndarray = field(repr=False, default=None)
     _levels: list[np.ndarray] = field(repr=False, default_factory=list)
     _ops: list[int] = field(repr=False, default_factory=list)
-    _innovations: np.ndarray = field(repr=False, default=None)
 
     @property
     def working_series(self) -> np.ndarray:
         """The differenced series the recursion runs on."""
         return self._levels[-1]
-
-    @property
-    def innovations(self) -> np.ndarray:
-        """In-sample innovation estimates aligned with the working series
-        (zero where the regression had no row)."""
-        return self._innovations
 
 
 def _difference_levels(y: np.ndarray, order: ArimaOrder) -> tuple[list[np.ndarray], list[int]]:
@@ -136,10 +132,13 @@ def _difference_levels(y: np.ndarray, order: ArimaOrder) -> tuple[list[np.ndarra
     return levels, ops
 
 
-def _lag_matrix(x: np.ndarray, lags: list[int], rows: np.ndarray) -> np.ndarray:
-    if not lags:
-        return np.empty((len(rows), 0))
-    return np.column_stack([x[rows - lag] for lag in lags])
+def _lagged(x: np.ndarray, lags: list[int]) -> np.ndarray:
+    """Columns ``x[t - lag]`` for every ``t``, zero where ``t < lag``: one
+    layout that the exact fits and every screened candidate read rows of."""
+    out = np.zeros((len(x), len(lags)))
+    for j, lag in enumerate(lags):
+        out[lag:, j] = x[:max(len(x) - lag, 0)]
+    return out
 
 
 def _ols(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,13 +155,12 @@ def _long_ar_order(n: int, max_lag: int) -> int:
 
 def _stage1_innovations(w: np.ndarray, h: int) -> np.ndarray:
     """Innovation estimates from a long-AR OLS fit; zeros before index h."""
-    rows = np.arange(h, len(w))
-    design = np.column_stack([_lag_matrix(w, list(range(1, h + 1)), rows),
-                              np.ones(len(rows))])
-    coef, _, rank, _ = np.linalg.lstsq(design, w[rows], rcond=None)
+    design = np.column_stack([_lagged(w, list(range(1, h + 1)))[h:],
+                              np.ones(len(w) - h)])
+    coef, _, rank, _ = np.linalg.lstsq(design, w[h:], rcond=None)
     # The long AR is a nuisance fit: collinear lags (constant series, exact
     # periodicity) are fine, lstsq already returns the minimum-norm solution.
-    resid = w[rows] - design @ coef
+    resid = w[h:] - design @ coef
     e = np.zeros(len(w))
     e[h:] = resid
     return e
@@ -209,19 +207,18 @@ def _fit_core(levels: list[np.ndarray], ops: list[int], order: ArimaOrder,
     else:
         e = np.zeros(n_w)
 
-    rows = np.arange(t0, n_w)
     design = np.column_stack([
-        _lag_matrix(w, order.ar_lags(), rows),
-        _lag_matrix(e, order.ma_lags(), rows),
-        np.ones(len(rows)),
+        _lagged(w, order.ar_lags())[t0:],
+        _lagged(e, order.ma_lags())[t0:],
+        np.ones(n_w - t0),
     ])
-    coef, resid = _ols(design, w[rows])
+    coef, resid = _ols(design, w[t0:])
 
     sse = float(resid @ resid)
     if not np.isfinite(sse):
         raise DivergenceError("non-finite residual sum of squares",
                               order=order.label())
-    n_obs = len(rows)
+    n_obs = n_w - t0
     aic = float("-inf") if sse <= 0.0 else n_obs * np.log(sse / n_obs) + 2 * order.k
 
     innovations = np.zeros(n_w)
@@ -232,8 +229,8 @@ def _fit_core(levels: list[np.ndarray], ops: list[int], order: ArimaOrder,
         order=order, ar=coef[:order.p], sar=coef[order.p:n_ar],
         ma=coef[n_ar:n_ar + order.q], sma=coef[n_ar + order.q:n_ar + n_ma],
         intercept=float(coef[-1]), sigma2=sse / n_obs, sse=sse,
-        aic=float(aic), n_obs=n_obs, _levels=levels, _ops=ops,
-        _innovations=innovations)
+        aic=float(aic), n_obs=n_obs, innovations=innovations,
+        _levels=levels, _ops=ops)
 
 
 def fit_arima(train: TimeSeries, order: ArimaOrder) -> FittedArima:
@@ -304,15 +301,6 @@ def _candidate_orders(p_max: int, d_max: int, q_max: int,
                                 continue  # degenerate
                             yield ArimaOrder(p, d, q, P, D, Q,
                                              s if (P or D or Q) else 0)
-
-
-def _lagged(x: np.ndarray, lags: list[int]) -> np.ndarray:
-    """Columns ``x[t - lag]`` for every ``t``, zero where ``t < lag``: one
-    layout that every candidate of a screened group reads rows of."""
-    out = np.zeros((len(x), len(lags)))
-    for j, lag in enumerate(lags):
-        out[lag:, j] = x[:max(len(x) - lag, 0)]
-    return out
 
 
 def _normal_solve(gram: np.ndarray, n_rows: np.ndarray, col_err=0.0):

@@ -32,11 +32,10 @@ class RegressionTree:
     reads its rows in the order a stable sort of its own values would give.
     """
 
-    def __init__(self, max_depth: int = 4, min_samples_leaf: int = 1):
+    def __init__(self, max_depth: int = 4):
         if max_depth < 1:
             raise InvalidParameterError("max_depth must be >= 1", max_depth=max_depth)
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self._feature: list[int] = []
         self._threshold: list[float] = []
         self._left: list[int] = []
@@ -81,7 +80,7 @@ class RegressionTree:
         total = y[rows].sum()
         node = self._new_node(float(total / len(rows)))
         split = None
-        if depth < self.max_depth and end - start >= 2 * self.min_samples_leaf:
+        if depth < self.max_depth and end - start >= 2:
             split = self._best_split(cols, y, block[:-1, start:end], float(total))
         if split is None:
             if out is not None:
@@ -112,7 +111,6 @@ class RegressionTree:
         n = sorted_rows.shape[1]
         left_n = np.arange(1.0, n)
         right_n = n - left_n
-        enough = (left_n >= self.min_samples_leaf) & (right_n >= self.min_samples_leaf)
         parent = total ** 2 / n
         for feature, seg in enumerate(sorted_rows):
             xs_sorted = cols[feature][seg]
@@ -120,8 +118,7 @@ class RegressionTree:
             right_sum = total - left_sum
             # Gain in SSE reduction; the sum-of-squares term cancels.
             gain = left_sum ** 2 / left_n + right_sum ** 2 / right_n - parent
-            valid = (xs_sorted[1:] > xs_sorted[:-1]) & enough
-            gain[~valid] = -np.inf
+            gain[~(xs_sorted[1:] > xs_sorted[:-1])] = -np.inf
             pos = int(np.argmax(gain))
             if gain[pos] > best_gain:
                 best_gain = float(gain[pos])
@@ -265,10 +262,10 @@ def gbt_fill(masked: TimeSeries, gap: GapSpec, train_span: int = DEFAULT_TRAIN_S
     lo = training_window_start(masked, gap, train_span)
 
     values = masked.values[lo:gap.start_index]
-    # The float operations of TimeSeries.hour_of_day, over the whole window.
-    hours = ((masked.start_time + np.arange(lo, gap.start_index) * masked.step)
+    # The float operations of TimeSeries.hour_of_day, over the window and the gap.
+    hours = ((masked.start_time + np.arange(lo, gap.end_index) * masked.step)
              % 86400.0 // 3600.0).astype(int)
-    X, y = causal_features(values, hours, sma_window, ewma_alpha)
+    X, y = causal_features(values, hours[:len(values)], sma_window, ewma_alpha)
     rng = philox_generator(seed)
     model = GradientBoostedTrees(trees=trees, max_depth=max_depth,
                                  learning_rate=learning_rate,
@@ -276,11 +273,11 @@ def gbt_fill(masked: TimeSeries, gap: GapSpec, train_span: int = DEFAULT_TRAIN_S
 
     tracker = _FeatureTracker(values, X[-1], sma_window, ewma_alpha)
     filled = np.empty(gap.length)
-    for offset, i in enumerate(range(gap.start_index, gap.end_index)):
-        prediction = float(model.predict(tracker.row(masked.hour_of_day(i))[None, :])[0])
+    for offset, hour in enumerate(hours[len(values):]):
+        prediction = float(model.predict(tracker.row(hour)[None, :])[0])
         if not np.isfinite(prediction):
             raise DivergenceError("gradient boosting produced a non-finite fill",
-                                  index=i)
+                                  index=gap.start_index + offset)
         filled[offset] = prediction
         tracker.push(prediction)
     return filled

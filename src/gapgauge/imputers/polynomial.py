@@ -22,8 +22,7 @@ def polynomial_fill(masked: TimeSeries, gap: GapSpec, order: int = 3,
     """
     if order < 1:
         raise ContextError("polynomial order must be >= 1", order=order)
-    if context is None:
-        context = max(2 * gap.length, 4)
+    context = polynomial_reach(context, gap.length)
 
     needed = order + 1
     left_lo = max(0, gap.start_index - context)
@@ -48,6 +47,11 @@ def polynomial_fill(masked: TimeSeries, gap: GapSpec, order: int = 3,
     if not np.all(np.isfinite(filled)):
         raise DivergenceError("polynomial fill produced non-finite values")
     return filled
+
+
+def polynomial_reach(context: int | None, gap_length: int) -> int:
+    """Samples the fill reads on each side of a gap of ``gap_length``."""
+    return max(2 * gap_length, 4) if context is None else context
 
 
 def _observed_indices(series: TimeSeries, lo: int, hi: int) -> np.ndarray:

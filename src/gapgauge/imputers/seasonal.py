@@ -31,3 +31,9 @@ def seasonal_naive_fill(masked: TimeSeries, gap: GapSpec, season: int = 24) -> n
                 index=i, season=season)
         filled[offset] = masked.values[j]
     return filled
+
+
+def seasonal_reach(season: int, gap_length: int) -> int:
+    """Samples before a gap of ``gap_length`` the ancestor walk may read:
+    in the worst case the ancestor must clear the whole gap."""
+    return season * ((gap_length + season - 1) // season + 1)

@@ -76,7 +76,7 @@ def ingest_csv(spec: IngestSpec) -> TimeSeries:
     break.
     """
     rows: list[tuple[float, float | None, int]] = []
-    with open(spec.path, newline="", encoding="utf-8") as handle:
+    with open(spec.path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -378,6 +380,18 @@ class TestImputerBoundary:
                           "shape: metric wd must be finite on a success record"}
         assert all(r.failed for r in report.records if r.imputer_id.startswith("huge"))
         assert len({r.gap_len for r in report.records}) > 1
+
+    def test_overflowing_scores_fail_without_warnings(self):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        config = EvalConfig(imputers=[*small_imputers(), ImputerConfig("huge", {})],
+                            n_gaps=4, min_len=2, max_len=10, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_evaluation(series, config)
+        errors = [r.error for r in report.records if r.imputer_id.startswith("huge")]
+        assert errors == ["shape: metric wd must be finite on a success record"] * 4
+        assert not any(r.failed for r in report.records
+                       if not r.imputer_id.startswith("huge"))
 
     def test_registered_kinds_receive_the_derived_seed(self):
         seeds = []

@@ -1,11 +1,13 @@
 """Polynomial and seasonal-naive imputers, config plumbing."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from gapgauge import (GapSpec, ImputerConfig, TimeSeries, impute,
-                      polynomial_fill, register_imputer, seasonal_naive_fill,
-                      synthesize_series)
+from gapgauge import (GapSpec, ImputerConfig, TimeSeries, arima_fill, gbt_fill,
+                      impute, polynomial_fill, register_imputer,
+                      seasonal_naive_fill, synthesize_series)
 from gapgauge.errors import (ConfigError, ContextError, InvalidParameterError,
                              SeasonalReferenceError, ShapeError)
 from gapgauge.imputers import kind_spec
@@ -147,6 +149,18 @@ class TestImputerConfig:
     def test_builtin_kinds_registered(self):
         for kind in ("polynomial", "seasonal_naive", "arima", "sarima", "gbt"):
             assert kind_spec(kind).params
+
+    @pytest.mark.parametrize("kind, fill", [
+        ("polynomial", polynomial_fill), ("seasonal_naive", seasonal_naive_fill),
+        ("arima", arima_fill), ("sarima", arima_fill), ("gbt", gbt_fill)])
+    def test_param_defaults_equal_fill_keyword_defaults(self, kind, fill):
+        # A config default and the library default are two copies of one
+        # fact: both must give the same fill.
+        keywords = inspect.signature(fill).parameters
+        specs = [spec for spec in kind_spec(kind).params if spec.name in keywords]
+        assert specs
+        assert [(spec.name, spec.default) for spec in specs] == \
+            [(spec.name, keywords[spec.name].default) for spec in specs]
 
     def test_registry_extension_seam(self):
         register_imputer("always_zero",

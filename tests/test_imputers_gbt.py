@@ -87,11 +87,10 @@ class TestPresortedTreeEqualsReference:
     float for float, so the fills and every CSV stay byte-identical."""
 
     @pytest.mark.parametrize("max_depth", [1, 4, 6])
-    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
-    def test_node_arrays_and_predictions(self, max_depth, min_samples_leaf):
+    def test_node_arrays_and_predictions(self, max_depth):
         for X, y in training_sets():
-            tree = RegressionTree(max_depth, min_samples_leaf).fit(X, y)
-            reference = ReferenceTree(max_depth, min_samples_leaf).fit(X, y)
+            tree = RegressionTree(max_depth).fit(X, y)
+            reference = ReferenceTree(max_depth).fit(X, y)
             assert_same_tree(tree, reference)
             assert np.array_equal(tree.predict(X), reference.predict(X))
 
@@ -152,14 +151,13 @@ class TestPresortedTreeEqualsReference:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(1, 3),
-           st.integers(0, 2), st.integers(1, 6), st.integers(1, 4))
-    def test_rounded_random_inputs(self, seed, n, n_features, decimals,
-                                   max_depth, min_samples_leaf):
+           st.integers(0, 2), st.integers(1, 6))
+    def test_rounded_random_inputs(self, seed, n, n_features, decimals, max_depth):
         rng = np.random.default_rng(seed)
         X = np.round(rng.normal(size=(n, n_features)), decimals)
         y = np.round(rng.normal(size=n), 2)
-        tree = RegressionTree(max_depth, min_samples_leaf).fit(X, y)
-        reference = ReferenceTree(max_depth, min_samples_leaf).fit(X, y)
+        tree = RegressionTree(max_depth).fit(X, y)
+        reference = ReferenceTree(max_depth).fit(X, y)
         assert_same_tree(tree, reference)
         model = GradientBoostedTrees(trees=4, max_depth=max_depth).fit(X, y)
         _, stages, mse = reference_boosting(X, y, 4, max_depth, 0.1)

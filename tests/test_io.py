@@ -34,6 +34,14 @@ class TestIngest:
         assert np.array_equal(series.values, [1.0, 2.0, 3.0])
         assert series.start_time == 0.0 and series.step == 3600.0
 
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with a byte-order mark.
+        path = write_csv(tmp_path / "s.csv", ["0,1", "3600,2"],
+                         header="\ufefftimestamp,value")
+        assert Path(path).read_bytes().startswith(b"\xef\xbb\xbftimestamp,")
+        series = ingest_csv(IngestSpec(path=path))
+        assert np.array_equal(series.values, [1.0, 2.0])
+
     def test_missing_hour_masked_under_mask_policy(self, tmp_path):
         path = write_csv(tmp_path / "s.csv", ["0,1", "7200,3"])
         series = ingest_csv(IngestSpec(path=path, missing_policy="mask"))
