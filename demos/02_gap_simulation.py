@@ -36,7 +36,7 @@ print(f"\nmasked series hides {int((~masked.observed).sum())} positions; "
 gap = gaps.gaps[0]
 reference = pre_gap_window(masked, gap)
 print(f"\nfirst gap: length {gap.length}")
-print("  pre-gap window:", np.round(reference.values[:6], 1), "...")
+print("  pre-gap window:", np.round(reference[:6], 1), "...")
 print("  held-out truth:", np.round(truth[gap][:6], 1), "...")
 print("  W1(pre-gap, truth) =", round(wasserstein_1d(reference, truth[gap]), 3),
       " <- small: the window is a usable reference")

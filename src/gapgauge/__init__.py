@@ -22,13 +22,13 @@ from .io import (IngestSpec, emit_report, ingest_csv, load_config,
 from .metrics import (Histogram, MetricRecord, jsd, jsd_histograms, mae,
                       rmse, shared_histogram, wasserstein_1d)
 from .ranking import average_ranks, kendall, spearman
-from .series import EmpiricalSample, TimeSeries, slice_series, validate
+from .series import TimeSeries, slice_series, validate
 from .synth import SERIES_KINDS, synthesize_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateRow", "ArimaOrder", "EmpiricalSample", "EvalConfig",
+    "AggregateRow", "ArimaOrder", "EvalConfig",
     "EvalReport", "FittedArima", "GapSet", "GapSpec", "GapgaugeError",
     "GradientBoostedTrees", "Histogram", "ImputerConfig", "IngestSpec",
     "MetricRecord", "PRNG_ALGORITHM", "ParamSpec", "RegressionTree",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (CapacityError, GapConflictError, InvalidParameterError,
                      RangeError, ReferenceWindowError, TrainingWindowError)
-from .series import EmpiricalSample, TimeSeries
+from .series import TimeSeries
 
 # Counter-based generator so gap placement is bit-reproducible across
 # platforms; the name is echoed in every report for cross-checking.
@@ -155,7 +155,7 @@ def apply_gaps(series: TimeSeries, gaps: GapSet) -> tuple[TimeSeries, dict[GapSp
     return masked, truth
 
 
-def pre_gap_window(series: TimeSeries, gap: GapSpec) -> EmpiricalSample:
+def pre_gap_window(series: TimeSeries, gap: GapSpec) -> np.ndarray:
     """The ``gap.length`` values immediately preceding the gap.
 
     The window must lie inside the series and be fully observed in the
@@ -169,7 +169,7 @@ def pre_gap_window(series: TimeSeries, gap: GapSpec) -> EmpiricalSample:
     if not series.observed[window].all():
         raise ReferenceWindowError("pre-gap window contains unobserved positions",
                                    start=gap.start_index, length=gap.length)
-    return EmpiricalSample(series.values[window].copy())
+    return series.values[window].copy()
 
 
 def training_window_start(series: TimeSeries, gap: GapSpec, span: int) -> int:

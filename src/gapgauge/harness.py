@@ -56,8 +56,8 @@ class EvalConfig:
                               seed=self.seed)
         if self.bins < 2:
             raise ConfigError("bins must be >= 2", bins=self.bins)
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be > 0", epsilon=self.epsilon)
+        if not 0 < self.epsilon < np.inf:
+            raise ConfigError("epsilon must be finite and > 0", epsilon=self.epsilon)
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError("unknown aggregation rule",
                               aggregation=self.aggregation, known=AGGREGATIONS)
@@ -159,7 +159,7 @@ def _score_fills(jobs, outcomes, references, truth, config) -> list[dict | None]
     scores: list[dict | None] = [None] * len(outcomes)
     for members in by_length.values():
         filled = np.stack([outcomes[j] for j in members])
-        reference = np.stack([references[jobs[j][0]].values for j in members])
+        reference = np.stack([references[jobs[j][0]] for j in members])
         held_out = np.stack([truth[jobs[j][1]] for j in members])
         # A finite fill can still overflow a metric; the non-finite score
         # becomes a typed failure on its record, so numpy need not warn.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ContextError, DivergenceError
+from ..errors import ContextError, DivergenceError, InvalidParameterError
 from ..gaps import GapSpec
 from ..series import TimeSeries
 
@@ -21,7 +21,7 @@ def polynomial_fill(masked: TimeSeries, gap: GapSpec, order: int = 3,
     is the sample index.
     """
     if order < 1:
-        raise ContextError("polynomial order must be >= 1", order=order)
+        raise InvalidParameterError("polynomial order must be >= 1", order=order)
     context = polynomial_reach(context, gap.length)
 
     needed = order + 1

@@ -41,8 +41,9 @@ class IngestSpec:
     missing_policy: str = "reject"  # or "mask"
 
     def __post_init__(self):
-        if self.expected_step <= 0:
-            raise SchemaError("expected_step must be > 0", path="ingest.expected_step")
+        if not 0 < self.expected_step < math.inf:
+            raise SchemaError("expected_step must be finite and > 0",
+                              path="ingest.expected_step")
         if self.timestamp_format not in ("epoch", "iso8601"):
             raise SchemaError("timestamp_format must be 'epoch' or 'iso8601'",
                               path="ingest.timestamp_format")
@@ -159,6 +160,9 @@ def write_series_csv(series: TimeSeries, path, timestamp_column: str = "timestam
 
 def _hours_to_samples(hours: float, step_seconds: float, path: str) -> int:
     samples = hours * 3600.0 / step_seconds
+    if not math.isfinite(samples):
+        raise SchemaError(f"{hours} hours is not a finite number of samples "
+                          f"at step {step_seconds}s", path=path)
     rounded = int(round(samples))
     if rounded < 1:
         raise SchemaError(f"{hours} hours is below one sample at step "

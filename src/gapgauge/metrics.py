@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySampleError, InvalidParameterError, InvalidSampleError, ShapeError
-from .series import EmpiricalSample
 
 METRICS = ("wd", "jsd", "rmse", "mae")
 
@@ -35,8 +34,6 @@ def _values(sample) -> np.ndarray:
     A 2-D array-like is a ``(rows, samples)`` batch; anything else of at
     most one dimension is one sample.
     """
-    if isinstance(sample, EmpiricalSample):
-        return sample.values
     vals = np.asarray(sample, dtype=float)
     if vals.ndim > 2:
         raise ShapeError("need one sample or a 2-D batch of rows", ndim=vals.ndim)
@@ -119,8 +116,8 @@ class Histogram:
 def _check_histogram_parameters(bins: int, epsilon: float) -> None:
     if bins < 2:
         raise InvalidParameterError("bins must be >= 2", bins=bins)
-    if not epsilon > 0:
-        raise InvalidParameterError("epsilon must be > 0", epsilon=epsilon)
+    if not 0 < epsilon < np.inf:
+        raise InvalidParameterError("epsilon must be finite and > 0", epsilon=epsilon)
 
 
 def _shared_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:

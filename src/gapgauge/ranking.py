@@ -14,59 +14,37 @@ from .errors import ShapeError
 
 
 def average_ranks(scores) -> np.ndarray:
-    """Ranks 1..n of the scores in ascending order, ties averaged."""
+    """Ranks 1..n of the scores in ascending order, ties averaged.
+
+    A score with ``below`` scores under it and ``upto`` scores at most equal
+    to it shares the tied positions ``below + 1 .. upto``, whose mean is
+    ``(below + upto + 1) / 2``.
+    """
     scores = np.asarray(scores, dtype=float)
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=float)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    ordered = np.sort(scores)
+    below = np.searchsorted(ordered, scores, side="left")
+    upto = np.searchsorted(ordered, scores, side="right")
+    return (below + upto + 1) / 2.0
 
 
 def spearman(x, y) -> float:
-    """Spearman rank correlation of two score vectors.
-
-    Without ties this is ``1 - 6*sum(d^2) / (n*(n^2-1))`` on the rank
-    differences d; with ties it falls back to the Pearson correlation of
-    the average ranks.
-    """
-    rx, ry = _paired_ranks(x, y)
-    n = len(rx)
-    if _has_ties(rx) or _has_ties(ry):
-        return _pearson(rx, ry)
-    d = rx - ry
-    return 1.0 - 6.0 * float(np.sum(d * d)) / (n * (n * n - 1))
+    """Spearman rank correlation: the Pearson correlation of average ranks."""
+    return _pearson(*_paired_ranks(x, y))
 
 
 def kendall(x, y) -> float:
     """Kendall tau-b of two score vectors."""
     rx, ry = _paired_ranks(x, y)
-    n = len(rx)
-    concordant = discordant = ties_x = ties_y = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = rx[i] - rx[j]
-            b = ry[i] - ry[j]
-            if a == 0 and b == 0:
-                continue
-            if a == 0:
-                ties_x += 1
-            elif b == 0:
-                ties_y += 1
-            elif (a > 0) == (b > 0):
-                concordant += 1
-            else:
-                discordant += 1
-    denom = np.sqrt((concordant + discordant + ties_x)
-                    * (concordant + discordant + ties_y))
+    # Signs over all ordered pairs count each unordered pair twice; doubling
+    # every count leaves the float tau-b unchanged.
+    a = np.sign(rx[:, None] - rx)
+    b = np.sign(ry[:, None] - ry)
+    # tau-b divides by the root of (pairs untied in x) * (pairs untied in y)
+    denom = np.sqrt(np.count_nonzero(a) * np.count_nonzero(b))
     if denom == 0:
         raise ShapeError("rank correlation undefined: all pairs tied")
-    return float((concordant - discordant) / denom)
+    agree = a * b
+    return float((np.count_nonzero(agree > 0) - np.count_nonzero(agree < 0)) / denom)
 
 
 def _paired_ranks(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -78,10 +56,6 @@ def _paired_ranks(x, y) -> tuple[np.ndarray, np.ndarray]:
     if len(x) < 2:
         raise ShapeError("need at least two items to correlate", n=len(x))
     return average_ranks(x), average_ranks(y)
-
-
-def _has_ties(ranks: np.ndarray) -> bool:
-    return len(np.unique(ranks)) != len(ranks)
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySampleError, InvalidSampleError, RangeError
+from .errors import RangeError
 
 
 @dataclass
@@ -51,24 +51,6 @@ class TimeSeries:
     def fully_observed(cls, start_time: float, step: float, values) -> "TimeSeries":
         values = np.asarray(values, dtype=float)
         return cls(start_time, step, values, np.ones(len(values), dtype=bool))
-
-
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """An unordered bag of finite real values standing for a distribution."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or len(vals) == 0:
-            raise EmptySampleError("empirical sample must hold at least one value")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidSampleError("empirical sample contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass

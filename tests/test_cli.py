@@ -59,6 +59,12 @@ class TestSynthAndIngest:
         assert err.startswith("error: ") and "non-finite timestamp" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_ingest_non_finite_step_exits_one(self, synth_series, capsys, step):
+        assert main(["ingest", "--series", str(synth_series), "--step", step]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "expected_step" in err
+
     def test_synth_unknown_kind_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["synth", "--kind", "fractal", "--out", str(tmp_path)])

@@ -175,11 +175,18 @@ class TestPreGapWindow:
         masked, _ = apply_gaps(series_1_to_10(),
                                GapSet((GapSpec(4, 2),), seed=0, source_length=10))
         sample = pre_gap_window(masked, GapSpec(4, 2))
-        assert np.array_equal(sample.values, [3.0, 4.0])
+        assert np.array_equal(sample, [3.0, 4.0])
 
     def test_window_at_series_start(self):
         sample = pre_gap_window(series_1_to_10(), GapSpec(2, 2))
-        assert np.array_equal(sample.values, [1.0, 2.0])
+        assert np.array_equal(sample, [1.0, 2.0])
+
+    def test_window_is_a_float_copy(self):
+        series = series_1_to_10()
+        sample = pre_gap_window(series, GapSpec(4, 2))
+        assert sample.dtype == np.float64
+        sample[:] = -1.0
+        assert np.array_equal(series.values[2:4], [3.0, 4.0])
 
     def test_underflow_errors(self):
         with pytest.raises(ReferenceWindowError):

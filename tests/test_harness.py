@@ -438,6 +438,9 @@ class TestEvalConfig:
             EvalConfig(imputers=small_imputers(), bins=1)
         with pytest.raises(ConfigError):
             EvalConfig(imputers=small_imputers(), aggregation="decile")
+        for epsilon in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="epsilon"):
+                EvalConfig(imputers=small_imputers(), epsilon=epsilon)
 
     def test_duplicate_imputers_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

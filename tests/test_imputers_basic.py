@@ -86,6 +86,11 @@ class TestPolynomial:
         fill = polynomial_fill(series, gap, order=3)
         assert len(fill) == 10 and np.all(np.isfinite(fill))
 
+    def test_order_lower_bound(self):
+        gap = GapSpec(10, 2)
+        with pytest.raises(InvalidParameterError, match="order"):
+            polynomial_fill(masked_series(np.arange(30.0), gap), gap, order=0)
+
 
 class TestSeasonalNaive:
     def test_exact_on_periodic_signal(self):

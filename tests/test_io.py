@@ -101,6 +101,12 @@ class TestIngest:
             ingest_csv(IngestSpec(path=path))
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+    def test_expected_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(SchemaError) as err:
+            IngestSpec(path="s.csv", expected_step=step)
+        assert err.value.path == "ingest.expected_step"
+
     def test_iso8601_timestamps(self, tmp_path):
         path = write_csv(tmp_path / "s.csv",
                          ["2021-01-01T00:00:00Z,1",
@@ -195,6 +201,30 @@ class TestConfig:
         with pytest.raises(SchemaError) as err:
             load_config(path)
         assert "imputers[0].params" in str(err.value)
+
+    @pytest.mark.parametrize("field, gap_hours, params", [
+        ("gap_hours.min", {"min": float("nan"), "max": 8}, {}),
+        ("gap_hours.max", {"min": 2, "max": float("inf")}, {}),
+        ("gap_hours.max", {"min": 2, "max": 1e308}, {}),
+        ("imputers[0].params.season_hours", {"min": 2, "max": 8},
+         {"season_hours": float("nan")}),
+    ])
+    def test_non_finite_hours_name_field(self, tmp_path, field, gap_hours, params):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "gap_hours": gap_hours,
+            "imputers": [{"kind": "seasonal_naive", "params": params}]}))
+        with pytest.raises(SchemaError, match="finite") as err:
+            load_config(path)
+        assert err.value.path == field
+
+    def test_non_finite_epsilon_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "gap_hours": {"min": 2, "max": 8},
+            "epsilon": float("inf"), "imputers": [{"kind": "polynomial"}]}))
+        with pytest.raises(SchemaError, match="epsilon"):
+            load_config(path)
 
     def test_param_given_in_samples_and_hours_names_both(self, tmp_path):
         path = tmp_path / "c.json"

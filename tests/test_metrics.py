@@ -136,8 +136,11 @@ class TestSharedHistogram:
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             shared_histogram([1.0], [2.0], bins=1)
-        with pytest.raises(InvalidParameterError):
-            shared_histogram([1.0], [2.0], epsilon=0.0)
+        for epsilon in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                shared_histogram([1.0], [2.0], epsilon=epsilon)
+            with pytest.raises(InvalidParameterError):
+                jsd([1.0], [2.0], epsilon=epsilon)
 
 
 class TestJSD:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gapgauge import average_ranks, kendall, spearman
@@ -12,6 +14,13 @@ class TestAverageRanks:
 
     def test_ties_averaged(self):
         assert np.array_equal(average_ranks([5.0, 1.0, 5.0]), [2.5, 1.0, 2.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0, 1e300]),
+                    min_size=1, max_size=40))
+    def test_equals_scipy_rankdata_on_tie_heavy_vectors(self, scores):
+        assert np.array_equal(average_ranks(scores),
+                              stats.rankdata(scores, method="average"))
 
 
 class TestSpearman:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gapgauge import EmpiricalSample, TimeSeries, slice_series, validate
-from gapgauge.errors import EmptySampleError, InvalidSampleError, RangeError
+from gapgauge import TimeSeries, slice_series, validate
+from gapgauge.errors import RangeError
 
 
 def hourly(values, observed=None, start=0.0, step=3600.0):
@@ -82,12 +82,3 @@ class TestSlice:
             assert np.array_equal(direct.values, nested.values)
             assert np.array_equal(direct.observed, nested.observed)
 
-
-class TestEmpiricalSample:
-    def test_rejects_empty(self):
-        with pytest.raises(EmptySampleError):
-            EmpiricalSample(np.array([]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidSampleError):
-            EmpiricalSample(np.array([1.0, np.inf]))
