@@ -125,10 +125,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     series = _ingest_from_args(args)
-    config = load_config(args.config, step_seconds=series.step,
-                         seed_override=args.seed)
-    if args.bins is not None:
-        config = dataclasses.replace(config, bins=args.bins)  # re-validates
+    config = load_config(args.config, step_seconds=series.step)
+    overrides = {name: value for name, value in (("seed", args.seed), ("bins", args.bins))
+                 if value is not None}
+    config = dataclasses.replace(config, **overrides)  # re-validates
     if args.imputers is not None:
         wanted = [w.strip() for w in args.imputers.split(",") if w.strip()]
         kept = [c for c in config.imputers
@@ -141,7 +141,7 @@ def _cmd_run(args) -> int:
         if missing or not kept:
             raise GapgaugeError(f"--imputers selected nothing: {missing or wanted}",
                                 available=known)
-        config.imputers = kept
+        config = dataclasses.replace(config, imputers=kept)
 
     if args.parallel > 1 and not args.quiet:
         print("note: --parallel is ignored; jobs run sequentially", file=sys.stderr)

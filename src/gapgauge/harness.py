@@ -15,7 +15,7 @@ head-of-series history that the configured imputer kinds declare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -98,7 +98,7 @@ class EvalReport:
     aggregates: list[AggregateRow]
     agreement: dict | None
     provenance: dict
-    gaps: GapSet = field(default=None)
+    gaps: GapSet
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,7 +106,7 @@ class EvalReport:
             "records": [vars(r) for r in self.records],
             "aggregates": [vars(a) for a in self.aggregates],
             "rank_agreement": self.agreement,
-            "gaps": None if self.gaps is None else self.gaps.to_json_dict(),
+            "gaps": self.gaps.to_json_dict(),
         }
 
 
@@ -115,27 +115,17 @@ def required_history(config: ImputerConfig, max_gap_len: int) -> int:
     return kind_spec(config.kind).history(config.params, max_gap_len)
 
 
-def _single_gap_view(work: TimeSeries, gap: GapSpec) -> TimeSeries:
-    """Mask ``gap`` in the working copy in place and hand out a read-only view.
-
-    The gap's values become NaN, so an imputer cannot read the held-out
-    truth; both arrays stay read-only until :func:`_restore_gap` runs, so an
-    imputer that writes into its input raises instead of leaking into the
-    next job.
-    """
+def _single_gap_view(work: TimeSeries, gap: GapSpec) -> None:
+    """Mask ``gap`` in the private working copy: its values become NaN, so
+    an imputer cannot read the held-out truth."""
     window = slice(gap.start_index, gap.end_index)
     work.observed[window] = False
     work.values[window] = np.nan
-    work.values.flags.writeable = False
-    work.observed.flags.writeable = False
-    return TimeSeries(work.start_time, work.step, work.values, work.observed)
 
 
 def _restore_gap(work: TimeSeries, series: TimeSeries, gap: GapSpec) -> None:
     """Undo :func:`_single_gap_view` from the caller's untouched ``series``."""
     window = slice(gap.start_index, gap.end_index)
-    work.values.flags.writeable = True
-    work.observed.flags.writeable = True
     work.values[window] = series.values[window]
     work.observed[window] = series.observed[window]
 
@@ -178,9 +168,9 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
     Jobs run in record order (gaps by position, imputers in declared order),
     so reruns produce identical reports.
     """
-    check = validate(series)
-    if not check.ok:
-        raise ConfigError("series failed validation", violations=check.violations)
+    violations = validate(series)
+    if violations:
+        raise ConfigError("series failed validation", violations=violations)
     if not series.observed.all():
         raise ConfigError("evaluation needs a fully observed series")
 
@@ -193,24 +183,27 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
     masked, truth = apply_gaps(series, gap_set)
     references = [pre_gap_window(masked, gap) for gap in gap_set]
 
-    # One working copy; each job masks its gap in place and restores it
-    # before the next job.  A job's outcome is its fill or its error string;
-    # all fills are scored together once every job has run.
+    # One private working copy; each gap is masked in it once, imputed by
+    # every imputer, then restored.  Imputers read it through read-only
+    # views, each job through its own TimeSeries.  A job's outcome is its
+    # fill or its error string; all fills are scored once every job has run.
     work = series.copy()
+    values, observed = work.values.view(), work.observed.view()
+    values.flags.writeable = observed.flags.writeable = False
     imputer_ids = [c.imputer_id for c in config.imputers]
     reads_seed = [kind_spec(c.kind).reads_seed for c in config.imputers]
     jobs, outcomes = [], []
     for gi, gap in enumerate(gap_set.gaps):
+        _single_gap_view(work, gap)
         for mi, imputer in enumerate(config.imputers):
             jobs.append((gi, gap, imputer_ids[mi]))
+            view = TimeSeries(work.start_time, work.step, values, observed)
+            seed = derive_seed(config.seed, gi, mi) if reads_seed[mi] else 0
             try:
-                view = _single_gap_view(work, gap)
-                seed = derive_seed(config.seed, gi, mi) if reads_seed[mi] else 0
                 outcomes.append(impute(view, gap, imputer, seed=seed))
             except GapgaugeError as exc:
                 outcomes.append(_failure(exc))
-            finally:
-                _restore_gap(work, series, gap)
+        _restore_gap(work, series, gap)
 
     scores = _score_fills(jobs, outcomes, references, truth, config)
     records = []

@@ -104,7 +104,6 @@ class FittedArima:
     # where the regression had no row).
     innovations: np.ndarray = field(repr=False, default=None)
     _levels: list[np.ndarray] = field(repr=False, default_factory=list)
-    _ops: list[int] = field(repr=False, default_factory=list)
 
     @property
     def working_series(self) -> np.ndarray:
@@ -112,24 +111,21 @@ class FittedArima:
         return self._levels[-1]
 
 
-def _difference_levels(y: np.ndarray, order: ArimaOrder) -> tuple[list[np.ndarray], list[int]]:
+def _difference_levels(y: np.ndarray, order: ArimaOrder) -> list[np.ndarray]:
     """Apply d regular then D seasonal differences, keeping every level."""
     levels = [np.asarray(y, dtype=float)]
-    ops: list[int] = []
     for _ in range(order.d):
         w = levels[-1]
         if len(w) < 2:
             raise TrainingError("series too short to difference", length=len(w))
         levels.append(w[1:] - w[:-1])
-        ops.append(1)
     for _ in range(order.D):
         w = levels[-1]
         if len(w) <= order.s:
             raise TrainingError("series too short for seasonal differencing",
                                 length=len(w), season=order.s)
         levels.append(w[order.s:] - w[:-order.s])
-        ops.append(order.s)
-    return levels, ops
+    return levels
 
 
 def _lagged(x: np.ndarray, lags: list[int]) -> np.ndarray:
@@ -190,7 +186,7 @@ def _regression_rows(order: ArimaOrder, n_w: int) -> tuple[int, int]:
     return h, t0
 
 
-def _fit_core(levels: list[np.ndarray], ops: list[int], order: ArimaOrder,
+def _fit_core(levels: list[np.ndarray], order: ArimaOrder,
               stage1_cache: dict) -> FittedArima:
     """Fit ``order`` on the deepest differencing level.
 
@@ -230,15 +226,14 @@ def _fit_core(levels: list[np.ndarray], ops: list[int], order: ArimaOrder,
         ma=coef[n_ar:n_ar + order.q], sma=coef[n_ar + order.q:n_ar + n_ma],
         intercept=float(coef[-1]), sigma2=sse / n_obs, sse=sse,
         aic=float(aic), n_obs=n_obs, innovations=innovations,
-        _levels=levels, _ops=ops)
+        _levels=levels)
 
 
 def fit_arima(train: TimeSeries, order: ArimaOrder) -> FittedArima:
     """Estimate the given order on a fully observed training series."""
     if not train.observed.all():
         raise TrainingWindowError("training window contains missing values")
-    levels, ops = _difference_levels(train.values, order)
-    return _fit_core(levels, ops, order, {})
+    return _fit_core(_difference_levels(train.values, order), order, {})
 
 
 def forecast(fitted: FittedArima, steps: int) -> np.ndarray:
@@ -269,7 +264,8 @@ def forecast(fitted: FittedArima, steps: int) -> np.ndarray:
 
     # Integrate the differences back out, deepest level first.
     ext = w_forecast
-    for level, lag in zip(reversed(fitted._levels[:-1]), reversed(fitted._ops)):
+    lags = [1] * order.d + [order.s] * order.D
+    for level, lag in zip(reversed(fitted._levels[:-1]), reversed(lags)):
         full = list(level)
         parent_ext = []
         for value in ext:
@@ -413,7 +409,7 @@ def _screen(values: np.ndarray, orders: list[ArimaOrder],
         try:
             if key not in levels:
                 levels[key] = _difference_levels(values, order)
-            h, t0 = _regression_rows(order, len(levels[key][0][-1]))
+            h, t0 = _regression_rows(order, len(levels[key][-1]))
         except TrainingError:
             continue  # the exact fit fails the same check
         groups.setdefault((order.d, order.D, h), []).append((order, t0))
@@ -433,11 +429,11 @@ def _screen(values: np.ndarray, orders: list[ArimaOrder],
     for h in {h for _, _, h in groups} - {0}:
         keys = [key for key in groups if key[2] == h]
         innovations.update(zip(keys, _screen_innovations(
-            [levels[key[:2]][0][-1] for key in keys], h)))
+            [levels[key[:2]][-1] for key in keys], h)))
 
     out, grams, batches = [], [], {}
     for (d, D, h), members in groups.items():
-        w = levels[(d, D)][0][-1]
+        w = levels[(d, D)][-1]
         e, e_err = np.zeros(len(w)), 0.0
         if h:
             if innovations[d, D, h] is None:
@@ -491,7 +487,7 @@ def _fit_best(values: np.ndarray, orders, levels: dict, stage1: dict
         try:
             if key not in levels:
                 levels[key] = _difference_levels(values, order)
-            fitted = _fit_core(*levels[key], order, stage1.setdefault(key, {}))
+            fitted = _fit_core(levels[key], order, stage1.setdefault(key, {}))
         except (GapgaugeError, np.linalg.LinAlgError) as exc:
             # A typed fit failure rejects this candidate; anything else is a bug.
             failures[order.label()] = str(exc)
@@ -511,7 +507,7 @@ def _select_and_fit(train: TimeSeries, p_max: int, d_max: int, q_max: int,
     orders = list(_candidate_orders(p_max, d_max, q_max, seasonal))
     # Differencing levels per (d, D), shared by the screen and the exact
     # fits; exact stage-one innovations per (d, D) and long-AR order.
-    levels: dict[tuple[int, int], tuple[list, list]] = {}
+    levels: dict[tuple[int, int], list] = {}
     stage1: dict[tuple[int, int], dict] = {}
     screened = _screen(train.values, orders, levels)
     best = min((aic for _, aic, sure in screened if sure), default=np.inf)

@@ -262,9 +262,7 @@ def gbt_fill(masked: TimeSeries, gap: GapSpec, train_span: int = DEFAULT_TRAIN_S
     lo = training_window_start(masked, gap, train_span)
 
     values = masked.values[lo:gap.start_index]
-    # The float operations of TimeSeries.hour_of_day, over the window and the gap.
-    hours = ((masked.start_time + np.arange(lo, gap.end_index) * masked.step)
-             % 86400.0 // 3600.0).astype(int)
+    hours = masked.hour_of_day(np.arange(lo, gap.end_index))
     X, y = causal_features(values, hours[:len(values)], sma_window, ewma_alpha)
     rng = philox_generator(seed)
     model = GradientBoostedTrees(trees=trees, max_depth=max_depth,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (CadenceError, ConfigError, DuplicateTimestampError,
-                     GapgaugeError, ParseError, SchemaError)
+                     GapgaugeError, ParseError, SchemaError, ShapeError)
 from .harness import AggregateRow, EvalConfig, EvalReport, aggregate
 from .imputers import ImputerConfig, kind_spec
 from .metrics import METRICS, MetricRecord
@@ -159,7 +159,10 @@ def write_series_csv(series: TimeSeries, path, timestamp_column: str = "timestam
 
 
 def _hours_to_samples(hours: float, step_seconds: float, path: str) -> int:
-    samples = hours * 3600.0 / step_seconds
+    try:
+        samples = hours * 3600.0 / step_seconds
+    except OverflowError:  # an integer beyond the float range
+        samples = math.inf
     if not math.isfinite(samples):
         raise SchemaError(f"{hours} hours is not a finite number of samples "
                           f"at step {step_seconds}s", path=path)
@@ -181,17 +184,15 @@ def _expect(doc: dict, key: str, kinds, path: str, default=None, required=False)
     return value
 
 
-def load_config(path, step_seconds: float = 3600.0,
-                seed_override: int | None = None) -> EvalConfig:
+def load_config(path, step_seconds: float = 3600.0) -> EvalConfig:
     """Load a run configuration, converting hour-form fields to samples.
 
-    Seed priority: ``seed_override`` argument, then the file's ``seed``
-    field, then the ``GAPGAUGE_SEED`` environment variable, then 0.
+    The seed is the file's ``seed`` field, 0 when absent.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise SchemaError(f"not valid JSON: {exc}", path="$") from None
     if not isinstance(doc, dict):
         raise SchemaError("config root must be an object", path="$")
@@ -208,18 +209,6 @@ def load_config(path, step_seconds: float = 3600.0,
                           path="gap_hours.min,gap_hours.max")
     min_len = _hours_to_samples(min_hours, step_seconds, "gap_hours.min")
     max_len = _hours_to_samples(max_hours, step_seconds, "gap_hours.max")
-
-    if seed_override is not None:
-        seed = int(seed_override)
-    elif "seed" in doc:
-        seed = _expect(doc, "seed", int, "seed", required=True)
-    else:
-        raw_seed = os.environ.get("GAPGAUGE_SEED", "0")
-        try:
-            seed = int(raw_seed)
-        except ValueError:
-            raise SchemaError(f"GAPGAUGE_SEED is not an integer: {raw_seed!r}",
-                              path="seed") from None
 
     raw_imputers = _expect(doc, "imputers", list, "imputers", required=True)
     if not raw_imputers:
@@ -254,18 +243,21 @@ def load_config(path, step_seconds: float = 3600.0,
             raise SchemaError(f"invalid imputer config: {exc}",
                               path=f"{where}.params") from None
 
+    # Read outside the try below, so that a wrong type keeps its field path.
+    settings = dict(
+        n_gaps=_expect(doc, "n_gaps", int, "n_gaps", default=100),
+        seed=_expect(doc, "seed", int, "seed", default=0),
+        bins=_expect(doc, "bins", int, "bins", default=10),
+        epsilon=_expect(doc, "epsilon", (int, float), "epsilon", default=1e-6),
+        aggregation=_expect(doc, "aggregation", str, "aggregation", default="exact"))
+    if settings["bins"] >= 2**63:
+        raise SchemaError("bins must fit a signed 64-bit integer", path="bins")
     try:
-        return EvalConfig(
-            imputers=imputers,
-            n_gaps=_expect(doc, "n_gaps", int, "n_gaps", default=100),
-            min_len=min_len,
-            max_len=max_len,
-            seed=seed,
-            bins=_expect(doc, "bins", int, "bins", default=10),
-            epsilon=_expect(doc, "epsilon", (int, float), "epsilon", default=1e-6),
-            aggregation=_expect(doc, "aggregation", str, "aggregation",
-                                default="exact"),
-        )
+        float(settings["epsilon"])
+    except OverflowError:
+        raise SchemaError("epsilon must convert to a finite float", path="epsilon") from None
+    try:
+        return EvalConfig(imputers=imputers, min_len=min_len, max_len=max_len, **settings)
     except GapgaugeError as exc:
         raise SchemaError(f"invalid configuration: {exc}", path="$") from None
 
@@ -335,8 +327,8 @@ def read_records_csv(path) -> list[MetricRecord]:
                     gap_len=int(cells["gap_len"]),
                     **{m: float(cells[m]) if cells[m] else None for m in METRICS},
                     error=cells["error"] or None))
-            except ValueError:
-                raise ParseError("unparseable record row", line=line) from None
+            except (ValueError, ShapeError) as exc:  # ShapeError: a non-finite metric
+                raise ParseError(f"unparseable record row: {exc}", line=line) from None
     return records
 
 

@@ -8,7 +8,7 @@ no meaningful value and must never be consumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,11 @@ class TimeSeries:
     def timestamp(self, index: int) -> float:
         return self.start_time + index * self.step
 
-    def hour_of_day(self, index: int) -> int:
-        """Hour 0-23 of the implied timestamp (UTC)."""
-        return int(self.timestamp(index) % 86400.0 // 3600.0)
+    def hour_of_day(self, index: int | np.ndarray) -> int | np.ndarray:
+        """Hour 0-23 (UTC) of the implied timestamp: an ``int`` for one
+        index, an int array for an index array."""
+        hour = self.timestamp(index) % 86400.0 // 3600.0
+        return hour.astype(int) if isinstance(hour, np.ndarray) else int(hour)
 
     def copy(self) -> "TimeSeries":
         return TimeSeries(self.start_time, self.step,
@@ -53,14 +55,9 @@ class TimeSeries:
         return cls(start_time, step, values, np.ones(len(values), dtype=bool))
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
-
-
-def validate(series: TimeSeries) -> ValidationReport:
-    """Check every series invariant; violations are data, not failures."""
+def validate(series: TimeSeries) -> list[str]:
+    """Every violated series invariant; an empty list means the series is
+    valid.  Violations are data, not failures."""
     violations = []
     if not (series.step > 0):
         violations.append("non-positive step")
@@ -73,7 +70,7 @@ def validate(series: TimeSeries) -> ValidationReport:
         violations.append("non-finite value at an observed position")
     if not np.isfinite(series.start_time):
         violations.append("non-finite start_time")
-    return ValidationReport(ok=not violations, violations=violations)
+    return violations
 
 
 def _check_window(series: TimeSeries, start_index: int, length: int) -> None:

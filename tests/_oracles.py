@@ -343,15 +343,14 @@ def exhaustive_select_and_fit(train, p_max, d_max, q_max, seasonal=None):
     The library's screened selection must return the same fitted model."""
     failures: dict[str, str] = {}
     best = None
-    level_cache: dict[tuple[int, int], tuple[list, list]] = {}
+    level_cache: dict[tuple[int, int], list] = {}
     stage1_caches: dict[tuple[int, int], dict] = {}
     for order in arima._candidate_orders(p_max, d_max, q_max, seasonal):
         key = (order.d, order.D)
         try:
             if key not in level_cache:
                 level_cache[key] = arima._difference_levels(train.values, order)
-            levels, ops = level_cache[key]
-            fitted = arima._fit_core(levels, ops, order,
+            fitted = arima._fit_core(level_cache[key], order,
                                      stage1_caches.setdefault(key, {}))
         except (GapgaugeError, np.linalg.LinAlgError) as exc:
             failures[order.label()] = str(exc)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gapgauge
 from gapgauge.cli import main
 
 
@@ -145,6 +150,15 @@ class TestRun:
         assert "bins must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_range_seed_exits_one(self, synth_series, small_config,
+                                         tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(small_config), "--series",
+                     str(synth_series), "--out", str(out),
+                     "--seed", str(2**64), "--quiet"]) == 1
+        assert "error: [config] seed must fit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_capacity_abort_exits_two(self, synth_series, tmp_path, capsys):
         doc = {"schema_version": 1, "n_gaps": 500,
                "gap_hours": {"min": 40, "max": 48},
@@ -192,3 +206,15 @@ class TestAgree:
             "gap_id,imputer_id,gap_len,wd,jsd,rmse,mae,error\n"
             "g0,only,4,1.0,0.1,2.0,1.5,\n")
         assert main(["agree", "--records", str(records), "--quiet"]) == 2
+
+
+def test_module_entry_point_reports_errors(tmp_path):
+    src = str(Path(gapgauge.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "gapgauge", "agree", "--records",
+         str(tmp_path / "missing.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")

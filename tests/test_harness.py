@@ -243,6 +243,28 @@ class TestRunEvaluation:
         assert not any(r.failed for r in report.records
                        if not r.imputer_id.startswith("peeking"))
 
+    def test_rebinding_the_view_does_not_reach_the_next_job(self):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        seen = []
+
+        def rebinding_fill(masked, gap, params, seed):
+            seen.append(masked.observed[gap.start_index:gap.end_index].any())
+            masked.values = np.zeros(len(masked))
+            masked.observed = np.ones(len(masked), dtype=bool)
+            return np.zeros(gap.length)
+
+        for kind in ("rebinding_a", "rebinding_b"):
+            register_imputer(kind, rebinding_fill)
+        try:
+            config = EvalConfig(imputers=[ImputerConfig("rebinding_a", {}),
+                                          ImputerConfig("rebinding_b", {})],
+                                n_gaps=4, min_len=2, max_len=10, seed=4)
+            run_evaluation(series, config)
+        finally:
+            _REGISTRY.pop("rebinding_a")
+            _REGISTRY.pop("rebinding_b")
+        assert seen == [False] * 8
+
     @pytest.mark.parametrize("field", ["values", "observed"])
     def test_writing_into_the_view_raises(self, field):
         series = synthesize_series("seasonal", 3000, {}, seed=1)

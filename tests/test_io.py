@@ -292,24 +292,16 @@ class TestConfig:
         with pytest.raises(SchemaError):
             load_config(path)
 
-    def test_seed_priority(self, tmp_path, monkeypatch):
+    def test_seed_priority(self, tmp_path):
         doc = {"schema_version": 1, "gap_hours": {"min": 2, "max": 8},
                "imputers": [{"kind": "polynomial"}]}
         path = tmp_path / "c.json"
-
-        monkeypatch.setenv("GAPGAUGE_SEED", "111")
         path.write_text(json.dumps(doc))
-        assert load_config(path).seed == 111  # env when file has none
+        assert load_config(path).seed == 0  # the default
 
         doc["seed"] = 222
         path.write_text(json.dumps(doc))
-        assert load_config(path).seed == 222  # file beats env
-        assert load_config(path, seed_override=333).seed == 333  # flag beats file
-
-        monkeypatch.delenv("GAPGAUGE_SEED")
-        del doc["seed"]
-        path.write_text(json.dumps(doc))
-        assert load_config(path).seed == 0
+        assert load_config(path).seed == 222  # the file's seed
 
     def test_dump_load_round_trip(self, tmp_path):
         config = EvalConfig(
@@ -327,6 +319,82 @@ class TestConfig:
                 {"kind": "gbt", "params": {"train_span_hours": 200.0,
                                            "trees": 30}}]}))
         assert load_config(path, step_seconds=900.0) == config
+
+
+RECORDS_HEADER = "gap_id,imputer_id,gap_len,wd,jsd,rmse,mae,error\n"
+RECORD_ROW = "g0,m,4,1.0,0.1,2.0,1.5,\n"
+HUGE = 10 ** 400  # beyond the float range
+
+
+def ingest_with(**spec):
+    return lambda path: ingest_csv(IngestSpec(path=path, **spec))
+
+
+def config_text(**fields):
+    doc = {"schema_version": 1, "gap_hours": {"min": 2, "max": 8},
+           "imputers": [{"kind": "polynomial"}]}
+    return json.dumps({**doc, **fields})
+
+
+def polynomial_params(**params):
+    return config_text(imputers=[{"kind": "polynomial", "params": params}])
+
+
+# (reader, file text, error class, attribute naming the fault, its value)
+IO_ERRORS = {
+    "ingest-timestamp-format": (ingest_with(timestamp_format="unix"), "",
+                                SchemaError, "path", "ingest.timestamp_format"),
+    "ingest-missing-policy": (ingest_with(missing_policy="drop"), "",
+                              SchemaError, "path", "ingest.missing_policy"),
+    "ingest-no-header": (ingest_with(), "", ParseError, "line", 1),
+    "ingest-short-row": (ingest_with(), "timestamp,value\n0,1\n3600\n",
+                         ParseError, "line", 3),
+    "ingest-no-data-rows": (ingest_with(), "timestamp,value\n\n", ParseError, "line", 1),
+    "ingest-blank-cell-rejected": (ingest_with(), "timestamp,value\n0,1\n3600,\n",
+                                   ParseError, "line", 3),
+    "config-hours-below-one-sample": (load_config, config_text(gap_hours={"min": 0.1, "max": 8}),
+                                      SchemaError, "path", "gap_hours.min"),
+    "config-wrong-type": (load_config, config_text(n_gaps="ten"), SchemaError, "path", "n_gaps"),
+    "config-invalid-json": (load_config, "{", SchemaError, "path", "$"),
+    "config-non-object-root": (load_config, "[]", SchemaError, "path", "$"),
+    "config-no-imputers": (load_config, config_text(imputers=[]),
+                           SchemaError, "path", "imputers"),
+    "config-non-object-imputer": (load_config, config_text(imputers=["polynomial"]),
+                                  SchemaError, "path", "imputers[0]"),
+    "config-unknown-kind": (load_config, config_text(imputers=[{"kind": "lstm"}]),
+                            SchemaError, "path", "imputers[0].kind"),
+    "config-non-number-hours": (load_config, polynomial_params(context_hours="8"),
+                                SchemaError, "path", "imputers[0].params.context_hours"),
+    "config-huge-gap-hours": (load_config, config_text(gap_hours={"min": 2, "max": HUGE}),
+                              SchemaError, "path", "gap_hours.max"),
+    "config-huge-param-hours": (load_config, polynomial_params(context_hours=HUGE),
+                                SchemaError, "path", "imputers[0].params.context_hours"),
+    "config-huge-epsilon": (load_config, config_text(epsilon=HUGE), SchemaError, "path", "epsilon"),
+    "config-huge-bins": (load_config, config_text(bins=HUGE), SchemaError, "path", "bins"),
+    "config-overlong-integer": (load_config, config_text()[:-1] + ', "seed": ' + "1" * 5000 + "}",
+                                SchemaError, "path", "$"),
+    "records-bad-header": (read_records_csv, "gap_id,imputer_id\n", ParseError, "line", 1),
+    "records-column-count": (read_records_csv, RECORDS_HEADER + "g0,m,4,1.0\n",
+                             ParseError, "line", 2),
+    "records-unparseable": (read_records_csv, RECORDS_HEADER + "g0,m,four,1,1,1,1,\n",
+                            ParseError, "line", 2),
+    "records-nan-metric": (read_records_csv, RECORDS_HEADER + RECORD_ROW + "g1,m,4,nan,1,1,1,\n",
+                           ParseError, "line", 3),
+    "records-inf-metric": (read_records_csv, RECORDS_HEADER + RECORD_ROW + "g1,m,4,1,inf,1,1,\n",
+                           ParseError, "line", 3),
+    "records-blank-metric": (read_records_csv, RECORDS_HEADER + RECORD_ROW + "g1,m,4,1,1,,1,\n",
+                             ParseError, "line", 3),
+}
+
+
+@pytest.mark.parametrize("case", list(IO_ERRORS))
+def test_io_error_names_its_field_or_line(tmp_path, case):
+    read, text, error, attribute, expected = IO_ERRORS[case]
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as err:
+        read(str(path))
+    assert getattr(err.value, attribute) == expected
 
 
 class TestReportFiles:

@@ -14,33 +14,44 @@ def hourly(values, observed=None, start=0.0, step=3600.0):
 
 class TestValidate:
     def test_clean_series_is_ok(self):
-        report = validate(hourly(np.arange(10.0)))
-        assert report.ok and report.violations == []
+        assert validate(hourly(np.arange(10.0))) == []
 
     def test_zero_step_reported(self):
-        report = validate(hourly([1.0, 2.0], step=0.0))
-        assert not report.ok
-        assert any("step" in v for v in report.violations)
+        violations = validate(hourly([1.0, 2.0], step=0.0))
+        assert any("step" in v for v in violations)
 
     def test_length_mismatch_reported(self):
         series = TimeSeries(0.0, 3600.0, np.array([1.0, 2.0, 3.0]),
                             np.array([True, True]))
-        report = validate(series)
-        assert any("length mismatch" in v for v in report.violations)
+        assert any("length mismatch" in v for v in validate(series))
 
     def test_nan_at_observed_position_reported(self):
-        report = validate(hourly([1.0, np.nan, 3.0]))
-        assert not report.ok
+        assert validate(hourly([1.0, np.nan, 3.0]))
 
     def test_nan_at_masked_position_allowed(self):
-        report = validate(hourly([1.0, np.nan, 3.0], observed=[True, False, True]))
-        assert report.ok
+        assert validate(hourly([1.0, np.nan, 3.0], observed=[True, False, True])) == []
 
     def test_never_mutates(self):
         series = hourly([1.0, 2.0], step=0.0)
         before = series.values.copy()
         validate(series)
         assert np.array_equal(series.values, before)
+
+
+class TestHourOfDay:
+    @pytest.mark.parametrize("start, step", [
+        (1_600_000_000.0 + 1234.5, 3600.0),  # not at midnight
+        (1_600_000_000.0 + 1234.5, 900.0),
+        (-1_000_000_007.25, 900.0),          # a negative epoch
+        (-86_400.0 * 3 - 1234.5, 5400.0),
+    ])
+    def test_index_array_equals_scalar_per_index(self, start, step):
+        series = hourly(np.zeros(1000), start=start, step=step)
+        hours = series.hour_of_day(np.arange(1000))
+        assert hours.dtype.kind == "i"
+        scalars = [series.hour_of_day(i) for i in range(1000)]
+        assert all(type(h) is int for h in scalars)
+        assert hours.tolist() == scalars
 
 
 class TestSlice:

@@ -41,7 +41,7 @@ class TestSynthesizeSeries:
     def test_output_validates(self):
         for kind in ("constant", "sine", "ar1", "seasonal"):
             series = synthesize_series(kind, 100, {}, seed=2)
-            assert validate(series).ok
+            assert validate(series) == []
             assert len(series) == 100
 
     def test_unknown_kind(self):
