@@ -54,8 +54,9 @@ class EvalConfig:
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit an unsigned 64-bit integer",
                               seed=self.seed)
-        if self.bins < 2:
-            raise ConfigError("bins must be >= 2", bins=self.bins)
+        if not 2 <= self.bins < 2**63:
+            raise ConfigError("bins must be >= 2 and fit a signed 64-bit integer",
+                              bins=self.bins)
         if not 0 < self.epsilon < np.inf:
             raise ConfigError("epsilon must be finite and > 0", epsilon=self.epsilon)
         if self.aggregation not in AGGREGATIONS:
@@ -101,10 +102,9 @@ class EvalReport:
     gaps: GapSet
 
     def to_json_dict(self) -> dict:
+        """report.json's document; the rows live only in the CSVs."""
         return {
             "provenance": self.provenance,
-            "records": [vars(r) for r in self.records],
-            "aggregates": [vars(a) for a in self.aggregates],
             "rank_agreement": self.agreement,
             "gaps": self.gaps.to_json_dict(),
         }

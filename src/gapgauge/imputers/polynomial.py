@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from ..errors import ContextError, DivergenceError, InvalidParameterError
@@ -41,9 +43,8 @@ def polynomial_fill(masked: TimeSeries, gap: GapSpec, order: int = 3,
         raise ContextError("insufficient observed context right of gap",
                            needed=needed, found=len(right_idx))
 
-    # Polynomial.fit maps the abscissa onto [-1, 1] for conditioning.
-    poly = np.polynomial.Polynomial.fit(idx, masked.values[idx], deg=order)
-    filled = poly(np.arange(gap.start_index, gap.end_index, dtype=float))
+    filled = _fit_and_evaluate(idx, masked.values[idx], order,
+                               np.arange(gap.start_index, gap.end_index, dtype=float))
     if not np.all(np.isfinite(filled)):
         raise DivergenceError("polynomial fill produced non-finite values")
     return filled
@@ -57,3 +58,38 @@ def polynomial_reach(context: int | None, gap_length: int) -> int:
 def _observed_indices(series: TimeSeries, lo: int, hi: int) -> np.ndarray:
     idx = np.arange(lo, hi)
     return idx[series.observed[lo:hi]] if hi > lo else idx
+
+
+def _fit_and_evaluate(idx: np.ndarray, y: np.ndarray, order: int,
+                      grid: np.ndarray) -> np.ndarray:
+    """Least-squares polynomial through ``(idx, y)``, read off at ``grid``.
+
+    These are the float operations of fitting and then evaluating with
+    numpy's ``numpy.polynomial`` series class, in numpy's order, so the
+    result is bit-identical to it without the class, its domain objects or
+    its argument plumbing.  The abscissa (sorted ascending) is mapped onto
+    [-1, 1] for conditioning, the Vandermonde columns are scaled to unit norm
+    before ``lstsq``, and the fit is read off by Horner's rule.  A
+    rank-deficient fit warns ``RankWarning``, as numpy does.
+    """
+    lo, hi = float(idx[0]), float(idx[-1])
+    span = hi - lo
+    off, scl = (-hi - lo) / span, 2.0 / span
+    x = off + scl * idx
+    vander = np.empty((order + 1, len(x)))
+    vander[0] = x * 0 + 1
+    vander[1] = x
+    for i in range(2, order + 1):
+        vander[i] = vander[i - 1] * x
+    norms = np.sqrt(np.square(vander).sum(1))
+    norms[norms == 0] = 1
+    coef, _, rank, _ = np.linalg.lstsq(vander.T / norms, y, len(x) * np.finfo(float).eps)
+    coef = coef / norms
+    if rank != order + 1:
+        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
+                      stacklevel=2)
+    t = off + scl * grid
+    filled = coef[-1] + t * 0
+    for i in range(2, order + 2):
+        filled = coef[-i] + filled * t
+    return filled

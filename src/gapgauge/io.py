@@ -250,8 +250,6 @@ def load_config(path, step_seconds: float = 3600.0) -> EvalConfig:
         bins=_expect(doc, "bins", int, "bins", default=10),
         epsilon=_expect(doc, "epsilon", (int, float), "epsilon", default=1e-6),
         aggregation=_expect(doc, "aggregation", str, "aggregation", default="exact"))
-    if settings["bins"] >= 2**63:
-        raise SchemaError("bins must fit a signed 64-bit integer", path="bins")
     try:
         float(settings["epsilon"])
     except OverflowError:
@@ -259,7 +257,9 @@ def load_config(path, step_seconds: float = 3600.0) -> EvalConfig:
     try:
         return EvalConfig(imputers=imputers, min_len=min_len, max_len=max_len, **settings)
     except GapgaugeError as exc:
-        raise SchemaError(f"invalid configuration: {exc}", path="$") from None
+        # a rule on one setting names that field; any other rule names the root
+        path = next((key for key in exc.context if key in settings), "$")
+        raise SchemaError(f"invalid configuration: {exc}", path=path) from None
 
 
 def _format_cell(value) -> str:

@@ -150,6 +150,15 @@ class TestRun:
         assert "bins must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_range_bins_exits_one(self, synth_series, small_config,
+                                         tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(small_config), "--series",
+                     str(synth_series), "--out", str(out),
+                     "--bins", "9" * 400, "--quiet"]) == 1
+        assert "error: [config] bins must be >= 2 and fit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_seed_exits_one(self, synth_series, small_config,
                                          tmp_path, capsys):
         out = tmp_path / "x"

@@ -1,9 +1,12 @@
 """Polynomial and seasonal-naive imputers, config plumbing."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gapgauge import (GapSpec, ImputerConfig, TimeSeries, arima_fill, gbt_fill,
                       impute, polynomial_fill, register_imputer,
@@ -90,6 +93,50 @@ class TestPolynomial:
         gap = GapSpec(10, 2)
         with pytest.raises(InvalidParameterError, match="order"):
             polynomial_fill(masked_series(np.arange(30.0), gap), gap, order=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.integers(1, 6), spare=st.integers(0, 30), gap_len=st.integers(1, 12),
+           tail=st.integers(0, 45), offset=st.integers(0, 10**6),
+           exponent=st.integers(-3, 6), dropout=st.sampled_from([0.0, 0.1, 0.3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_numpy_polynomial_fit_bit_for_bit(self, order, spare, gap_len, tail,
+                                                     offset, exponent, dropout, seed):
+        rng = np.random.default_rng(seed)
+        context = order + 1 + spare
+        gap = GapSpec(offset + context, gap_len)
+        values = np.zeros(gap.end_index + tail)  # a short tail cuts the right window
+        local = np.arange(len(values) - offset) / context
+        values[offset:] = 10.0 ** exponent * (np.sin(local) + rng.standard_normal(len(local)))
+        series = masked_series(values, gap)
+        series.observed[offset:][rng.random(len(local)) < dropout] = False
+        observed = np.flatnonzero(series.observed[offset:]) + offset
+        left = observed[observed < gap.start_index]
+        right = observed[(observed >= gap.end_index) & (observed < gap.end_index + context)]
+        uses_right = len(right) > order
+        assume(len(left) > order and (uses_right or gap.end_index + context >= len(values)))
+        idx = np.concatenate([left, right]) if uses_right else left
+        grid = np.arange(gap.start_index, gap.end_index, dtype=float)
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            expected = np.polynomial.Polynomial.fit(idx, values[idx], deg=order)(grid)
+        with warnings.catch_warnings(record=True) as fill_warnings:
+            warnings.simplefilter("always")
+            fill = polynomial_fill(series, gap, order=order, context=context)
+        assert fill.tobytes() == expected.tobytes()
+        assert [w.category for w in fill_warnings] == [w.category for w in expected_warnings]
+
+    def test_rank_deficient_fit_warns_as_numpy_does(self):
+        order = 40
+        gap = GapSpec(order + 1, 5)
+        values = np.sin(np.arange(2 * order + 7) / 9.0)
+        idx = np.r_[0:gap.start_index, gap.end_index:len(values)]
+        grid = np.arange(gap.start_index, gap.end_index, dtype=float)
+        with pytest.warns(np.exceptions.RankWarning):
+            expected = np.polynomial.Polynomial.fit(idx, values[idx], deg=order)(grid)
+        with pytest.warns(np.exceptions.RankWarning):
+            fill = polynomial_fill(masked_series(values, gap), gap, order=order,
+                                   context=order + 1)
+        assert fill.tobytes() == expected.tobytes()
 
 
 class TestSeasonalNaive:

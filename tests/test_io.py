@@ -371,6 +371,14 @@ IO_ERRORS = {
                                 SchemaError, "path", "imputers[0].params.context_hours"),
     "config-huge-epsilon": (load_config, config_text(epsilon=HUGE), SchemaError, "path", "epsilon"),
     "config-huge-bins": (load_config, config_text(bins=HUGE), SchemaError, "path", "bins"),
+    "config-one-bin": (load_config, config_text(bins=1), SchemaError, "path", "bins"),
+    "config-huge-seed": (load_config, config_text(seed=2**64), SchemaError, "path", "seed"),
+    "config-nan-epsilon": (load_config, config_text(epsilon=float("nan")),
+                           SchemaError, "path", "epsilon"),
+    "config-unknown-aggregation": (load_config, config_text(aggregation="median"),
+                                   SchemaError, "path", "aggregation"),
+    "config-duplicate-imputers": (load_config, config_text(imputers=[{"kind": "polynomial"}] * 2),
+                                  SchemaError, "path", "$"),
     "config-overlong-integer": (load_config, config_text()[:-1] + ', "seed": ' + "1" * 5000 + "}",
                                 SchemaError, "path", "$"),
     "records-bad-header": (read_records_csv, "gap_id,imputer_id\n", ParseError, "line", 1),
@@ -451,7 +459,7 @@ class TestReportFiles:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["provenance"]["prng_algorithm"] == "philox4x64"
         assert doc["provenance"]["config"]["n_gaps"] == 6
-        assert len(doc["records"]) == 12
+        assert list(doc) == ["provenance", "rank_agreement", "gaps"]
         assert doc["gaps"]["seed"] == 3
         assert list(doc["gaps"]) == ["seed", "source_length", "gaps"]
         assert doc["gaps"] == report.gaps.to_json_dict()
