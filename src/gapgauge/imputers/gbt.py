@@ -30,6 +30,16 @@ class RegressionTree:
     is sorted once per fit, and each node owns one contiguous segment of
     every sorted column.  A split partitions each segment stably, so a node
     reads its rows in the order a stable sort of its own values would give.
+
+    Only work whose result a split reads is done:
+
+    * A column whose sorted values hold no tie (a NaN counts as one) is
+      strictly increasing in every node's segment, so every cut of it is
+      valid and its search reads no feature values but the two around the
+      best cut.  A column with ties scores only the cuts between distinct
+      values.
+    * The split column's segment is sorted, so it is already left-first.
+      Children at ``max_depth`` are leaves and read only the row indices.
     """
 
     def __init__(self, max_depth: int = 4):
@@ -57,13 +67,11 @@ class RegressionTree:
                                 rows=len(y))
         if order is None:
             order = np.argsort(X, axis=0, kind="stable")
-        # One row of row indices per feature, plus the identity as the last
-        # row: it stays ascending under stable partitions, and means and sums
-        # over ascending rows keep the summation order of a plain y[idx].
-        block = np.vstack([np.asarray(order).T, np.arange(len(y))])
         self._feature, self._threshold = [], []
         self._left, self._right, self._value = [], [], []
-        self._grow(X.T, y, block, 0, len(y), 0, out)
+        # The scratch is local to this call, so a fitted tree keeps only
+        # max_depth and its node lists.
+        self._grow(_FitScratch(X, y, np.asarray(order), out), 0, len(y), 0)
         return self
 
     def _new_node(self, value: float) -> int:
@@ -74,73 +82,133 @@ class RegressionTree:
         self._value.append(value)
         return len(self._value) - 1
 
-    def _grow(self, cols, y, block, start, end, depth, out) -> int:
-        rows = block[-1, start:end]
+    def _grow(self, scratch, start, end, depth) -> int:
+        rows = scratch.block[-1, start:end]
         # The floats of y[rows].mean() and y[rows].sum(), from one sum.
-        total = y[rows].sum()
+        total = scratch.y[rows].sum()
         node = self._new_node(float(total / len(rows)))
         split = None
         if depth < self.max_depth and end - start >= 2:
-            split = self._best_split(cols, y, block[:-1, start:end], float(total))
+            split = self._best_split(scratch, start, end, float(total))
         if split is None:
-            if out is not None:
-                out[rows] = self._value[node]
+            if scratch.out is not None:
+                scratch.out[rows] = self._value[node]
             return node
-        feature, threshold = split
-        goes_left = np.empty(len(y), dtype=bool)
-        goes_left[rows] = cols[feature][rows] <= threshold
-        # Partition each sorted row of the segment stably, one at a time so
-        # that the temporaries stay the size of one row.
-        for seg in block[:, start:end]:
-            side = goes_left[seg]
-            left, right = seg[side], seg[~side]
-            n_left = len(left)
-            seg[:n_left] = left
-            seg[n_left:] = right
+        feature, threshold, n_left = split
+        self._partition(scratch, start, end, feature, threshold, n_left,
+                        depth + 1 < self.max_depth)
         self._feature[node] = feature
         self._threshold[node] = threshold
-        self._left[node] = self._grow(cols, y, block, start, start + n_left,
-                                      depth + 1, out)
-        self._right[node] = self._grow(cols, y, block, start + n_left, end,
-                                       depth + 1, out)
+        self._left[node] = self._grow(scratch, start, start + n_left, depth + 1)
+        self._right[node] = self._grow(scratch, start + n_left, end, depth + 1)
         return node
 
-    def _best_split(self, cols, y, sorted_rows, total):
+    @staticmethod
+    def _best_split(scratch, start, end, total):
+        """(feature, threshold, rows left of it), or None when no cut gains."""
+        y, cols = scratch.y, scratch.cols
+        n = end - start
+        parent = total ** 2 / n
         best_gain = 0.0
         best = None
-        n = sorted_rows.shape[1]
-        left_n = np.arange(1.0, n)
-        right_n = n - left_n
-        parent = total ** 2 / n
-        for feature, seg in enumerate(sorted_rows):
-            xs_sorted = cols[feature][seg]
-            left_sum = np.cumsum(y[seg])[:-1]
-            right_sum = total - left_sum
-            # Gain in SSE reduction; the sum-of-squares term cancels.
-            gain = left_sum ** 2 / left_n + right_sum ** 2 / right_n - parent
-            gain[~(xs_sorted[1:] > xs_sorted[:-1])] = -np.inf
-            pos = int(np.argmax(gain))
-            if gain[pos] > best_gain:
-                best_gain = float(gain[pos])
-                lower, upper = xs_sorted[pos], xs_sorted[pos + 1]
+        for feature, seg in enumerate(scratch.block[:-1, start:end]):
+            col = cols[feature]
+            # The prefix sums of y[seg]; the last one is never a cut.
+            left_sum = np.cumsum(y[seg[:-1]], out=scratch.left_gain[:n - 1])
+            if scratch.tied[feature]:
+                xs = col[seg]
+                cuts = np.flatnonzero(xs[1:] > xs[:-1])
+                if not len(cuts):
+                    continue
+                cut_n = cuts + 1.0
+                gain = _split_gain(left_sum[cuts], cut_n, n - cut_n, total, parent,
+                                   scratch.right_gain[:len(cuts)])
+                k = int(np.argmax(gain))
+                pos, value = int(cuts[k]), gain[k]
+            else:
+                counts = scratch.counts
+                gain = _split_gain(left_sum, counts[:n - 1], counts[n - 2::-1],
+                                   total, parent, scratch.right_gain[:n - 1])
+                pos = int(np.argmax(gain))
+                value = gain[pos]
+            if value > best_gain:
+                best_gain = float(value)
+                lower, upper = col[seg[pos]], col[seg[pos + 1]]
                 mid = (lower + upper) / 2.0
                 # For adjacent doubles the midpoint can round up to the upper
                 # value, which would send every row left.
-                best = (feature, float(mid if mid < upper else lower))
+                best = (feature, float(mid if mid < upper else lower), pos + 1)
         return best
 
+    @staticmethod
+    def _partition(scratch, start, end, feature, threshold, n_left, children_split):
+        """Split each segment the children read again, stably."""
+        rows = scratch.block[-1, start:end]
+        in_left = scratch.cols[feature][rows] <= threshold
+        if children_split:
+            goes_left = scratch.goes_left
+            goes_left[rows] = in_left
+            for other, seg in enumerate(scratch.block[:-1, start:end]):
+                if other != feature:
+                    side = goes_left[seg]
+                    left, right = seg.compress(side), seg.compress(~side)
+                    seg[:n_left] = left
+                    seg[n_left:] = right
+        left, right = rows.compress(in_left), rows.compress(~in_left)
+        rows[:n_left] = left
+        rows[n_left:] = right
+
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
+        feature, threshold = self._feature, self._threshold
+        left, right, value = self._left, self._right, self._value
+        out = []
+        # Python floats compare exactly as the float64 cells they came from.
+        for row in np.asarray(X, dtype=float).tolist():
             node = 0
-            while self._feature[node] >= 0:
-                if row[self._feature[node]] <= self._threshold[node]:
-                    node = self._left[node]
-                else:
-                    node = self._right[node]
-            out[i] = self._value[node]
-        return out
+            while feature[node] >= 0:
+                node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+            out.append(value[node])
+        return np.array(out, dtype=float)
+
+
+def _split_gain(left_sum, left_n, right_n, total, parent, right):
+    """SSE reduction of each cut, written over ``left_sum`` and returned.
+
+    ``right`` is scratch of the same length.  The sum-of-squares term of the
+    parent cancels, leaving left_sum**2/left_n + right_sum**2/right_n - parent.
+    """
+    np.subtract(total, left_sum, out=right)
+    np.square(left_sum, out=left_sum)
+    np.divide(left_sum, left_n, out=left_sum)
+    np.square(right, out=right)
+    np.divide(right, right_n, out=right)
+    np.add(left_sum, right, out=left_sum)
+    return np.subtract(left_sum, parent, out=left_sum)
+
+
+class _FitScratch:
+    """The arrays of one ``RegressionTree.fit``, dropped when it returns."""
+
+    def __init__(self, X, y, order, out):
+        n = len(y)
+        self.cols = X.T
+        self.y = y
+        self.out = out
+        # One row of row indices per feature, plus the identity as the last
+        # row: it stays ascending under stable partitions, and means and sums
+        # over ascending rows keep the summation order of a plain y[idx].
+        self.block = np.empty((X.shape[1] + 1, n), dtype=np.intp)
+        self.block[:-1] = order.T
+        self.block[-1] = np.arange(n)
+        self.tied = []
+        for col, rows in zip(self.cols, self.block):
+            xs = col[rows]
+            self.tied.append(not (xs[1:] > xs[:-1]).all())
+        # Left counts 1..n-1 of any node; its right counts are a reversed view.
+        self.counts = np.arange(1.0, n)
+        self.left_gain = np.empty(n - 1)
+        self.right_gain = np.empty(n - 1)
+        self.goes_left = np.empty(n, dtype=bool)
 
 
 class GradientBoostedTrees:
@@ -220,11 +288,13 @@ def causal_features(values: np.ndarray, hours: np.ndarray,
     t = np.arange(1, n)
     lo = np.maximum(t - sma_window, 0)
     sma = (csum[t] - csum[lo]) / (t - lo)
-    ewma = np.empty(n)
-    ewma[1] = values[0]
-    for i in range(2, n):
-        ewma[i] = ewma_alpha * values[i - 1] + (1.0 - ewma_alpha) * ewma[i - 1]
-    X = np.column_stack([sma, ewma[1:], hours[1:].astype(float)])
+    # The recursion runs on Python floats: the same double operations in the
+    # same order as on numpy scalars, without their per-operation overhead.
+    keep = 1.0 - ewma_alpha
+    ewma = [float(values[0])]
+    for value in values[1:-1].tolist():
+        ewma.append(ewma_alpha * value + keep * ewma[-1])
+    X = np.column_stack([sma, ewma, hours[1:].astype(float)])
     return X, values[1:].copy()
 
 

@@ -279,6 +279,22 @@ class ReferenceTree:
         return out
 
 
+def causal_features_on_numpy_scalars(values, hours, sma_window, ewma_alpha):
+    """GBT's causal features with the EWMA recursion stepped on numpy
+    float64 scalars in an array, as first written.  Returns (X, y)."""
+    n = len(values)
+    csum = np.concatenate([[0.0], np.cumsum(values)])
+    t = np.arange(1, n)
+    lo = np.maximum(t - sma_window, 0)
+    sma = (csum[t] - csum[lo]) / (t - lo)
+    ewma = np.empty(n)
+    ewma[1] = values[0]
+    for i in range(2, n):
+        ewma[i] = ewma_alpha * values[i - 1] + (1.0 - ewma_alpha) * ewma[i - 1]
+    X = np.column_stack([sma, ewma[1:], hours[1:].astype(float)])
+    return X, values[1:].copy()
+
+
 def reference_boosting(X, y, trees, max_depth, learning_rate, subsample=1.0,
                        rng=None):
     """Stagewise boosting that updates the residuals with a full predict of

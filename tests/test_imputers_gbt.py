@@ -13,7 +13,8 @@ from gapgauge.errors import (InvalidParameterError, TrainingError,
                              TrainingWindowError)
 from gapgauge.imputers import causal_features, gbt
 
-from _oracles import ReferenceTree, best_single_split_sse, reference_boosting
+from _oracles import (ReferenceTree, best_single_split_sse,
+                      causal_features_on_numpy_scalars, reference_boosting)
 
 
 class TestRegressionTree:
@@ -82,6 +83,30 @@ def training_sets():
     yield np.column_stack([smooth, hours]), np.full(n, 4.0)
 
 
+def _split_search_cases():
+    rng = np.random.default_rng(43)
+    n = 240
+    y = rng.normal(size=n)
+    one_tie = rng.permutation(np.arange(n, dtype=float))
+    one_tie[one_tie == 7.0] = 6.0  # exactly one tied pair, at 6.0
+    hours = (np.arange(n) % 24).astype(float)
+    # Sorted by x, y steps up between the two rows at 3.0.
+    tie_at_best = np.array([[0.0], [1.0], [2.0], [3.0], [3.0], [4.0], [5.0], [6.0]])
+    return {
+        "tie-free columns": (rng.normal(size=(n, 3)), y),
+        "one tied pair": (np.column_stack([one_tie, rng.normal(size=n)]), y),
+        "24-valued hour": (hours[:, None], np.sin(hours / 4.0) + 0.1 * y),
+        "hour beside tie-free": (np.column_stack([rng.normal(size=n), hours]), y),
+        "tie at the best cut": (tie_at_best,
+                                np.array([0.0, 0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 10.0])),
+        "root of two rows": (np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([3.0, -1.0])),
+        "root of two tied rows": (np.array([[1.0], [1.0]]), np.array([3.0, -1.0])),
+    }
+
+
+SPLIT_SEARCH_CASES = _split_search_cases()
+
+
 class TestPresortedTreeEqualsReference:
     """The presorted split search builds the tree the per-node sort built,
     float for float, so the fills and every CSV stay byte-identical."""
@@ -130,6 +155,36 @@ class TestPresortedTreeEqualsReference:
         tree = RegressionTree(max_depth=4).fit(X, y, order=order)
         assert np.array_equal(order, kept)
         assert_same_tree(tree, ReferenceTree(max_depth=4).fit(X, y))
+
+    @pytest.mark.parametrize("max_depth", range(1, 7))
+    @pytest.mark.parametrize("case", list(SPLIT_SEARCH_CASES))
+    def test_split_search_cases(self, case, max_depth):
+        X, y = SPLIT_SEARCH_CASES[case]
+        leaves = np.full(len(y), np.nan)
+        tree = RegressionTree(max_depth).fit(X, y, out=leaves)
+        assert_same_tree(tree, ReferenceTree(max_depth).fit(X, y))
+        assert np.array_equal(leaves, tree.predict(X))
+
+    def test_tie_at_the_best_cut_is_skipped(self):
+        # Scoring every cut of the sorted column, tied or not, would put the
+        # best one between the two rows at 3.0.
+        X, y = SPLIT_SEARCH_CASES["tie at the best cut"]
+        left_sum = np.cumsum(y)[:-1]
+        left_n = np.arange(1.0, len(y))
+        gain = left_sum ** 2 / left_n + (y.sum() - left_sum) ** 2 / (len(y) - left_n)
+        pos = int(np.argmax(gain))
+        assert X[pos, 0] == X[pos + 1, 0] == 3.0
+        tree = RegressionTree(max_depth=1).fit(X, y)
+        assert tree._threshold[0] in (2.5, 3.5)
+
+    def test_fitted_tree_keeps_only_its_nodes(self):
+        # Per-fit scratch kept on a tree would be held once per boosting stage.
+        X, y = next(training_sets())
+        expected = {"max_depth", "_feature", "_threshold", "_left", "_right", "_value"}
+        assert set(vars(RegressionTree(max_depth=3).fit(X, y))) == expected
+        model = GradientBoostedTrees(trees=3, max_depth=3).fit(X, y)
+        for tree in model.stages:
+            assert set(vars(tree)) == expected
 
     @pytest.mark.parametrize("subsample", [1.0, 0.7])
     def test_boosting_matches_predict_in_fit(self, subsample):
@@ -233,6 +288,26 @@ class TestCausalFeatures:
     def test_needs_two_values(self):
         with pytest.raises(TrainingError):
             causal_features(np.array([1.0]), np.array([0]), 3, 0.5)
+
+    @pytest.mark.parametrize("window", ["protocol", "default_config"])
+    def test_features_equal_the_numpy_scalar_recursion(self, window):
+        # The last training window of each bench workload's gbt: 2,000 rows
+        # of the acceptance-protocol series, 8,760 of configs/default.json's.
+        if window == "protocol":
+            params = {"daily_amplitude": 50.0, "weekly_amplitude": 4.0,
+                      "yearly_amplitude": 40.0, "harmonic2": 0.30,
+                      "harmonic3": 0.08, "noise_sd": 3.0}
+            series = synthesize_series("seasonal", 21_000, params, seed=20210601)
+            span = 2000
+        else:
+            series = synthesize_series("seasonal", 20_000, {}, seed=20210601)
+            span = 8760
+        values = series.values[-span - 1:]
+        hours = series.hour_of_day(np.arange(len(series) - span - 1, len(series)))
+        X, y = causal_features(values, hours, 24, 0.3)
+        X_ref, y_ref = causal_features_on_numpy_scalars(values, hours, 24, 0.3)
+        assert X.tobytes() == X_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 50, 2001, 8761])
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0])

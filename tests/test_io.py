@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapgauge import (EvalConfig, ImputerConfig, IngestSpec, MetricRecord,
-                      ParamSpec, TimeSeries, emit_report,
+                      ParamSpec, TimeSeries, aggregate, emit_report,
                       ingest_csv, load_config, read_records_csv,
                       register_imputer, run_evaluation, synthesize_series,
                       write_series_csv)
@@ -406,12 +406,12 @@ def test_io_error_names_its_field_or_line(tmp_path, case):
 
 
 class TestReportFiles:
-    def make_report(self):
+    def make_report(self, aggregation="exact"):
         series = synthesize_series("seasonal", 3000, {"noise_sd": 5.0}, seed=4)
         config = EvalConfig(
             imputers=[ImputerConfig("polynomial", {"order": 2, "context": 8}),
                       ImputerConfig("seasonal_naive", {"season": 24})],
-            n_gaps=6, min_len=2, max_len=12, seed=3)
+            n_gaps=6, min_len=2, max_len=12, seed=3, aggregation=aggregation)
         return run_evaluation(series, config)
 
     def test_emit_writes_expected_file_set(self, tmp_path):
@@ -463,6 +463,23 @@ class TestReportFiles:
         assert doc["gaps"]["seed"] == 3
         assert list(doc["gaps"]) == ["seed", "source_length", "gaps"]
         assert doc["gaps"] == report.gaps.to_json_dict()
+
+    @pytest.mark.parametrize("aggregation", ["exact", "quartile"])
+    def test_plot_csvs_hold_the_exact_gap_length_means(self, tmp_path, aggregation):
+        report = self.make_report(aggregation)
+        exact = aggregate(report.records, "exact")
+        assert (report.aggregates == exact) == (aggregation == "exact")
+        emit_report(report, tmp_path)
+        ids = [c["imputer_id"] for c in report.provenance["config"]["imputers"]]
+        assert len(ids) == 2 and {row.imputer_id for row in exact} == set(ids)
+        for metric in ("wd", "jsd", "rmse", "mae"):
+            lines = ["gap_len," + ",".join(ids)]
+            for gap_len in sorted({row.gap_len for row in exact}):
+                cells = {row.imputer_id: repr(getattr(row, f"mean_{metric}"))
+                         for row in exact if row.gap_len == gap_len}
+                lines.append(",".join([str(gap_len)] + [cells.get(i, "") for i in ids]))
+            assert (tmp_path / f"plot_{metric}.csv").read_bytes() == \
+                ("\n".join(lines) + "\n").encode()
 
     def test_plot_csv_shape(self, tmp_path):
         report = self.make_report()
