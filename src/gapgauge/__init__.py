@@ -14,9 +14,8 @@ from .gaps import (PRNG_ALGORITHM, GapSet, GapSpec, apply_gaps,
 from .harness import (AggregateRow, EvalConfig, EvalReport, aggregate,
                       rank_agreement, required_history, run_evaluation)
 from .imputers import (ArimaOrder, FittedArima, GradientBoostedTrees,
-                       ImputerConfig, ParamSpec, RegressionTree, arima_fill,
-                       fit_arima, forecast, gbt_fill, impute, polynomial_fill,
-                       register_imputer, seasonal_naive_fill, select_order)
+                       ImputerConfig, ParamSpec, RegressionTree, fit_arima,
+                       forecast, impute, register_imputer, select_order)
 from .io import (IngestSpec, emit_report, ingest_csv, load_config,
                  read_records_csv, write_series_csv)
 from .metrics import (Histogram, MetricRecord, jsd, jsd_histograms, mae,
@@ -32,12 +31,12 @@ __all__ = [
     "EvalReport", "FittedArima", "GapSet", "GapSpec", "GapgaugeError",
     "GradientBoostedTrees", "Histogram", "ImputerConfig", "IngestSpec",
     "MetricRecord", "PRNG_ALGORITHM", "ParamSpec", "RegressionTree",
-    "SERIES_KINDS", "TimeSeries", "aggregate", "apply_gaps", "arima_fill",
-    "average_ranks", "emit_report", "fit_arima", "forecast", "gbt_fill",
+    "SERIES_KINDS", "TimeSeries", "aggregate", "apply_gaps",
+    "average_ranks", "emit_report", "fit_arima", "forecast",
     "generate_gaps", "impute", "ingest_csv", "jsd", "jsd_histograms",
-    "kendall", "load_config", "mae", "polynomial_fill", "pre_gap_window",
-    "rank_agreement", "read_records_csv", "register_imputer",
-    "required_history", "rmse", "run_evaluation", "seasonal_naive_fill",
-    "select_order", "shared_histogram", "slice_series", "spearman",
-    "synthesize_series", "validate", "wasserstein_1d", "write_series_csv",
+    "kendall", "load_config", "mae", "pre_gap_window", "rank_agreement",
+    "read_records_csv", "register_imputer", "required_history", "rmse",
+    "run_evaluation", "select_order", "shared_histogram", "slice_series",
+    "spearman", "synthesize_series", "validate", "wasserstein_1d",
+    "write_series_csv",
 ]

@@ -1,19 +1,22 @@
 """Gap-filling methods behind one uniform interface.
 
 Every imputer consumes a masked series plus a gap spec and returns exactly
-``gap.length`` finite values.  Each method registers under a ``kind`` string
-as one :class:`KindSpec`: its fill, a table of :class:`ParamSpec` entries and
-a history hook.  Parameter validation and normalization, hour-form config
-keys and head-of-series history reservation all derive from that one
-declaration, so equal configurations always produce equal ``imputer_id``
-strings.  New methods (e.g. neural ones) plug in through
-:func:`register_imputer` without touching the harness.
+``gap.length`` finite values.  Each method, built-in or added through
+:func:`register_imputer`, registers under a ``kind`` string as one
+:class:`KindSpec`: its ``fill(masked, gap, params, seed)``, a table of
+:class:`ParamSpec` entries holding each default and range, and a history
+hook.  Parameter validation and normalization, hour-form config keys and
+head-of-series history reservation all derive from that one declaration,
+so equal configurations always produce equal ``imputer_id`` strings.
+``impute(masked, gap, ImputerConfig(kind, params), seed)`` runs any kind on
+one gap.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,10 +35,9 @@ from .seasonal import seasonal_naive_fill, seasonal_reach
 
 __all__ = [
     "ArimaOrder", "FittedArima", "GradientBoostedTrees", "ImputerConfig",
-    "KindSpec", "ParamSpec", "RegressionTree", "arima_fill",
-    "causal_features", "derive_seed", "fit_arima", "forecast", "gbt_fill",
-    "impute", "kind_spec", "polynomial_fill", "register_imputer",
-    "seasonal_naive_fill", "select_order",
+    "KindSpec", "ParamSpec", "RegressionTree", "causal_features",
+    "derive_seed", "fit_arima", "forecast", "impute", "kind_spec",
+    "register_imputer", "select_order",
 ]
 
 
@@ -68,10 +70,15 @@ class ParamSpec:
             return None
         accepted = (int, np.integer) if self.type is int else (
             int, float, np.integer, np.floating)
+        noun = "an integer" if self.type is int else "a finite number"
         if not isinstance(value, accepted) or isinstance(value, bool):
-            noun = "an integer" if self.type is int else "a number"
             raise InvalidParameterError(f"{self.name} must be {noun}", value=value)
-        value = self.type(value)
+        try:
+            value = self.type(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not -math.inf < value < math.inf:
+            raise InvalidParameterError(f"{self.name} must be {noun}", value=value)
         low_ok = self.low is None or (
             value > self.low if self.low_open else value >= self.low)
         if not low_ok or (self.high is not None and value > self.high):
@@ -108,16 +115,6 @@ class KindSpec:
                 for spec in self.params}
 
 
-def _fill_arima(masked, gap, params, seed):
-    """Serves arima and sarima; sarima's seasonal bounds travel as one tuple."""
-    params = dict(params)
-    seasonal = None
-    if "season" in params:
-        seasonal = tuple(params.pop(name)
-                         for name in ("P_max", "D_max", "Q_max", "season"))
-    return arima_fill(masked, gap, seasonal=seasonal, **params)
-
-
 def _train_span_history(params: dict, max_gap_len: int) -> int:
     return params["train_span"]
 
@@ -131,26 +128,23 @@ _ARIMA_PARAMS = (
 
 _REGISTRY: dict[str, KindSpec] = {
     "polynomial": KindSpec(
-        lambda masked, gap, params, seed: polynomial_fill(masked, gap, **params),
+        polynomial_fill,
         (ParamSpec("order", int, 3, low=1),
          ParamSpec("context", int, None, low=1, nullable=True, hours=True)),
-        lambda params, max_gap_len: polynomial_reach(params["context"], max_gap_len),
-        reads_seed=False),
+        polynomial_reach, reads_seed=False),
     "seasonal_naive": KindSpec(
-        lambda masked, gap, params, seed: seasonal_naive_fill(masked, gap, **params),
-        (ParamSpec("season", int, 24, low=2, hours=True),),
-        lambda params, max_gap_len: seasonal_reach(params["season"], max_gap_len),
-        reads_seed=False),
-    "arima": KindSpec(_fill_arima, _ARIMA_PARAMS, _train_span_history, reads_seed=False),
+        seasonal_naive_fill, (ParamSpec("season", int, 24, low=2, hours=True),),
+        seasonal_reach, reads_seed=False),
+    "arima": KindSpec(arima_fill, _ARIMA_PARAMS, _train_span_history, reads_seed=False),
     "sarima": KindSpec(
-        _fill_arima,
+        arima_fill,
         _ARIMA_PARAMS + (ParamSpec("P_max", int, 1, low=0),
                          ParamSpec("D_max", int, 1, low=0),
                          ParamSpec("Q_max", int, 1, low=0),
                          ParamSpec("season", int, 24, low=2, hours=True)),
         _train_span_history, reads_seed=False),
     "gbt": KindSpec(
-        lambda masked, gap, params, seed: gbt_fill(masked, gap, seed=seed, **params),
+        gbt_fill,
         (ParamSpec("train_span", int, 8760, low=2, hours=True),
          ParamSpec("trees", int, 100, low=1),
          ParamSpec("max_depth", int, 4, low=1),

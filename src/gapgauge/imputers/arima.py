@@ -34,7 +34,6 @@ from ..errors import (DivergenceError, GapgaugeError, InvalidParameterError,
 from ..gaps import GapSpec, training_window_start
 from ..series import TimeSeries, slice_series
 
-DEFAULT_TRAIN_SPAN = 1008  # six weeks of hourly samples
 # Screened AICs this close to the screened best are refitted exactly.  Half
 # of it bounds the screen's error on any candidate not refitted regardless.
 MARGIN = 0.01
@@ -523,7 +522,7 @@ def _select_and_fit(train: TimeSeries, p_max: int, d_max: int, q_max: int,
     return fitted
 
 
-def select_order(train: TimeSeries, p_max: int = 3, d_max: int = 2, q_max: int = 3,
+def select_order(train: TimeSeries, p_max: int, d_max: int, q_max: int,
                  seasonal: tuple[int, int, int, int] | None = None) -> ArimaOrder:
     """AIC minimization over the bounded order lattice.
 
@@ -536,15 +535,16 @@ def select_order(train: TimeSeries, p_max: int = 3, d_max: int = 2, q_max: int =
     return _select_and_fit(train, p_max, d_max, q_max, seasonal).order
 
 
-def arima_fill(masked: TimeSeries, gap: GapSpec, train_span: int = DEFAULT_TRAIN_SPAN,
-               p_max: int = 3, d_max: int = 2, q_max: int = 3,
-               seasonal: tuple[int, int, int, int] | None = None) -> np.ndarray:
+def arima_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:
     """Select, fit and forecast over the gap from the window preceding it.
 
     The ``train_span`` samples immediately before the gap must exist and be
-    fully observed.
+    fully observed.  A ``season`` parameter (sarima) adds the seasonal bounds.
     """
-    lo = training_window_start(masked, gap, train_span)
-    train = slice_series(masked, lo, train_span)
-    fitted = _select_and_fit(train, p_max, d_max, q_max, seasonal)
+    seasonal = None
+    if "season" in params:
+        seasonal = (params["P_max"], params["D_max"], params["Q_max"], params["season"])
+    span = params["train_span"]
+    train = slice_series(masked, training_window_start(masked, gap, span), span)
+    fitted = _select_and_fit(train, params["p_max"], params["d_max"], params["q_max"], seasonal)
     return forecast(fitted, gap.length)

@@ -15,8 +15,6 @@ from ..errors import DivergenceError, InvalidParameterError, TrainingError
 from ..gaps import GapSpec, philox_generator, training_window_start
 from ..series import TimeSeries
 
-DEFAULT_TRAIN_SPAN = 8760  # one year of hourly samples
-
 
 class RegressionTree:
     """Depth-limited CART regression tree minimizing squared error.
@@ -319,25 +317,19 @@ class _FeatureTracker:
             self.recent.pop(0)
 
 
-def gbt_fill(masked: TimeSeries, gap: GapSpec, train_span: int = DEFAULT_TRAIN_SPAN,
-             trees: int = 100, max_depth: int = 4, learning_rate: float = 0.1,
-             subsample: float = 1.0, sma_window: int = 24, ewma_alpha: float = 0.3,
-             seed: int = 0) -> np.ndarray:
-    """Train on the window before the gap, then fill it recursively."""
-    if sma_window < 1:
-        raise InvalidParameterError("sma_window must be >= 1", sma_window=sma_window)
-    if not 0.0 < ewma_alpha <= 1.0:
-        raise InvalidParameterError("ewma_alpha must lie in (0, 1]",
-                                    ewma_alpha=ewma_alpha)
-    lo = training_window_start(masked, gap, train_span)
+def gbt_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:
+    """Train on the ``params["train_span"]`` samples before the gap, then
+    fill it recursively."""
+    sma_window, ewma_alpha = params["sma_window"], params["ewma_alpha"]
+    lo = training_window_start(masked, gap, params["train_span"])
 
     values = masked.values[lo:gap.start_index]
     hours = masked.hour_of_day(np.arange(lo, gap.end_index))
     X, y = causal_features(values, hours[:len(values)], sma_window, ewma_alpha)
     rng = philox_generator(seed)
-    model = GradientBoostedTrees(trees=trees, max_depth=max_depth,
-                                 learning_rate=learning_rate,
-                                 subsample=subsample, rng=rng).fit(X, y)
+    model = GradientBoostedTrees(trees=params["trees"], max_depth=params["max_depth"],
+                                 learning_rate=params["learning_rate"],
+                                 subsample=params["subsample"], rng=rng).fit(X, y)
 
     tracker = _FeatureTracker(values, X[-1], sma_window, ewma_alpha)
     filled = np.empty(gap.length)

@@ -6,25 +6,21 @@ import warnings
 
 import numpy as np
 
-from ..errors import ContextError, DivergenceError, InvalidParameterError
+from ..errors import ContextError, DivergenceError
 from ..gaps import GapSpec
 from ..series import TimeSeries
 
 
-def polynomial_fill(masked: TimeSeries, gap: GapSpec, order: int = 3,
-                    context: int | None = None) -> np.ndarray:
+def polynomial_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:
     """Fit one polynomial through observed context points and read off the gap.
 
-    ``context`` is the window width, in samples, inspected on each side of
-    the gap; it defaults to twice the gap length with a floor of four
-    samples.  Each side must contribute at least ``order + 1`` observed
-    points, except that when the series end cuts the right window short of
-    that, the fill extrapolates from the left context alone.  The abscissa
-    is the sample index.
+    Each side of the gap is read up to :func:`polynomial_reach` samples out
+    and must contribute at least ``order + 1`` observed points, except that
+    when the series end cuts the right window short of that, the fill
+    extrapolates from the left context alone.  The abscissa is the sample
+    index.
     """
-    if order < 1:
-        raise InvalidParameterError("polynomial order must be >= 1", order=order)
-    context = polynomial_reach(context, gap.length)
+    order, context = params["order"], polynomial_reach(params, gap.length)
 
     needed = order + 1
     left_lo = max(0, gap.start_index - context)
@@ -50,8 +46,10 @@ def polynomial_fill(masked: TimeSeries, gap: GapSpec, order: int = 3,
     return filled
 
 
-def polynomial_reach(context: int | None, gap_length: int) -> int:
-    """Samples the fill reads on each side of a gap of ``gap_length``."""
+def polynomial_reach(params: dict, gap_length: int) -> int:
+    """Samples the fill reads on each side of a gap of ``gap_length``: the
+    ``context`` param, or twice the gap length with a floor of four."""
+    context = params["context"]
     return max(2 * gap_length, 4) if context is None else context
 
 

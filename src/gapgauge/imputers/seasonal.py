@@ -6,20 +6,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidParameterError, SeasonalReferenceError
+from ..errors import SeasonalReferenceError
 from ..gaps import GapSpec
 from ..series import TimeSeries
 
 
-def seasonal_naive_fill(masked: TimeSeries, gap: GapSpec, season: int = 24) -> np.ndarray:
+def seasonal_naive_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:
     """Fill each gap position from its nearest observed seasonal ancestor.
 
     For gap index ``i`` the fill is ``value[i - k*season]`` for the smallest
-    ``k >= 1`` whose position is observed; positions inside the gap itself
-    are masked and therefore skipped.
+    ``k >= 1`` whose position is observed, with ``season = params["season"]``;
+    positions inside the gap itself are masked and therefore skipped.
     """
-    if season < 2:
-        raise InvalidParameterError("season length must be >= 2", season=season)
+    season = params["season"]
     filled = np.empty(gap.length)
     for offset, i in enumerate(range(gap.start_index, gap.end_index)):
         j = i - season
@@ -33,7 +32,8 @@ def seasonal_naive_fill(masked: TimeSeries, gap: GapSpec, season: int = 24) -> n
     return filled
 
 
-def seasonal_reach(season: int, gap_length: int) -> int:
+def seasonal_reach(params: dict, gap_length: int) -> int:
     """Samples before a gap of ``gap_length`` the ancestor walk may read:
     in the worst case the ancestor must clear the whole gap."""
+    season = params["season"]
     return season * ((gap_length + season - 1) // season + 1)

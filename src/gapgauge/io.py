@@ -113,35 +113,41 @@ def ingest_csv(spec: IngestSpec) -> TimeSeries:
     step = float(spec.expected_step)
     tolerance = 1e-6 * step
 
-    n = int(round((rows[-1][0] - start) / step)) + 1
-    values = np.zeros(n)
-    observed = np.zeros(n, dtype=bool)
-    filled = np.zeros(n, dtype=bool)
+    # Grid positions come from the sorted rows alone, so that a rejected
+    # file allocates nothing of grid size.
+    indices: list[int] = []
+    first_absent = None  # (grid position, line of the row after it)
     for stamp, value, line in rows:
         offset = (stamp - start) / step
+        if not math.isfinite(offset):
+            raise CadenceError(f"timestamp is too far from the first row for a "
+                               f"finite grid (start={start}, step={step})", line=line)
         index = int(round(offset))
-        if abs(offset - index) * step > tolerance or index < 0 or index >= n:
+        if abs(offset - index) * step > tolerance:
             raise CadenceError(
                 f"timestamp is off the uniform grid (start={start}, step={step})",
                 line=line)
-        if filled[index]:
+        previous = indices[-1] if indices else -1
+        if index == previous:  # sorted rows put a duplicate next to its twin
             raise DuplicateTimestampError("two rows share one timestamp", line=line)
-        filled[index] = True
-        if value is None:
-            if spec.missing_policy == "reject":
+        if spec.missing_policy == "reject":
+            if value is None:
                 raise ParseError("blank value cell under missing_policy=reject",
                                  line=line)
-        else:
+            if index > previous + 1 and first_absent is None:
+                first_absent = (previous + 1, line)
+        indices.append(index)
+    if first_absent is not None:
+        position, line = first_absent
+        raise CadenceError(f"missing timestamp at grid position {position} "
+                           f"(expected {start + position * step})", line=line)
+
+    values = np.zeros(indices[-1] + 1)
+    observed = np.zeros(len(values), dtype=bool)
+    for index, (_, value, _) in zip(indices, rows):
+        if value is not None:
             values[index] = value
             observed[index] = True
-
-    if spec.missing_policy == "reject" and not filled.all():
-        first_absent = int(np.argmax(~filled))
-        after = next(line for stamp, _, line in rows
-                     if int(round((stamp - start) / step)) > first_absent)
-        raise CadenceError(
-            f"missing timestamp at grid position {first_absent} "
-            f"(expected {start + first_absent * step})", line=after)
     return TimeSeries(start_time=start, step=step, values=values, observed=observed)
 
 

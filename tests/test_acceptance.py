@@ -15,9 +15,8 @@ import pytest
 
 from gapgauge import (ArimaOrder, EvalConfig, GapSpec, GradientBoostedTrees,
                       ImputerConfig, TimeSeries, aggregate, apply_gaps,
-                      fit_arima, forecast, jsd, jsd_histograms, mae,
-                      polynomial_fill, pre_gap_window, rmse,
-                      run_evaluation, seasonal_naive_fill, spearman,
+                      fit_arima, forecast, impute, jsd, jsd_histograms, mae,
+                      pre_gap_window, rmse, run_evaluation, spearman,
                       synthesize_series, wasserstein_1d)
 from gapgauge.cli import main as cli_main
 from gapgauge.metrics import Histogram
@@ -249,7 +248,7 @@ def test_criterion_7_imputer_micro_oracles():
         quadratic = 0.3 * np.arange(60.0) ** 2 - 4.0 * np.arange(60.0) + 7.0
         series = TimeSeries.fully_observed(0.0, 3600.0, quadratic)
         series.observed[20:25] = False
-        fill = polynomial_fill(series, gap, order=2, context=8)
+        fill = impute(series, gap, ImputerConfig("polynomial", {"order": 2, "context": 8}))
         assert np.max(np.abs(fill - quadratic[20:25])) < 1e-9
 
         # seasonal naive exact on periodic signals
@@ -257,7 +256,7 @@ def test_criterion_7_imputer_micro_oracles():
         series = TimeSeries.fully_observed(0.0, 3600.0, periodic)
         gap = GapSpec(300, 30)
         series.observed[300:330] = False
-        fill = seasonal_naive_fill(series, gap, season=24)
+        fill = impute(series, gap, ImputerConfig("seasonal_naive", {"season": 24}))
         assert np.array_equal(fill, periodic[300:330])
 
         # AR(1) coefficient recovery on 1000 simulated points

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from gapgauge import (ArimaOrder, GapSpec, TimeSeries, arima_fill, fit_arima,
-                      forecast, select_order, slice_series, synthesize_series)
+from gapgauge import (ArimaOrder, GapSpec, ImputerConfig, TimeSeries, fit_arima,
+                      forecast, impute, select_order, slice_series,
+                      synthesize_series)
 from gapgauge.errors import (InvalidParameterError, RankDeficiencyError,
                              SelectionError, TrainingWindowError)
 from gapgauge.imputers import arima
 
 from _oracles import arima_forecast_by_hand, exhaustive_select_and_fit
+
+
+def arima_fill(masked, gap, kind="arima", **params):
+    """An arima or sarima kind run through the library entry."""
+    return impute(masked, gap, ImputerConfig(kind, params))
 
 
 def ar_series(coeffs, n, seed, noise_sd=1.0, intercept=0.0):
@@ -288,9 +294,9 @@ class TestArimaFill:
             truth = series.values[gap.start_index:gap.end_index]
             plain = arima_fill(view, gap, train_span=1008,
                                p_max=2, d_max=1, q_max=2)
-            seasonal = arima_fill(view, gap, train_span=1008,
+            seasonal = arima_fill(view, gap, "sarima", train_span=1008,
                                   p_max=2, d_max=1, q_max=2,
-                                  seasonal=(1, 1, 1, 24))
+                                  P_max=1, D_max=1, Q_max=1, season=24)
             plain_rmse.append(np.sqrt(np.mean((plain - truth) ** 2)))
             seasonal_rmse.append(np.sqrt(np.mean((seasonal - truth) ** 2)))
         assert np.mean(seasonal_rmse) < np.mean(plain_rmse)

