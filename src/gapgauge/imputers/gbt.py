@@ -25,9 +25,10 @@ class RegressionTree:
 
     The split search is the exact-greedy presorted column layout of XGBoost
     (Chen & Guestrin, KDD 2016, sections 3.1 and 4.1): every feature column
-    is sorted once per fit, and each node owns one contiguous segment of
-    every sorted column.  A split partitions each segment stably, so a node
-    reads its rows in the order a stable sort of its own values would give.
+    is sorted once per ``X`` (see ``_Layout``), and each node owns one
+    contiguous segment of every sorted column.  A split partitions each
+    segment stably, so a node reads its rows in the order a stable sort of
+    its own values would give.
 
     Only work whose result a split reads is done:
 
@@ -50,26 +51,30 @@ class RegressionTree:
         self._right: list[int] = []
         self._value: list[float] = []
 
-    def fit(self, X, y, order=None, out=None) -> "RegressionTree":
+    def fit(self, X, y, layout=None, out=None) -> "RegressionTree":
         """Grow the tree on ``X``, ``y``.
 
-        ``order`` is ``np.argsort(X, axis=0, kind="stable")``; a caller that
-        fits many trees on one ``X`` passes it to skip the sort, and it is
-        not modified.  When ``out`` is given, each training row's leaf value
-        is written to it, which equals ``self.predict(X)``.
+        ``layout`` is ``_Layout(X)``; a caller that fits many trees on one
+        ``X`` builds it once and passes it to each fit, which leaves its
+        presorted rows as they were.  When ``out`` is given, each training
+        row's leaf value is written to it, which equals ``self.predict(X)``.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
             raise TrainingError("need a non-empty aligned training set",
                                 rows=len(y))
-        if order is None:
-            order = np.argsort(X, axis=0, kind="stable")
+        if layout is None:
+            layout = _Layout(X)
+        elif layout.sorted_rows.shape[1] != len(y):
+            raise TrainingError("layout and training set differ in rows",
+                                rows=len(y), layout_rows=layout.sorted_rows.shape[1])
+        layout.block[...] = layout.sorted_rows
         self._feature, self._threshold = [], []
         self._left, self._right, self._value = [], [], []
-        # The scratch is local to this call, so a fitted tree keeps only
+        # The layout is local to the caller, so a fitted tree keeps only
         # max_depth and its node lists.
-        self._grow(_FitScratch(X, y, np.asarray(order), out), 0, len(y), 0)
+        self._grow(layout, y, out, 0, len(y), 0)
         return self
 
     def _new_node(self, value: float) -> int:
@@ -80,54 +85,53 @@ class RegressionTree:
         self._value.append(value)
         return len(self._value) - 1
 
-    def _grow(self, scratch, start, end, depth) -> int:
-        rows = scratch.block[-1, start:end]
+    def _grow(self, layout, y, out, start, end, depth) -> int:
+        rows = layout.block[-1, start:end]
         # The floats of y[rows].mean() and y[rows].sum(), from one sum.
-        total = scratch.y[rows].sum()
+        total = y.take(rows).sum()
         node = self._new_node(float(total / len(rows)))
         split = None
         if depth < self.max_depth and end - start >= 2:
-            split = self._best_split(scratch, start, end, float(total))
+            split = self._best_split(layout, y, start, end, float(total))
         if split is None:
-            if scratch.out is not None:
-                scratch.out[rows] = self._value[node]
+            if out is not None:
+                out[rows] = self._value[node]
             return node
         feature, threshold, n_left = split
-        self._partition(scratch, start, end, feature, threshold, n_left,
+        self._partition(layout, start, end, feature, threshold, n_left,
                         depth + 1 < self.max_depth)
         self._feature[node] = feature
         self._threshold[node] = threshold
-        self._left[node] = self._grow(scratch, start, start + n_left, depth + 1)
-        self._right[node] = self._grow(scratch, start + n_left, end, depth + 1)
+        self._left[node] = self._grow(layout, y, out, start, start + n_left, depth + 1)
+        self._right[node] = self._grow(layout, y, out, start + n_left, end, depth + 1)
         return node
 
     @staticmethod
-    def _best_split(scratch, start, end, total):
+    def _best_split(layout, y, start, end, total):
         """(feature, threshold, rows left of it), or None when no cut gains."""
-        y, cols = scratch.y, scratch.cols
         n = end - start
         parent = total ** 2 / n
         best_gain = 0.0
         best = None
-        for feature, seg in enumerate(scratch.block[:-1, start:end]):
-            col = cols[feature]
+        for feature, col in enumerate(layout.cols):
+            seg = layout.block[feature, start:end]
             # The prefix sums of y[seg]; the last one is never a cut.
-            left_sum = np.cumsum(y[seg[:-1]], out=scratch.left_gain[:n - 1])
-            if scratch.tied[feature]:
-                xs = col[seg]
-                cuts = np.flatnonzero(xs[1:] > xs[:-1])
+            left_sum = y.take(seg[:-1]).cumsum(out=layout.left_gain[:n - 1])
+            if layout.tied[feature]:
+                xs = col.take(seg)
+                cuts = (xs[1:] > xs[:-1]).nonzero()[0]
                 if not len(cuts):
                     continue
                 cut_n = cuts + 1.0
-                gain = _split_gain(left_sum[cuts], cut_n, n - cut_n, total, parent,
-                                   scratch.right_gain[:len(cuts)])
-                k = int(np.argmax(gain))
+                gain = _split_gain(left_sum.take(cuts), cut_n, n - cut_n, total, parent,
+                                   layout.right_gain[:len(cuts)])
+                k = gain.argmax()
                 pos, value = int(cuts[k]), gain[k]
             else:
-                counts = scratch.counts
+                counts = layout.counts
                 gain = _split_gain(left_sum, counts[:n - 1], counts[n - 2::-1],
-                                   total, parent, scratch.right_gain[:n - 1])
-                pos = int(np.argmax(gain))
+                                   total, parent, layout.right_gain[:n - 1])
+                pos = int(gain.argmax())
                 value = gain[pos]
             if value > best_gain:
                 best_gain = float(value)
@@ -139,16 +143,16 @@ class RegressionTree:
         return best
 
     @staticmethod
-    def _partition(scratch, start, end, feature, threshold, n_left, children_split):
+    def _partition(layout, start, end, feature, threshold, n_left, children_split):
         """Split each segment the children read again, stably."""
-        rows = scratch.block[-1, start:end]
-        in_left = scratch.cols[feature][rows] <= threshold
+        rows = layout.block[-1, start:end]
+        in_left = layout.cols[feature].take(rows) <= threshold
         if children_split:
-            goes_left = scratch.goes_left
+            goes_left = layout.goes_left
             goes_left[rows] = in_left
-            for other, seg in enumerate(scratch.block[:-1, start:end]):
+            for other, seg in enumerate(layout.block[:-1, start:end]):
                 if other != feature:
-                    side = goes_left[seg]
+                    side = goes_left.take(seg)
                     left, right = seg.compress(side), seg.compress(~side)
                     seg[:n_left] = left
                     seg[n_left:] = right
@@ -184,24 +188,28 @@ def _split_gain(left_sum, left_n, right_n, total, parent, right):
     return np.subtract(left_sum, parent, out=left_sum)
 
 
-class _FitScratch:
-    """The arrays of one ``RegressionTree.fit``, dropped when it returns."""
+class _Layout:
+    """The arrays of a tree fit that depend only on ``X``.
 
-    def __init__(self, X, y, order, out):
-        n = len(y)
-        self.cols = X.T
-        self.y = y
-        self.out = out
+    A boosting fit builds one and shares it with all its trees; each fit
+    copies ``sorted_rows`` into ``block`` and partitions only ``block``.
+    """
+
+    def __init__(self, X):
+        n = len(X)
+        # Contiguous columns, so gathering from them reads adjacent cells.
+        self.cols = list(X.T.copy())
         # One row of row indices per feature, plus the identity as the last
         # row: it stays ascending under stable partitions, and means and sums
         # over ascending rows keep the summation order of a plain y[idx].
-        self.block = np.empty((X.shape[1] + 1, n), dtype=np.intp)
-        self.block[:-1] = order.T
-        self.block[-1] = np.arange(n)
+        self.sorted_rows = np.empty((len(self.cols) + 1, n), dtype=np.intp)
+        self.sorted_rows[:-1] = np.argsort(X, axis=0, kind="stable").T
+        self.sorted_rows[-1] = np.arange(n)
         self.tied = []
-        for col, rows in zip(self.cols, self.block):
-            xs = col[rows]
+        for col, rows in zip(self.cols, self.sorted_rows):
+            xs = col.take(rows)
             self.tied.append(not (xs[1:] > xs[:-1]).all())
+        self.block = np.empty_like(self.sorted_rows)
         # Left counts 1..n-1 of any node; its right counts are a reversed view.
         self.counts = np.arange(1.0, n)
         self.left_gain = np.empty(n - 1)
@@ -242,8 +250,8 @@ class GradientBoostedTrees:
         current = np.full(len(y), self.base)
         self.stages = []
         self.training_mse = []
-        # The features are the same for every stage, so sort them once.
-        order = np.argsort(X, axis=0, kind="stable")
+        # The features are the same for every stage, so lay them out once.
+        layout = _Layout(X) if self.subsample == 1.0 else None
         step = np.empty(len(y))
         for _ in range(self.trees):
             residuals = y - current
@@ -257,7 +265,7 @@ class GradientBoostedTrees:
             else:
                 # The growing tree writes each row's leaf value into step.
                 tree = RegressionTree(max_depth=self.max_depth).fit(
-                    X, residuals, order=order, out=step)
+                    X, residuals, layout=layout, out=step)
             current = current + self.learning_rate * step
             self.stages.append(tree)
             self.training_mse.append(float(np.mean((y - current) ** 2)))

@@ -23,7 +23,7 @@ from .errors import (CadenceError, ConfigError, DuplicateTimestampError,
 from .harness import AggregateRow, EvalConfig, EvalReport, aggregate
 from .imputers import ImputerConfig, kind_spec
 from .metrics import METRICS, MetricRecord
-from .series import TimeSeries
+from .series import TimeSeries, fits_in_memory
 
 SCHEMA_VERSION = 1
 
@@ -142,6 +142,10 @@ def ingest_csv(spec: IngestSpec) -> TimeSeries:
         raise CadenceError(f"missing timestamp at grid position {position} "
                            f"(expected {start + position * step})", line=line)
 
+    if not fits_in_memory(indices[-1] + 1):
+        raise CadenceError(f"the grid to the last row has {indices[-1] + 1} positions, "
+                           f"more than fit in memory (start={start}, step={step})",
+                           line=rows[-1][2])
     values = np.zeros(indices[-1] + 1)
     observed = np.zeros(len(values), dtype=bool)
     for index, (_, value, _) in zip(indices, rows):

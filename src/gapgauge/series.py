@@ -8,11 +8,22 @@ no meaningful value and must never be consumed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RangeError
+
+
+def fits_in_memory(samples: int) -> bool:
+    """Whether the values and mask of ``samples`` positions (9 bytes each)
+    fit in this machine's physical memory; a longer series never could."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no figure on this platform
+        return True
+    return samples * 9 <= memory
 
 
 @dataclass

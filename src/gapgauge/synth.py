@@ -11,12 +11,19 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
 from .gaps import philox_generator
-from .series import TimeSeries
+from .series import TimeSeries, fits_in_memory
 
 # 2021-01-01T00:00:00Z; hour-aligned so hour-of-day features start at 0.
 DEFAULT_START_TIME = 1_609_459_200
 
 SERIES_KINDS = ("constant", "sine", "ar1", "seasonal")
+
+
+def _pop_noise_sd(params: dict, default: float) -> float:
+    noise_sd = float(params.pop("noise_sd", default))
+    if not noise_sd >= 0:
+        raise InvalidParameterError("noise_sd must be >= 0", noise_sd=noise_sd)
+    return noise_sd
 
 
 def synthesize_series(kind: str, length: int, params: dict | None = None,
@@ -35,11 +42,13 @@ def synthesize_series(kind: str, length: int, params: dict | None = None,
     * ``seasonal``: daily plus weekly sinusoids over ``base`` with noise,
       period counts derived from ``step``.
 
-    Every parameter value, ``start_time`` and ``step`` must be finite, and
-    ``step`` positive.
+    Every parameter value, ``start_time`` and ``step`` must be finite,
+    ``step`` and ``period`` positive, and ``noise_sd`` non-negative.
     """
     if length < 1:
         raise InvalidParameterError("length must be >= 1", length=length)
+    if not fits_in_memory(length):
+        raise InvalidParameterError("length is more than fits in memory", length=length)
     for key, value in {**(params or {}), "start_time": start_time, "step": step}.items():
         if not np.isfinite(value):
             raise InvalidParameterError(f"{key} must be finite", value=value)
@@ -54,16 +63,18 @@ def synthesize_series(kind: str, length: int, params: dict | None = None,
     elif kind == "sine":
         amplitude = float(params.pop("amplitude", 1.0))
         period = float(params.pop("period", 24.0))
+        if not period > 0:
+            raise InvalidParameterError("sine period must be > 0", period=period)
         phase = float(params.pop("phase", 0.0))
         offset = float(params.pop("offset", 0.0))
-        noise_sd = float(params.pop("noise_sd", 0.0))
+        noise_sd = _pop_noise_sd(params, 0.0)
         values = offset + amplitude * np.sin(2.0 * np.pi * i / period + phase)
         if noise_sd > 0:
             values = values + noise_sd * rng.standard_normal(length)
     elif kind == "ar1":
         coefficient = float(params.pop("coefficient", 0.8))
         intercept = float(params.pop("intercept", 0.0))
-        noise_sd = float(params.pop("noise_sd", 1.0))
+        noise_sd = _pop_noise_sd(params, 1.0)
         if not -1.0 < coefficient < 1.0:
             raise InvalidParameterError("ar1 coefficient must lie in (-1, 1)",
                                         coefficient=coefficient)
@@ -79,7 +90,7 @@ def synthesize_series(kind: str, length: int, params: dict | None = None,
         yearly_amplitude = float(params.pop("yearly_amplitude", 0.0))
         harmonic2 = float(params.pop("harmonic2", 0.45))
         harmonic3 = float(params.pop("harmonic3", 0.20))
-        noise_sd = float(params.pop("noise_sd", 8.0))
+        noise_sd = _pop_noise_sd(params, 8.0)
         samples_per_day = 86400.0 / step
         phase = 2.0 * np.pi * i / samples_per_day
         # Daily harmonics give the sharp two-peaked rush-hour shape real

@@ -153,13 +153,27 @@ class TestPresortedTreeEqualsReference:
                                  reference.left, reference.right, reference.value)
         assert np.array_equal(leaves, reference.predict(X))
 
-    def test_given_order_is_used_and_left_intact(self):
+    def test_one_layout_serves_fits_on_several_targets(self):
         X, y = next(training_sets())
-        order = np.argsort(X, axis=0, kind="stable")
-        kept = order.copy()
-        tree = RegressionTree(max_depth=4).fit(X, y, order=order)
-        assert np.array_equal(order, kept)
-        assert_same_tree(tree, ReferenceTree(max_depth=4).fit(X, y))
+        layout = gbt._Layout(X)
+        kept = layout.sorted_rows.copy()
+        rng = np.random.default_rng(44)
+        for target in (y, rng.normal(size=len(y)), np.round(y, 0), -y):
+            leaves = np.full(len(y), np.nan)
+            tree = RegressionTree(max_depth=4).fit(X, target, layout=layout, out=leaves)
+            fresh = RegressionTree(max_depth=4).fit(X, target)
+            assert (tree._feature, tree._threshold, tree._left, tree._right,
+                    tree._value) == (fresh._feature, fresh._threshold, fresh._left,
+                                     fresh._right, fresh._value)
+            assert_same_tree(tree, ReferenceTree(max_depth=4).fit(X, target))
+            assert np.array_equal(leaves, tree.predict(X))
+            assert np.array_equal(layout.sorted_rows, kept)
+
+    def test_layout_of_other_length_rejected(self):
+        X, y = next(training_sets())
+        layout = gbt._Layout(X[:-1])
+        with pytest.raises(TrainingError):
+            RegressionTree(max_depth=4).fit(X, y, layout=layout)
 
     @pytest.mark.parametrize("max_depth", range(1, 7))
     @pytest.mark.parametrize("case", list(SPLIT_SEARCH_CASES))
@@ -190,6 +204,10 @@ class TestPresortedTreeEqualsReference:
         model = GradientBoostedTrees(trees=3, max_depth=3).fit(X, y)
         for tree in model.stages:
             assert set(vars(tree)) == expected
+        # Nor is the layout the stages shared kept on the model.
+        assert not any(isinstance(value, gbt._Layout) for value in vars(model).values())
+        assert set(vars(model)) == {"trees", "max_depth", "learning_rate", "subsample",
+                                    "rng", "base", "stages", "training_mse"}
 
     @pytest.mark.parametrize("subsample", [1.0, 0.7])
     def test_boosting_matches_predict_in_fit(self, subsample):

@@ -67,6 +67,14 @@ class TestIngest:
             ingest_csv(IngestSpec(path=path, expected_step=step))
         assert err.value.line == line
 
+    def test_huge_span_under_mask_policy_rejected_without_allocating(self, tmp_path):
+        # An epoch-milliseconds typo: 1e10 hourly positions, 75 GiB as floats
+        path = write_csv(tmp_path / "s.csv",
+                         ["0,1", "3600,2", "7200,3", "36000000000000,4"])
+        with pytest.raises(CadenceError, match="fit in memory") as err:
+            ingest_csv(IngestSpec(path=path, missing_policy="mask"))
+        assert err.value.line == 5
+
     def test_unsorted_rows_accepted(self, tmp_path):
         path = write_csv(tmp_path / "s.csv", ["7200,3", "0,1", "3600,2"])
         series = ingest_csv(IngestSpec(path=path))

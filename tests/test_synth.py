@@ -61,6 +61,11 @@ class TestSynthesizeSeries:
         ("seasonal", {}, {"step": -5.0}),
         ("seasonal", {}, {"step": np.nan}),
         ("seasonal", {}, {"start_time": np.nan}),
+        ("sine", {"period": 0.0}, {}),
+        ("sine", {"period": -24.0}, {}),
+        ("sine", {"noise_sd": -1.0}, {}),
+        ("ar1", {"noise_sd": -1.0}, {}),
+        ("seasonal", {"noise_sd": -0.5}, {}),
     ])
     def test_bad_parameter_values_rejected(self, kind, params, kwargs):
         with pytest.raises(InvalidParameterError):
@@ -69,6 +74,11 @@ class TestSynthesizeSeries:
     def test_length_validation(self):
         with pytest.raises(InvalidParameterError):
             synthesize_series("constant", 0, {}, seed=0)
+
+    def test_length_beyond_memory_rejected_without_allocating(self):
+        # 1e11 samples would be 745 GiB of values alone
+        with pytest.raises(InvalidParameterError, match="fits in memory"):
+            synthesize_series("constant", 100_000_000_000, {}, seed=0)
 
     def test_step_scales_daily_period(self):
         series = synthesize_series("seasonal", 96 * 50, {"noise_sd": 0.0},
