@@ -26,7 +26,7 @@ from .gaps import PRNG_ALGORITHM, GapSet, GapSpec, apply_gaps, generate_gaps, pr
 from .imputers import ImputerConfig, derive_seed, impute, kind_spec
 from .metrics import METRICS, MetricRecord, jsd, mae, rmse, wasserstein_1d
 from .ranking import kendall, spearman
-from .series import TimeSeries, validate
+from .series import TimeSeries, fits_in_memory, validate
 
 AGGREGATIONS = ("exact", "quartile")
 METRIC_PAIRINGS = (("wd", "rmse"), ("wd", "mae"), ("jsd", "rmse"), ("jsd", "mae"))
@@ -56,6 +56,9 @@ class EvalConfig:
                               seed=self.seed)
         if not 2 <= self.bins < 2**63:
             raise ConfigError("bins must be >= 2 and fit a signed 64-bit integer",
+                              bins=self.bins)
+        if not fits_in_memory(self.bins + 1, bytes_each=8):
+            raise ConfigError("bins + 1 histogram edges exceed physical memory",
                               bins=self.bins)
         if not 0 < self.epsilon < np.inf:
             raise ConfigError("epsilon must be finite and > 0", epsilon=self.epsilon)

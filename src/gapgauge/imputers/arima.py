@@ -353,20 +353,12 @@ def _screen_innovations(ws: list[np.ndarray], h: int
     """Long-AR innovations of each working series from the normal equations,
     solved in one batch, and a bound on their distance from
     ``_stage1_innovations(w, h)``; None where not certified."""
-    buffer = np.empty((max(map(len, ws)) - h, h + 2))
-
     def design(w):
-        # columns: the intercept, lags h..1, then the target; one buffer
-        # serves every series, so no large array is allocated per series
-        z = buffer[:len(w) - h]
-        z[:, 0] = 1.0
-        z[:, 1:] = np.lib.stride_tricks.sliding_window_view(w, h + 1)
-        return z
+        # columns: the intercept, lags h..1, then the target
+        return np.column_stack([np.ones(len(w) - h),
+                                np.lib.stride_tricks.sliding_window_view(w, h + 1)])
 
-    grams = []
-    for w in ws:
-        z = design(w)
-        grams.append(z.T @ z)
+    grams = [z.T @ z for z in map(design, ws)]
     beta, sse, inv, norms, sigma = _normal_solve(np.array(grams),
                                                  np.array([len(w) - h for w in ws]))
     out = []

@@ -116,21 +116,19 @@ class RegressionTree:
         for feature, col in enumerate(layout.cols):
             seg = layout.block[feature, start:end]
             # The prefix sums of y[seg]; the last one is never a cut.
-            left_sum = y.take(seg[:-1]).cumsum(out=layout.left_gain[:n - 1])
+            left_sum = y.take(seg[:-1]).cumsum()
             if layout.tied[feature]:
                 xs = col.take(seg)
                 cuts = (xs[1:] > xs[:-1]).nonzero()[0]
                 if not len(cuts):
                     continue
                 cut_n = cuts + 1.0
-                gain = _split_gain(left_sum.take(cuts), cut_n, n - cut_n, total, parent,
-                                   layout.right_gain[:len(cuts)])
+                gain = _split_gain(left_sum.take(cuts), cut_n, n - cut_n, total, parent)
                 k = gain.argmax()
                 pos, value = int(cuts[k]), gain[k]
             else:
                 counts = layout.counts
-                gain = _split_gain(left_sum, counts[:n - 1], counts[n - 2::-1],
-                                   total, parent, layout.right_gain[:n - 1])
+                gain = _split_gain(left_sum, counts[:n - 1], counts[n - 2::-1], total, parent)
                 pos = int(gain.argmax())
                 value = gain[pos]
             if value > best_gain:
@@ -173,19 +171,10 @@ class RegressionTree:
         return np.array(out, dtype=float)
 
 
-def _split_gain(left_sum, left_n, right_n, total, parent, right):
-    """SSE reduction of each cut, written over ``left_sum`` and returned.
-
-    ``right`` is scratch of the same length.  The sum-of-squares term of the
-    parent cancels, leaving left_sum**2/left_n + right_sum**2/right_n - parent.
-    """
-    np.subtract(total, left_sum, out=right)
-    np.square(left_sum, out=left_sum)
-    np.divide(left_sum, left_n, out=left_sum)
-    np.square(right, out=right)
-    np.divide(right, right_n, out=right)
-    np.add(left_sum, right, out=left_sum)
-    return np.subtract(left_sum, parent, out=left_sum)
+def _split_gain(left_sum, left_n, right_n, total, parent):
+    """SSE reduction of each cut: the sum-of-squares term of the parent
+    cancels, leaving left_sum**2/left_n + right_sum**2/right_n - parent."""
+    return np.square(left_sum) / left_n + np.square(total - left_sum) / right_n - parent
 
 
 class _Layout:
@@ -212,8 +201,6 @@ class _Layout:
         self.block = np.empty_like(self.sorted_rows)
         # Left counts 1..n-1 of any node; its right counts are a reversed view.
         self.counts = np.arange(1.0, n)
-        self.left_gain = np.empty(n - 1)
-        self.right_gain = np.empty(n - 1)
         self.goes_left = np.empty(n, dtype=bool)
 
 

@@ -52,19 +52,26 @@ class IngestSpec:
                               path="ingest.missing_policy")
 
 
-def _parse_timestamp(text: str, fmt: str, line: int) -> float:
+def _finite(text: str, what: str, line: int) -> float:
     try:
-        if fmt == "epoch":
-            stamp = float(text)
-            if not math.isfinite(stamp):
-                raise ParseError(f"non-finite timestamp {text!r}", line=line)
-            return stamp
+        number = float(text)
+    except ValueError:
+        raise ParseError(f"unparseable {what} {text!r}", line=line) from None
+    if not math.isfinite(number):
+        raise ParseError(f"non-finite {what} {text!r}", line=line)
+    return number
+
+
+def _parse_timestamp(text: str, fmt: str, line: int) -> float:
+    if fmt == "epoch":
+        return _finite(text, "timestamp", line)
+    try:
         stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        if stamp.tzinfo is None:
-            stamp = stamp.replace(tzinfo=timezone.utc)
-        return stamp.timestamp()
     except ValueError:
         raise ParseError(f"unparseable timestamp {text!r}", line=line) from None
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.timestamp()
 
 
 def ingest_csv(spec: IngestSpec) -> TimeSeries:
@@ -74,9 +81,10 @@ def ingest_csv(spec: IngestSpec) -> TimeSeries:
     anchored at the earliest row; with ``missing_policy="mask"`` absent grid
     positions (and blank value cells) become masked samples, with
     ``"reject"`` they raise :class:`CadenceError` naming the line after the
-    break.
+    break.  Of the faulty rows, the earliest in time raises its first fault;
+    a missing position is reported only when no row is faulty.
     """
-    rows: list[tuple[float, float | None, int]] = []
+    rows: list[tuple[float, float, int]] = []  # (stamp, value or nan, line)
     with open(spec.path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -95,75 +103,62 @@ def ingest_csv(spec: IngestSpec) -> TimeSeries:
                 raise ParseError("row has too few columns", line=line)
             stamp = _parse_timestamp(row[ts_col].strip(), spec.timestamp_format, line)
             raw = row[val_col].strip()
-            if raw == "":
-                value = None
-            else:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise ParseError(f"unparseable value {raw!r}", line=line) from None
-                if not math.isfinite(value):
-                    raise ParseError(f"non-finite value {raw!r}", line=line)
-            rows.append((stamp, value, line))
+            rows.append((stamp, _finite(raw, "value", line) if raw else math.nan, line))
     if not rows:
         raise ParseError("file holds no data rows", line=1)
 
-    rows.sort(key=lambda r: r[0])
-    start = rows[0][0]
-    step = float(spec.expected_step)
-    tolerance = 1e-6 * step
-
+    table = np.array(rows)
+    stamps, values, lines = table[np.argsort(table[:, 0], kind="stable")].T
+    start, step = float(stamps[0]), float(spec.expected_step)
+    grid = f"(start={start}, step={step})"
     # Grid positions come from the sorted rows alone, so that a rejected
     # file allocates nothing of grid size.
-    indices: list[int] = []
-    first_absent = None  # (grid position, line of the row after it)
-    for stamp, value, line in rows:
-        offset = (stamp - start) / step
-        if not math.isfinite(offset):
-            raise CadenceError(f"timestamp is too far from the first row for a "
-                               f"finite grid (start={start}, step={step})", line=line)
-        index = int(round(offset))
-        if abs(offset - index) * step > tolerance:
-            raise CadenceError(
-                f"timestamp is off the uniform grid (start={start}, step={step})",
-                line=line)
-        previous = indices[-1] if indices else -1
-        if index == previous:  # sorted rows put a duplicate next to its twin
-            raise DuplicateTimestampError("two rows share one timestamp", line=line)
-        if spec.missing_policy == "reject":
-            if value is None:
-                raise ParseError("blank value cell under missing_policy=reject",
-                                 line=line)
-            if index > previous + 1 and first_absent is None:
-                first_absent = (previous + 1, line)
-        indices.append(index)
-    if first_absent is not None:
-        position, line = first_absent
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = (stamps - start) / step
+        index = np.rint(offset)
+        off_grid = np.abs(offset - index) * step > 1e-6 * step
+    reject = spec.missing_policy == "reject"
+    faults = [  # each row's checks, in the order they apply
+        (~np.isfinite(offset), CadenceError,
+         f"timestamp is too far from the first row for a finite grid {grid}"),
+        (off_grid, CadenceError, f"timestamp is off the uniform grid {grid}"),
+        # sorted rows put a duplicate next to its twin
+        (np.append(False, index[1:] == index[:-1]), DuplicateTimestampError,
+         "two rows share one timestamp"),
+        (np.isnan(values) & reject, ParseError, "blank value cell under missing_policy=reject"),
+    ]
+    faulty = np.array([mask for mask, _, _ in faults])
+    if faulty.any():
+        row = faulty.any(axis=0).argmax()
+        _, error, message = faults[faulty[:, row].argmax()]
+        raise error(message, line=int(lines[row]))
+    absent = np.diff(index) > 1
+    if reject and absent.any():
+        row = absent.argmax()
+        position = int(index[row]) + 1
         raise CadenceError(f"missing timestamp at grid position {position} "
-                           f"(expected {start + position * step})", line=line)
+                           f"(expected {start + position * step})", line=int(lines[row + 1]))
 
-    if not fits_in_memory(indices[-1] + 1):
-        raise CadenceError(f"the grid to the last row has {indices[-1] + 1} positions, "
-                           f"more than fit in memory (start={start}, step={step})",
-                           line=rows[-1][2])
-    values = np.zeros(indices[-1] + 1)
-    observed = np.zeros(len(values), dtype=bool)
-    for index, (_, value, _) in zip(indices, rows):
-        if value is not None:
-            values[index] = value
-            observed[index] = True
-    return TimeSeries(start_time=start, step=step, values=values, observed=observed)
+    length = int(index[-1]) + 1
+    if not fits_in_memory(length):
+        raise CadenceError(f"the grid to the last row has {length} positions, "
+                           f"more than fit in memory {grid}", line=int(lines[-1]))
+    at, seen = index.astype(np.intp), ~np.isnan(values)
+    series = TimeSeries(start, step, np.zeros(length), np.zeros(length, dtype=bool))
+    series.values[at[seen]] = values[seen]
+    series.observed[at] = seen
+    return series
 
 
 def write_series_csv(series: TimeSeries, path, timestamp_column: str = "timestamp",
                      value_column: str = "value") -> None:
     """Emit a series as an epoch-seconds CSV; masked positions get blank cells."""
+    stamps = series.start_time + np.arange(len(series), dtype=float) * series.step
+
     def rows():
         yield (timestamp_column, value_column)
-        for i in range(len(series)):
-            stamp = float(series.timestamp(i))
-            text = repr(int(stamp)) if stamp.is_integer() else repr(stamp)
-            yield (text, repr(float(series.values[i])) if series.observed[i] else "")
+        for t, v, seen in zip(stamps.tolist(), series.values.tolist(), series.observed.tolist()):
+            yield (repr(int(t)) if t.is_integer() else repr(t), repr(v) if seen else "")
 
     _write_rows(path, rows())
 

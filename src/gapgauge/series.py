@@ -16,14 +16,14 @@ import numpy as np
 from .errors import RangeError
 
 
-def fits_in_memory(samples: int) -> bool:
-    """Whether the values and mask of ``samples`` positions (9 bytes each)
-    fit in this machine's physical memory; a longer series never could."""
+def fits_in_memory(samples: int, bytes_each: int = 9) -> bool:
+    """Whether ``samples`` items of ``bytes_each`` bytes (by default a series'
+    value and mask) fit in this machine's physical memory; more never could."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no figure on this platform
         return True
-    return samples * 9 <= memory
+    return samples * bytes_each <= memory
 
 
 @dataclass

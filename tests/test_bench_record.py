@@ -1,7 +1,8 @@
-"""The gathering step of tools/bench_record.py, on fake result files."""
+"""The gathering step of tools/bench_record.py, on fake run results."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -15,20 +16,23 @@ FACTS = {"cpu_count": 2, "python": "3.11.7", "numpy": "2.4.6", "blas": "openblas
          "blas_version": "0.3", "blas_threads": 2, "commit": "abc123", "size": "full"}
 
 
-def fake_result(checkout, workload, trace, jobs_per_s, **facts):
-    path = bench_record.result_path(checkout, workload, 7, trace)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    result = {"correct": True, "attempted": 4, "failed": 0,
-              "metrics": {"jobs_per_s": {"value": jobs_per_s, "unit": "1/s"}},
-              "facts": {**FACTS, "workload": workload, "seed": 7, **facts}}
-    path.write_text(json.dumps(result), encoding="utf-8")
-    return path
+END_TO_END = ("jobs_per_s", "wall_s")
 
 
-def test_gather_keeps_machine_and_commit_once(tmp_path):
-    paths = {("protocol", 0): fake_result(tmp_path, "protocol", 0, 35.0),
-             ("many_gaps", 1): fake_result(tmp_path, "many_gaps", 1, 9000.0)}
-    entry = bench_record.gather(paths, 3.0)
+def fake_result(workload, jobs_per_s, wall_s=1.0, **facts):
+    # The file perfbench/run.py writes, as loaded.
+    return json.loads(json.dumps(
+        {"correct": True, "attempted": 4, "failed": 0,
+         "metrics": {"jobs_per_s": {"value": jobs_per_s, "unit": "1/s"},
+                     "wall_s": {"value": wall_s, "unit": "s"},
+                     "harness.self_ms": {"value": 2.0, "unit": "ms"}},
+         "facts": {**FACTS, "workload": workload, "seed": 7, **facts}}))
+
+
+def test_gather_keeps_machine_and_commit_once():
+    results = {("protocol", 0): [fake_result("protocol", 35.0)],
+               ("many_gaps", 1): [fake_result("many_gaps", 9000.0)]}
+    entry = bench_record.gather(results, 3.0, END_TO_END)
     assert entry["commit"] == "abc123"
     assert entry["seconds"] == 3.0
     machine = entry["machine"]
@@ -36,19 +40,58 @@ def test_gather_keeps_machine_and_commit_once(tmp_path):
         {"cpu_count": 2, "numpy": "2.4.6", "blas_threads": 2}
     assert not set(machine) & {"commit", "workload", "seed", "size"}
     assert set(entry["runs"]) == {"protocol", "many_gaps"}
-    protocol = entry["runs"]["protocol"]["trace0"]
+    [protocol] = entry["runs"]["protocol"]["trace0"]["runs"]
     assert protocol["metrics"]["jobs_per_s"]["value"] == 35.0
     assert (protocol["seed"], protocol["size"], protocol["correct"]) == (7, "full", True)
     assert "facts" not in protocol
-    assert entry["runs"]["many_gaps"]["trace1"]["metrics"]["jobs_per_s"]["value"] == 9000.0
+    [many_gaps] = entry["runs"]["many_gaps"]["trace1"]["runs"]
+    assert many_gaps["metrics"]["jobs_per_s"]["value"] == 9000.0
     json.dumps(entry)  # the entry is written as JSON
 
 
-def test_gather_refuses_files_from_two_commits(tmp_path):
-    paths = {("protocol", 0): fake_result(tmp_path, "protocol", 0, 35.0),
-             ("protocol", 1): fake_result(tmp_path, "protocol", 1, 30.0, commit="def456")}
+def test_gather_keeps_every_run_and_summarizes_end_to_end_metrics():
+    runs = [fake_result("protocol", 30.0, 1.2), fake_result("protocol", 36.0, 0.9),
+            fake_result("protocol", 33.0, 1.0)]
+    entry = bench_record.gather({("protocol", 0): runs}, 3.0, END_TO_END)
+    trace0 = entry["runs"]["protocol"]["trace0"]
+    assert [r["metrics"]["jobs_per_s"]["value"] for r in trace0["runs"]] == [30.0, 36.0, 33.0]
+    assert trace0["summary"] == {"jobs_per_s": {"min": 30.0, "median": 33.0, "max": 36.0},
+                                 "wall_s": {"min": 0.9, "median": 1.0, "max": 1.2}}
+    assert all("facts" in r for r in runs)  # the caller's results are left as they were
+
+
+def test_gather_refuses_files_from_two_commits():
+    results = {("protocol", 0): [fake_result("protocol", 35.0),
+                                 fake_result("protocol", 34.0, commit="def456")]}
     with pytest.raises(ValueError, match="another machine or commit"):
-        bench_record.gather(paths, 3.0)
+        bench_record.gather(results, 3.0, END_TO_END)
+
+
+def test_main_runs_the_untraced_pass_three_times(tmp_path, monkeypatch):
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "protocol"}],
+         "end_to_end": [{"name": name} for name in END_TO_END]}))
+    (checkout / "perfbench" / "reference.json").write_text(json.dumps({"protocol": {"seed": 7}}))
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        trace = int(argv[argv.index("--trace") + 1])
+        calls.append(trace)
+        path = bench_record.result_path(Path(cwd), "protocol", 7, trace)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(fake_result("protocol", float(len(calls)))))
+        return subprocess.CompletedProcess(argv, 0, stdout="correct: true\n", stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "REPO", tmp_path)
+    assert bench_record.main(["--checkout", str(checkout), "--seconds", "1"]) == 0
+    assert calls == [0] * bench_record.TRACE0_RUNS + [1] and bench_record.TRACE0_RUNS == 3
+    runs = json.loads((tmp_path / "BENCH_1.json").read_text())["runs"]["protocol"]
+    assert [r["metrics"]["jobs_per_s"]["value"] for r in runs["trace0"]["runs"]] == [1.0, 2.0, 3.0]
+    assert runs["trace0"]["summary"]["jobs_per_s"] == {"min": 1.0, "median": 2.0, "max": 3.0}
+    assert len(runs["trace1"]["runs"]) == 1
 
 
 def test_next_bench_path_follows_the_highest(tmp_path):

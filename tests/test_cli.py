@@ -159,6 +159,20 @@ class TestRun:
         assert "error: [config] bins must be >= 2 and fit" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bins_beyond_memory_exits_one_before_any_imputer(
+            self, synth_series, small_config, tmp_path, capsys, monkeypatch):
+        # 2**62 + 1 float64 edges would take 32 EiB once every imputer had run.
+        def no_run(*args, **kwargs):
+            pytest.fail("the run started with an unusable bins")
+
+        monkeypatch.setattr("gapgauge.cli.run_evaluation", no_run)
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(small_config), "--series",
+                     str(synth_series), "--out", str(out),
+                     "--bins", str(2**62), "--quiet"]) == 1
+        assert "error: [config] bins" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_seed_exits_one(self, synth_series, small_config,
                                          tmp_path, capsys):
         out = tmp_path / "x"

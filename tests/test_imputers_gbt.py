@@ -209,6 +209,13 @@ class TestPresortedTreeEqualsReference:
         assert set(vars(model)) == {"trees", "max_depth", "learning_rate", "subsample",
                                     "rng", "base", "stages", "training_mse"}
 
+    def test_layout_holds_no_gain_buffers(self):
+        # The layout holds what depends only on X, plus the partition's lookup
+        # table; the split gains are temporaries of each search.
+        X, _ = next(training_sets())
+        assert set(vars(gbt._Layout(X))) == {"cols", "sorted_rows", "tied", "block",
+                                             "counts", "goes_left"}
+
     @pytest.mark.parametrize("subsample", [1.0, 0.7])
     def test_boosting_matches_predict_in_fit(self, subsample):
         for X, y in training_sets():

@@ -75,6 +75,20 @@ class TestIngest:
             ingest_csv(IngestSpec(path=path, missing_policy="mask"))
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("rows, error, match, line", [
+        (["7200,", "0,1", "3700,2"], CadenceError, "off the uniform grid", 4),
+        (["0,1", "3600,2", "3600,"], DuplicateTimestampError, "share one timestamp", 4),
+        (["0,1", "7200,3", "10900,4"], CadenceError, "off the uniform grid", 4),
+    ], ids=["earliest-in-time-beats-earlier-line", "duplicate-before-blank",
+            "row-fault-before-missing-position"])
+    def test_fault_precedence_under_reject(self, tmp_path, rows, error, match, line):
+        # The earliest faulty row in time order raises its first fault, and
+        # only a file with no faulty row reports a missing position.
+        path = write_csv(tmp_path / "s.csv", rows)
+        with pytest.raises(error, match=match) as err:
+            ingest_csv(IngestSpec(path=path))
+        assert err.value.line == line
+
     def test_unsorted_rows_accepted(self, tmp_path):
         path = write_csv(tmp_path / "s.csv", ["7200,3", "0,1", "3600,2"])
         series = ingest_csv(IngestSpec(path=path))
@@ -170,6 +184,14 @@ class TestIngest:
         assert (back.start_time, back.step) == (start, step)
         assert np.array_equal(back.observed, observed)
         assert back.values[observed].tobytes() == values[observed].tobytes()
+
+    def test_series_csv_bytes(self, tmp_path):
+        # Stamps 0, 1800.5 and 3601: integral stamps print as integers.
+        series = TimeSeries(start_time=0.0, step=1800.5, values=[0.1, 2.0, -3.25],
+                            observed=[True, False, True])
+        path = tmp_path / "s.csv"
+        write_series_csv(series, path)
+        assert path.read_bytes() == b"timestamp,value\n0,0.1\n1800.5,\n3601,-3.25\n"
 
     def test_round_trip_preserves_mask(self, tmp_path):
         original = synthesize_series("seasonal", 100, {}, seed=1)
@@ -397,6 +419,7 @@ IO_ERRORS = {
     "config-huge-epsilon": (load_config, config_text(epsilon=HUGE), SchemaError, "path", "epsilon"),
     "config-huge-bins": (load_config, config_text(bins=HUGE), SchemaError, "path", "bins"),
     "config-one-bin": (load_config, config_text(bins=1), SchemaError, "path", "bins"),
+    "config-memory-bins": (load_config, config_text(bins=2**62), SchemaError, "path", "bins"),
     "config-huge-seed": (load_config, config_text(seed=2**64), SchemaError, "path", "seed"),
     "config-nan-epsilon": (load_config, config_text(epsilon=float("nan")),
                            SchemaError, "path", "epsilon"),
