@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .errors import ConfigError, GapgaugeError
 from .harness import aggregate, rank_agreement, run_evaluation
-from .io import (IngestSpec, emit_report, ingest_csv, load_config,
-                 read_records_csv, write_json, write_series_csv)
+from .io import (MISSING_POLICIES, TIMESTAMP_FORMATS, IngestSpec, emit_report, ingest_csv,
+                 load_config, read_records_csv, write_json, write_series_csv)
 from .series import TimeSeries
 from .synth import SERIES_KINDS, synthesize_series
 
@@ -39,9 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="write a synthetic series CSV")
     synth.add_argument("--kind", choices=SERIES_KINDS, default="seasonal")
     synth.add_argument("--length", type=int, default=20_000)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--step", type=float, default=3600.0)
-    synth.add_argument("--start-time", type=float, default=None)
+    synth.add_argument("--seed", type=int)
+    synth.add_argument("--step", type=float)
+    synth.add_argument("--start-time", type=float)
     synth.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                        help="kind-specific parameter, repeatable")
     synth.add_argument("--out", required=True, help="output directory")
@@ -69,25 +69,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _series_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--series", required=True, help="input CSV path")
-    parser.add_argument("--timestamp-column", default="timestamp")
-    parser.add_argument("--value-column", default="value")
-    parser.add_argument("--timestamp-format", choices=("epoch", "iso8601"),
-                        default="epoch")
-    parser.add_argument("--step", type=float, default=3600.0,
+    """The ``IngestSpec`` fields, each under its own name as ``dest``."""
+    parser.add_argument("--series", dest="path", metavar="SERIES", required=True,
+                        help="input CSV path")
+    parser.add_argument("--timestamp-column")
+    parser.add_argument("--value-column")
+    parser.add_argument("--timestamp-format", choices=TIMESTAMP_FORMATS)
+    parser.add_argument("--step", dest="expected_step", metavar="STEP", type=float,
                         help="expected seconds between samples")
-    parser.add_argument("--missing-policy", choices=("reject", "mask"),
-                        default="reject")
+    parser.add_argument("--missing-policy", choices=MISSING_POLICIES)
+
+
+def _given(args, names) -> dict:
+    """The given flags among ``names``; the library's defaults apply to the rest."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _ingest_from_args(args) -> TimeSeries:
-    spec = IngestSpec(path=args.series,
-                      timestamp_column=args.timestamp_column,
-                      value_column=args.value_column,
-                      timestamp_format=args.timestamp_format,
-                      expected_step=args.step,
-                      missing_policy=args.missing_policy)
-    return ingest_csv(spec)
+    names = [field.name for field in dataclasses.fields(IngestSpec)]
+    return ingest_csv(IngestSpec(**_given(args, names)))
 
 
 def _cmd_ingest(args) -> int:
@@ -111,24 +112,22 @@ def _cmd_synth(args) -> int:
             params[key] = float(value)
         except ValueError:
             raise GapgaugeError(f"--param {key} needs a number, got {value!r}") from None
-    kwargs = {} if args.start_time is None else {"start_time": args.start_time}
     series = synthesize_series(args.kind, args.length, params,
-                               seed=args.seed, step=args.step, **kwargs)
+                               **_given(args, ("seed", "step", "start_time")))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "series.csv"
     write_series_csv(series, path)
     if not args.quiet:
-        print(f"wrote {path} ({len(series)} samples, kind={args.kind}, seed={args.seed})")
+        seed = "" if args.seed is None else f", seed={args.seed}"
+        print(f"wrote {path} ({len(series)} samples, kind={args.kind}{seed})")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     series = _ingest_from_args(args)
     config = load_config(args.config, step_seconds=series.step)
-    overrides = {name: value for name, value in (("seed", args.seed), ("bins", args.bins))
-                 if value is not None}
-    config = dataclasses.replace(config, **overrides)  # re-validates
+    config = dataclasses.replace(config, **_given(args, ("seed", "bins")))  # re-validates
     if args.imputers is not None:
         wanted = [w.strip() for w in args.imputers.split(",") if w.strip()]
         kept = [c for c in config.imputers

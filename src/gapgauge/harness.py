@@ -15,6 +15,7 @@ head-of-series history that the configured imputer kinds declare.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -325,6 +326,6 @@ def rank_agreement(aggregates: list[AggregateRow]) -> dict:
         rows = [r for r in aggregates if r.imputer_id == imputer_id]
         total = sum(r.n for r in rows)
         pooled_scores[imputer_id] = {
-            f"mean_{m}": sum(getattr(r, f"mean_{m}") * r.n for r in rows) / total
+            f"mean_{m}": math.fsum(getattr(r, f"mean_{m}") * r.n for r in rows) / total
             for m in METRICS}
     return {"pooled": pair_block(pooled_scores), "per_gap_len": per_size}

@@ -291,27 +291,6 @@ def causal_features(values: np.ndarray, hours: np.ndarray,
     return X, values[1:].copy()
 
 
-class _FeatureTracker:
-    """Carries the SMA window and EWMA state across recursive gap fills."""
-
-    def __init__(self, history: np.ndarray, last_row: np.ndarray,
-                 sma_window: int, ewma_alpha: float):
-        self.window = sma_window
-        self.alpha = ewma_alpha
-        self.recent = list(history[-sma_window:])
-        # last_row[1] is the EWMA of history[:-1]; one more step takes in history[-1].
-        self.ewma = float(ewma_alpha * history[-1] + (1.0 - ewma_alpha) * last_row[1])
-
-    def row(self, hour: int) -> np.ndarray:
-        return np.array([sum(self.recent) / len(self.recent), self.ewma, float(hour)])
-
-    def push(self, value: float) -> None:
-        self.ewma = self.alpha * value + (1.0 - self.alpha) * self.ewma
-        self.recent.append(value)
-        if len(self.recent) > self.window:
-            self.recent.pop(0)
-
-
 def gbt_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:
     """Train on the ``params["train_span"]`` samples before the gap, then
     fill it recursively."""
@@ -326,13 +305,22 @@ def gbt_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.nd
                                  learning_rate=params["learning_rate"],
                                  subsample=params["subsample"], rng=rng).fit(X, y)
 
-    tracker = _FeatureTracker(values, X[-1], sma_window, ewma_alpha)
+    # Each step's row is the last row causal_features would build on the
+    # window plus the predictions so far: the same prefix-sum SMA, and the
+    # EWMA carried one step past X[-1, 1] to take in values[-1].
+    csum = [0.0] + np.cumsum(values).tolist()
+    keep = 1.0 - ewma_alpha
+    ewma = ewma_alpha * float(values[-1]) + keep * float(X[-1, 1])
     filled = np.empty(gap.length)
-    for offset, hour in enumerate(hours[len(values):]):
-        prediction = float(model.predict(tracker.row(hour)[None, :])[0])
+    for offset, hour in enumerate(hours[len(values):].tolist()):
+        t = len(csum) - 1
+        first = max(t - sma_window, 0)
+        row = [(csum[t] - csum[first]) / (t - first), ewma, float(hour)]
+        prediction = float(model.predict([row])[0])
         if not np.isfinite(prediction):
             raise DivergenceError("gradient boosting produced a non-finite fill",
                                   index=gap.start_index + offset)
         filled[offset] = prediction
-        tracker.push(prediction)
+        csum.append(csum[-1] + prediction)
+        ewma = ewma_alpha * prediction + keep * ewma
     return filled

@@ -30,26 +30,27 @@ SCHEMA_VERSION = 1
 # The CSV columns are the record fields, in declaration order.
 RECORD_COLUMNS = tuple(f.name for f in fields(MetricRecord))
 AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateRow))
+TIMESTAMP_FORMATS = ("epoch", "iso8601")
+MISSING_POLICIES = ("reject", "mask")
 
 @dataclass
 class IngestSpec:
     path: str
     timestamp_column: str = "timestamp"
     value_column: str = "value"
-    timestamp_format: str = "epoch"  # or "iso8601"
+    timestamp_format: str = "epoch"
     expected_step: float = 3600.0
-    missing_policy: str = "reject"  # or "mask"
+    missing_policy: str = "reject"
 
     def __post_init__(self):
         if not 0 < self.expected_step < math.inf:
             raise SchemaError("expected_step must be finite and > 0",
                               path="ingest.expected_step")
-        if self.timestamp_format not in ("epoch", "iso8601"):
-            raise SchemaError("timestamp_format must be 'epoch' or 'iso8601'",
-                              path="ingest.timestamp_format")
-        if self.missing_policy not in ("reject", "mask"):
-            raise SchemaError("missing_policy must be 'reject' or 'mask'",
-                              path="ingest.missing_policy")
+        for name, choices in (("timestamp_format", TIMESTAMP_FORMATS),
+                              ("missing_policy", MISSING_POLICIES)):
+            if getattr(self, name) not in choices:
+                raise SchemaError(f"{name} must be " + " or ".join(map(repr, choices)),
+                                  path=f"ingest.{name}")
 
 
 def _finite(text: str, what: str, line: int) -> float:
@@ -150,13 +151,13 @@ def ingest_csv(spec: IngestSpec) -> TimeSeries:
     return series
 
 
-def write_series_csv(series: TimeSeries, path, timestamp_column: str = "timestamp",
-                     value_column: str = "value") -> None:
-    """Emit a series as an epoch-seconds CSV; masked positions get blank cells."""
+def write_series_csv(series: TimeSeries, path) -> None:
+    """Emit a series as an epoch-seconds CSV under ``IngestSpec``'s default
+    column names; masked positions get blank cells."""
     stamps = series.start_time + np.arange(len(series), dtype=float) * series.step
 
     def rows():
-        yield (timestamp_column, value_column)
+        yield (IngestSpec.timestamp_column, IngestSpec.value_column)
         for t, v, seen in zip(stamps.tolist(), series.values.tolist(), series.observed.tolist()):
             yield (repr(int(t)) if t.is_integer() else repr(t), repr(v) if seen else "")
 
@@ -189,10 +190,10 @@ def _expect(doc: dict, key: str, kinds, path: str, default=None, required=False)
     return value
 
 
-def load_config(path, step_seconds: float = 3600.0) -> EvalConfig:
+def load_config(path, step_seconds: float = IngestSpec.expected_step) -> EvalConfig:
     """Load a run configuration, converting hour-form fields to samples.
 
-    The seed is the file's ``seed`` field, 0 when absent.
+    A setting the file leaves out, the seed too, takes ``EvalConfig``'s default.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -249,14 +250,11 @@ def load_config(path, step_seconds: float = 3600.0) -> EvalConfig:
                               path=f"{where}.params") from None
 
     # Read outside the try below, so that a wrong type keeps its field path.
-    settings = dict(
-        n_gaps=_expect(doc, "n_gaps", int, "n_gaps", default=100),
-        seed=_expect(doc, "seed", int, "seed", default=0),
-        bins=_expect(doc, "bins", int, "bins", default=10),
-        epsilon=_expect(doc, "epsilon", (int, float), "epsilon", default=1e-6),
-        aggregation=_expect(doc, "aggregation", str, "aggregation", default="exact"))
+    settings = {key: _expect(doc, key, kinds, key) for key, kinds in (
+        ("n_gaps", int), ("seed", int), ("bins", int), ("epsilon", (int, float)),
+        ("aggregation", str)) if key in doc}
     try:
-        float(settings["epsilon"])
+        float(settings.get("epsilon", 0.0))
     except OverflowError:
         raise SchemaError("epsilon must convert to a finite float", path="epsilon") from None
     try:

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import gapgauge
+from gapgauge import cli
 from gapgauge.cli import main
+from gapgauge.io import IngestSpec, ingest_csv, write_series_csv
+from gapgauge.synth import synthesize_series
 
 
 @pytest.fixture()
@@ -69,6 +72,33 @@ class TestSynthAndIngest:
         assert main(["ingest", "--series", str(synth_series), "--step", step]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "expected_step" in err
+
+    def test_synth_without_seed_or_step_uses_the_library_defaults(self, tmp_path, capsys):
+        assert main(["synth", "--length", "500", "--out", str(tmp_path / "cli")]) == 0
+        assert "seed=" not in capsys.readouterr().out
+        write_series_csv(synthesize_series("seasonal", 500), tmp_path / "library.csv")
+        written = (tmp_path / "cli" / "series.csv").read_bytes()
+        assert written == (tmp_path / "library.csv").read_bytes()
+        assert main(["synth", "--length", "500", "--seed", "4",
+                     "--out", str(tmp_path / "seeded")]) == 0
+        assert "seed=4" in capsys.readouterr().out
+
+    def test_ingest_without_optional_flags_uses_the_library_defaults(
+            self, synth_series, monkeypatch):
+        read = []
+
+        def recording_ingest(spec):
+            read.append((spec, ingest_csv(spec)))
+            return read[-1][1]
+
+        monkeypatch.setattr(cli, "ingest_csv", recording_ingest)
+        assert main(["ingest", "--series", str(synth_series)]) == 0
+        [(spec, series)] = read
+        expected = ingest_csv(IngestSpec(path=str(synth_series)))
+        assert spec == IngestSpec(path=str(synth_series))
+        assert (series.start_time, series.step) == (expected.start_time, expected.step)
+        assert series.values.tobytes() == expected.values.tobytes()
+        assert series.observed.tobytes() == expected.observed.tobytes()
 
     def test_synth_unknown_kind_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

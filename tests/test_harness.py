@@ -10,6 +10,7 @@ from gapgauge import (EvalConfig, GapSpec, ImputerConfig, MetricRecord,
 from gapgauge.errors import (ConfigError, DegenerateError, GapgaugeError,
                              InvalidParameterError, NumericalError)
 from gapgauge.gaps import GapSet, apply_gaps
+from gapgauge.harness import AggregateRow
 from gapgauge.imputers import _REGISTRY, derive_seed, kind_spec
 
 from _oracles import jsd_pair, mae_pair, rmse_pair, wasserstein_pair
@@ -100,6 +101,16 @@ class TestRankAgreement:
         block = rank_agreement(rows)
         assert "8" not in block["per_gap_len"]
         assert "4" in block["per_gap_len"]
+
+    def test_pooled_means_do_not_depend_on_summation_order(self):
+        # a's pooled WD is exactly 1/3, above b's 0.2, while a has the lower
+        # RMSE; summing 1e16 + 1.0 - 1e16 left to right would give a 0.
+        rows = [AggregateRow("a", gap_len, wd, 0.1, 1.0, 1.0, 1, 0)
+                for gap_len, wd in ((2, 1e16), (3, 1.0), (4, -1e16))]
+        rows += [AggregateRow("b", gap_len, 0.2, 0.2, 2.0, 2.0, 1, 0)
+                 for gap_len in (2, 3, 4)]
+        block = rank_agreement(rows)
+        assert block["pooled"]["wd_vs_rmse"] == {"spearman": -1.0, "kendall": -1.0}
 
     def test_tied_scores_reported_as_undefined(self):
         rows = aggregate([record("a", 4), record("b", 4)])  # identical scores

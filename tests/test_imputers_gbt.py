@@ -341,16 +341,30 @@ class TestCausalFeatures:
 
     @pytest.mark.parametrize("n", [2, 3, 50, 2001, 8761])
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0])
-    def test_fill_tracker_starts_from_the_whole_window(self, n, alpha):
-        values = np.random.default_rng(n).normal(50.0, 10.0, size=n)
-        X, _ = causal_features(values, np.arange(n) % 24, 24, alpha)
-        ewma = float(values[0])
-        for v in values[1:]:
-            ewma = alpha * float(v) + (1.0 - alpha) * ewma
-        row = gbt._FeatureTracker(values, X[-1], 24, alpha).row(7)
-        assert row[0] == sum(values[-24:]) / len(values[-24:])
-        assert row[1] == ewma  # bit for bit, not approximately
-        assert row[2] == 7.0
+    def test_fill_rows_are_the_training_features(self, n, alpha, monkeypatch):
+        # Each row the fill predicts on is, bit for bit, the last row that
+        # causal_features builds on the window plus the predictions so far
+        # plus one value for the position being filled.
+        sma_window, length = 24, 30
+        values = np.random.default_rng(n).normal(50.0, 10.0, size=n + length)
+        observed = np.arange(n + length) < n
+        masked = TimeSeries(0.0, 3600.0, values, observed)
+        rows = []
+        predict = GradientBoostedTrees.predict
+
+        def recording_predict(model, X):
+            rows.append(np.array(X, dtype=float))
+            return predict(model, X)
+
+        monkeypatch.setattr(GradientBoostedTrees, "predict", recording_predict)
+        fill = gbt_fill(masked, GapSpec(n, length), train_span=n, trees=2,
+                        max_depth=2, sma_window=sma_window, ewma_alpha=alpha)
+        assert len(rows) == length
+        hours = masked.hour_of_day(np.arange(n + length))
+        for step, row in enumerate(rows):
+            history = np.concatenate([values[:n], fill[:step], [0.0]])
+            X, _ = causal_features(history, hours[:len(history)], sma_window, alpha)
+            assert row.tobytes() == X[-1:].tobytes()
 
 
 class TestGbtFill:
