@@ -9,8 +9,10 @@ measure rank agreement between the families.
 Each gap is imputed in isolation: the imputer sees the original series with
 only that gap masked, so one method's training window is never corrupted by
 a different artificial gap.  The gap's held-out values read as NaN and the
-series an imputer receives is read-only.  Gap placement reserves the largest
-head-of-series history that the configured imputer kinds declare.
+series an imputer receives is read-only.  A row kind (``polynomial``) fills
+every gap in one ``impute`` call on the unmasked series, never reading a
+gap's own positions, so each fill equals its one-gap fill.  Gap placement
+reserves the largest head-of-series history the imputer kinds declare.
 """
 
 from __future__ import annotations
@@ -187,26 +189,33 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
     masked, truth = apply_gaps(series, gap_set)
     references = [pre_gap_window(masked, gap) for gap in gap_set]
 
-    # One private working copy; each gap is masked in it once, imputed by
-    # every imputer, then restored.  Imputers read it through read-only
-    # views, each job through its own TimeSeries.  A job's outcome is its
-    # fill or its error string; all fills are scored once every job has run.
+    # One private working copy, read through read-only views, each call
+    # through its own TimeSeries.  Row kinds fill every gap in one call on
+    # the unmasked copy; for the rest each gap is masked once, imputed, then
+    # restored.  A job's outcome is its fill or its error string.
     work = series.copy()
     values, observed = work.values.view(), work.observed.view()
     values.flags.writeable = observed.flags.writeable = False
     imputer_ids = [c.imputer_id for c in config.imputers]
-    reads_seed = [kind_spec(c.kind).reads_seed for c in config.imputers]
+    specs = [kind_spec(c.kind) for c in config.imputers]
+    rows = {mi: impute(TimeSeries(work.start_time, work.step, values, observed),
+                       gap_set.gaps, imputer)
+            for mi, imputer in enumerate(config.imputers) if specs[mi].fill_gaps}
     jobs, outcomes = [], []
     for gi, gap in enumerate(gap_set.gaps):
         _single_gap_view(work, gap)
         for mi, imputer in enumerate(config.imputers):
             jobs.append((gi, gap, imputer_ids[mi]))
-            view = TimeSeries(work.start_time, work.step, values, observed)
-            seed = derive_seed(config.seed, gi, mi) if reads_seed[mi] else 0
-            try:
-                outcomes.append(impute(view, gap, imputer, seed=seed))
-            except GapgaugeError as exc:
-                outcomes.append(_failure(exc))
+            if mi in rows:
+                outcome = rows[mi][gi]
+            else:
+                view = TimeSeries(work.start_time, work.step, values, observed)
+                seed = derive_seed(config.seed, gi, mi) if specs[mi].reads_seed else 0
+                try:
+                    outcome = impute(view, gap, imputer, seed=seed)
+                except GapgaugeError as exc:
+                    outcome = exc
+            outcomes.append(_failure(outcome) if isinstance(outcome, GapgaugeError) else outcome)
         _restore_gap(work, series, gap)
 
     scores = _score_fills(jobs, outcomes, references, truth, config)

@@ -9,7 +9,7 @@ hook.  Parameter validation and normalization, hour-form config keys and
 head-of-series history reservation all derive from that one declaration,
 so equal configurations always produce equal ``imputer_id`` strings.
 ``impute(masked, gap, ImputerConfig(kind, params), seed)`` runs any kind on
-one gap.
+one gap, and a kind with a row form (``fill_gaps``) on a sequence of gaps.
 """
 
 from __future__ import annotations
@@ -18,19 +18,19 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import (ConfigError, InvalidParameterError, NumericalError,
-                      ShapeError)
+from ..errors import (ConfigError, GapgaugeError, InvalidParameterError,
+                      NumericalError, ShapeError)
 from ..gaps import GapSpec
 from ..series import TimeSeries
 from .arima import (ArimaOrder, FittedArima, arima_fill, fit_arima, forecast,
                     select_order)
 from .gbt import (GradientBoostedTrees, RegressionTree, causal_features,
                   gbt_fill)
-from .polynomial import polynomial_fill, polynomial_reach
+from .polynomial import polynomial_fill, polynomial_fill_gaps, polynomial_reach
 from .seasonal import seasonal_naive_fill, seasonal_reach
 
 __all__ = [
@@ -99,12 +99,15 @@ class KindSpec:
     ``history(params, max_gap_len)`` is how many head-of-series samples it
     may read before any gap, which gap placement reserves.  ``reads_seed``
     is false for a fill that ignores its seed, so a run need not derive one.
+    ``fill_gaps(series, gaps, params)``, if set, returns one outcome per gap
+    (its fill or its error), each gap treated as the only one missing.
     """
 
     fill: Callable
     params: tuple[ParamSpec, ...] = ()
     history: Callable[[dict, int], int] = _no_history
     reads_seed: bool = True
+    fill_gaps: Callable | None = None
 
     def normalize(self, kind: str, params: dict) -> dict:
         unknown = sorted(set(params) - {spec.name for spec in self.params})
@@ -131,7 +134,7 @@ _REGISTRY: dict[str, KindSpec] = {
         polynomial_fill,
         (ParamSpec("order", int, 3, low=1),
          ParamSpec("context", int, None, low=1, nullable=True, hours=True)),
-        polynomial_reach, reads_seed=False),
+        polynomial_reach, reads_seed=False, fill_gaps=polynomial_fill_gaps),
     "seasonal_naive": KindSpec(
         seasonal_naive_fill, (ParamSpec("season", int, 24, low=2, hours=True),),
         seasonal_reach, reads_seed=False),
@@ -192,25 +195,48 @@ class ImputerConfig:
         return f"{self.kind}-{digest}"
 
 
-def impute(masked: TimeSeries, gap: GapSpec, config: ImputerConfig,
-           seed: int = 0) -> np.ndarray:
+def impute(masked: TimeSeries, gap: GapSpec | Sequence[GapSpec], config: ImputerConfig,
+           seed: int = 0):
     """Run one imputer on one gap and return its ``gap.length`` finite values.
 
-    Deterministic given (inputs, config, seed).  A fill of the wrong length
-    or with non-finite values raises ``ShapeError``.  A ``LinAlgError`` or
-    ``FloatingPointError`` escaping the fill becomes a ``NumericalError``;
-    any other exception that is not a ``GapgaugeError`` is a bug and
-    propagates unchanged.
+    Deterministic given (inputs, config, seed).  A fill that is not a 1-D
+    array of ``gap.length`` finite values raises ``ShapeError``.  A
+    ``LinAlgError`` or ``FloatingPointError`` escaping the fill becomes a
+    ``NumericalError``; any other exception that is not a ``GapgaugeError``
+    is a bug and propagates unchanged.
+
+    Given a sequence of gaps, a kind with a row form (``fill_gaps``) returns
+    one outcome per gap: its fill after the same checks, or the
+    ``GapgaugeError`` it alone raised.  Other kinds raise ``ConfigError``.
     """
-    try:
-        filled = _REGISTRY[config.kind].fill(masked, gap, config.params, seed)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        raise NumericalError(f"{type(exc).__name__}: {exc}",
-                             kind=config.kind) from exc
-    filled = np.asarray(filled, dtype=float)
-    if len(filled) != gap.length:
-        raise ShapeError("fill length must match the gap",
-                         filled=len(filled), gap=gap.length)
-    if not np.all(np.isfinite(filled)):
+    spec = _REGISTRY[config.kind]
+    if isinstance(gap, GapSpec):
+        try:
+            outcome = spec.fill(masked, gap, config.params, seed)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            outcome = exc
+        return _checked(outcome, gap, config.kind)
+    if spec.fill_gaps is None:
+        raise ConfigError("imputer kind fills one gap per call", kind=config.kind)
+    outcomes = []
+    for one, outcome in zip(gap, spec.fill_gaps(masked, gap, config.params), strict=True):
+        try:
+            outcomes.append(_checked(outcome, one, config.kind))
+        except GapgaugeError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _checked(outcome, gap: GapSpec, kind: str) -> np.ndarray:
+    """``outcome`` as a checked fill of ``gap``, or raised as the error it is."""
+    if isinstance(outcome, (np.linalg.LinAlgError, FloatingPointError)):
+        raise NumericalError(f"{type(outcome).__name__}: {outcome}", kind=kind) from outcome
+    if isinstance(outcome, Exception):
+        raise outcome
+    filled = np.asarray(outcome, dtype=float)
+    if filled.shape != (gap.length,):
+        raise ShapeError("fill must be a 1-D array of gap.length values",
+                         shape=filled.shape, gap=gap.length)
+    if not np.isfinite(filled).all():
         raise ShapeError("fill contains non-finite values")
     return filled

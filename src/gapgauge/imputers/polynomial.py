@@ -1,8 +1,9 @@
-"""Local least-squares polynomial fill."""
+"""Local least-squares polynomial fill, fit for many gaps as rows of one batch."""
 
 from __future__ import annotations
 
 import warnings
+from typing import Sequence
 
 import numpy as np
 
@@ -12,38 +13,61 @@ from ..series import TimeSeries
 
 
 def polynomial_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:
-    """Fit one polynomial through observed context points and read off the gap.
+    """One gap: the one-row case of :func:`polynomial_fill_gaps`, raising its error."""
+    outcome, = polynomial_fill_gaps(masked, [gap], params)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    Each side of the gap is read up to :func:`polynomial_reach` samples out
+
+def polynomial_fill_gaps(series: TimeSeries, gaps: Sequence[GapSpec], params: dict) -> list:
+    """Fit one polynomial per gap through observed context points and read off the gap.
+
+    Each side of a gap is read up to :func:`polynomial_reach` samples out
     and must contribute at least ``order + 1`` observed points, except that
-    when the series end cuts the right window short of that, the fill
-    extrapolates from the left context alone.  The abscissa is the sample
-    index.
+    when the series end cuts the right window short, the fill extrapolates
+    from the left context alone.  The abscissa is the sample index; a gap's
+    windows never hold its own positions.  Returns one outcome per gap: its
+    fill, or the ``ContextError``, ``DivergenceError`` or ``LinAlgError`` of
+    that gap alone.  Gaps of one window geometry (length, left and right
+    reach after clipping to the series) gather their windows in one index;
+    rows with equal observed counts are fit as one batch.
     """
-    order, context = params["order"], polynomial_reach(params, gap.length)
-
-    needed = order + 1
-    left_lo = max(0, gap.start_index - context)
-    left_idx = _observed_indices(masked, left_lo, gap.start_index)
-    right_hi = min(len(masked), gap.end_index + context)
-    right_idx = _observed_indices(masked, gap.end_index, right_hi)
-
-    if len(left_idx) < needed:
-        raise ContextError("insufficient observed context left of gap",
-                           needed=needed, found=len(left_idx))
-    if len(right_idx) >= needed:
-        idx = np.concatenate([left_idx, right_idx])
-    elif gap.end_index + context >= len(masked):
-        idx = left_idx  # the series end cuts the right window: extrapolate
-    else:
-        raise ContextError("insufficient observed context right of gap",
-                           needed=needed, found=len(right_idx))
-
-    filled = _fit_and_evaluate(idx, masked.values[idx], order,
-                               np.arange(gap.start_index, gap.end_index, dtype=float))
-    if not np.all(np.isfinite(filled)):
-        raise DivergenceError("polynomial fill produced non-finite values")
-    return filled
+    order, n, needed = params["order"], len(series), params["order"] + 1
+    outcomes: list = [None] * len(gaps)
+    if not outcomes:
+        return outcomes
+    starts, lengths, reach = np.array(
+        [(gap.start_index, gap.length, polynomial_reach(params, gap.length)) for gap in gaps],
+        dtype=np.intp).reshape(-1, 3).T
+    geometry = np.stack([lengths, np.minimum(starts, reach),
+                         np.minimum(n - starts - lengths, reach), reach])
+    ranked = np.lexsort(geometry[::-1])
+    for rows in np.split(ranked, np.flatnonzero(np.diff(geometry[:, ranked]).any(0)) + 1):
+        length, left, right, context = geometry[:, rows[0]].tolist()
+        windows = starts[rows, None] + np.concatenate(
+            [np.arange(-left, 0), np.arange(length, length + right)])
+        use = series.observed[windows]
+        found = use[:, :left].sum(1), use[:, left:].sum(1)
+        short, right_short = found[0] < needed, found[1] < needed
+        if right < context:  # the series end cuts the right window: extrapolate
+            use[right_short, left:] = False
+        else:
+            short |= right_short
+        for r in np.flatnonzero(short).tolist():
+            side = int(found[0][r] >= needed)
+            outcomes[rows[r]] = ContextError(
+                f"insufficient observed context {('left', 'right')[side]} of gap",
+                needed=needed, found=int(found[side][r]))
+        counts = np.where(short, 0, use.sum(1))
+        for m in set(counts.tolist()) - {0}:
+            batch = counts == m
+            idx = windows[batch][use[batch]].reshape(-1, m)
+            grid = (starts[rows[batch], None] + np.arange(length)).astype(float)
+            fits = _fit_and_evaluate(idx, series.values[idx], order, grid)
+            for gi, outcome in zip(rows[batch].tolist(), fits):
+                outcomes[gi] = outcome
+    return outcomes
 
 
 def polynomial_reach(params: dict, gap_length: int) -> int:
@@ -53,41 +77,49 @@ def polynomial_reach(params: dict, gap_length: int) -> int:
     return max(2 * gap_length, 4) if context is None else context
 
 
-def _observed_indices(series: TimeSeries, lo: int, hi: int) -> np.ndarray:
-    idx = np.arange(lo, hi)
-    return idx[series.observed[lo:hi]] if hi > lo else idx
-
-
 def _fit_and_evaluate(idx: np.ndarray, y: np.ndarray, order: int,
-                      grid: np.ndarray) -> np.ndarray:
-    """Least-squares polynomial through ``(idx, y)``, read off at ``grid``.
+                      grid: np.ndarray) -> list:
+    """Least-squares polynomial through each row of ``(idx, y)``, read off
+    at that row of ``grid``: per row its values, or its ``LinAlgError`` or
+    ``DivergenceError``.
 
-    These are the float operations of fitting and then evaluating with
-    numpy's ``numpy.polynomial`` series class, in numpy's order, so the
-    result is bit-identical to it without the class, its domain objects or
-    its argument plumbing.  The abscissa (sorted ascending) is mapped onto
-    [-1, 1] for conditioning, the Vandermonde columns are scaled to unit norm
-    before ``lstsq``, and the fit is read off by Horner's rule.  A
-    rank-deficient fit warns ``RankWarning``, as numpy does.
+    Per row these are the float operations of fitting and then evaluating
+    with numpy's ``numpy.polynomial`` series class, in numpy's order, so each
+    row is bit-identical to it.  The abscissa (sorted ascending) is mapped
+    onto [-1, 1], the Vandermonde columns are scaled to unit norm (each norm
+    summed pairwise along a contiguous row, as numpy does), ``lstsq`` solves
+    each row's own matrix and Horner's rule reads the fit off; only the
+    solve runs per row.  A rank-deficient row warns ``RankWarning``.
     """
-    lo, hi = float(idx[0]), float(idx[-1])
+    lo, hi = idx[:, :1].astype(float), idx[:, -1:].astype(float)
     span = hi - lo
     off, scl = (-hi - lo) / span, 2.0 / span
     x = off + scl * idx
-    vander = np.empty((order + 1, len(x)))
-    vander[0] = x * 0 + 1
-    vander[1] = x
+    vander = np.empty((len(x), order + 1, x.shape[1]))
+    vander[:, 0] = x * 0 + 1
+    vander[:, 1] = x
     for i in range(2, order + 1):
-        vander[i] = vander[i - 1] * x
-    norms = np.sqrt(np.square(vander).sum(1))
+        vander[:, i] = vander[:, i - 1] * x
+    norms = np.sqrt(np.square(vander).sum(-1))
     norms[norms == 0] = 1
-    coef, _, rank, _ = np.linalg.lstsq(vander.T / norms, y, len(x) * np.finfo(float).eps)
+    design = vander.transpose(0, 2, 1) / norms[:, None, :]
+    rcond = x.shape[1] * np.finfo(float).eps
+    coef = np.zeros(norms.shape)
+    failed: dict[int, Exception] = {}
+    for r in range(len(x)):
+        try:
+            coef[r], _, rank, _ = np.linalg.lstsq(design[r], y[r], rcond)
+        except np.linalg.LinAlgError as exc:
+            failed[r] = exc
+            continue
+        if rank != order + 1:
+            warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
+                          stacklevel=2)
     coef = coef / norms
-    if rank != order + 1:
-        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
-                      stacklevel=2)
     t = off + scl * grid
-    filled = coef[-1] + t * 0
+    filled = coef[:, -1:] + t * 0
     for i in range(2, order + 2):
-        filled = coef[-i] + filled * t
-    return filled
+        filled = coef[:, -i, None] + filled * t
+    finite = np.isfinite(filled).all(1)
+    return [failed.get(r) or (filled[r] if finite[r] else DivergenceError(
+        "polynomial fill produced non-finite values")) for r in range(len(x))]

@@ -18,18 +18,19 @@ def seasonal_naive_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: in
     ``k >= 1`` whose position is observed, with ``season = params["season"]``;
     positions inside the gap itself are masked and therefore skipped.
     """
-    season = params["season"]
-    filled = np.empty(gap.length)
-    for offset, i in enumerate(range(gap.start_index, gap.end_index)):
-        j = i - season
-        while j >= 0 and not masked.observed[j]:
-            j -= season
-        if j < 0:
-            raise SeasonalReferenceError(
-                "no observed value a whole number of seasons earlier",
-                index=i, season=season)
-        filled[offset] = masked.values[j]
-    return filled
+    season, observed = params["season"], masked.observed
+    source = np.arange(gap.start_index - season, gap.end_index - season)
+    lost, walked = ~observed.take(source, mode="clip"), season
+    while lost.any():  # walk each unobserved ancestor back one more season
+        lost &= source >= 0
+        np.subtract(source, season, out=source, where=lost)
+        lost &= ~observed.take(source, mode="clip")
+        walked += season
+    if walked > gap.start_index and source.min() < 0:  # else no walk left the series
+        raise SeasonalReferenceError(
+            "no observed value a whole number of seasons earlier",
+            index=gap.start_index + int(np.flatnonzero(source < 0)[0]), season=season)
+    return masked.values[source]
 
 
 def seasonal_reach(params: dict, gap_length: int) -> int:

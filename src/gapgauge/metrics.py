@@ -19,6 +19,7 @@ same float.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,6 +289,6 @@ class MetricRecord:
         if self.error is None:
             for name in METRICS:
                 value = getattr(self, name)
-                if value is None or not np.isfinite(value):
+                if value is None or not math.isfinite(value):
                     raise ShapeError(f"metric {name} must be finite on a success record",
                                      value=value)

@@ -3,7 +3,8 @@
 Nothing here may share code with the library paths under test: the
 transport cost is solved as a coupling problem (permutation enumeration for
 equal sizes, an explicit linear program otherwise), divergences by direct
-summation, and forecasts by a hand-rolled recursion.  The one exception is
+summation, forecasts by a hand-rolled recursion, and seasonal-naive fills one
+position at a time.  The one exception is
 ARIMA order selection: the exhaustive grid reuses the library's
 per-candidate fit, because what it checks is which candidate gets picked.
 """
@@ -16,7 +17,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from gapgauge.errors import CapacityError, GapgaugeError, SelectionError
+from gapgauge.errors import (CapacityError, GapgaugeError, SeasonalReferenceError,
+                             SelectionError)
 from gapgauge.gaps import GapSet, GapSpec, philox_generator
 from gapgauge.imputers import arima
 
@@ -134,6 +136,23 @@ def rmse_pair(imputed, truth) -> float:
 def mae_pair(imputed, truth) -> float:
     a, b = _pair_values(imputed), _pair_values(truth)
     return float(np.mean(np.abs(a - b)))
+
+
+def seasonal_naive_walk(masked, gap, season: int) -> np.ndarray:
+    """Seasonal-naive fill one position at a time: each gap position walks
+    back a season at a time to its first observed ancestor, and the first
+    position with none raises ``SeasonalReferenceError`` naming it."""
+    filled = np.empty(gap.length)
+    for offset, i in enumerate(range(gap.start_index, gap.end_index)):
+        j = i - season
+        while j >= 0 and not masked.observed[j]:
+            j -= season
+        if j < 0:
+            raise SeasonalReferenceError(
+                "no observed value a whole number of seasons earlier",
+                index=i, season=season)
+        filled[offset] = masked.values[j]
+    return filled
 
 
 def arima_forecast_by_hand(fitted, steps: int) -> np.ndarray:

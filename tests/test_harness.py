@@ -7,11 +7,12 @@ from gapgauge import (EvalConfig, GapSpec, ImputerConfig, MetricRecord,
                       aggregate, impute, imputers, jsd, pre_gap_window,
                       rank_agreement, register_imputer, required_history,
                       run_evaluation, synthesize_series, wasserstein_1d)
-from gapgauge.errors import (ConfigError, DegenerateError, GapgaugeError,
+from gapgauge import harness
+from gapgauge.errors import (ConfigError, ContextError, DegenerateError, GapgaugeError,
                              InvalidParameterError, NumericalError)
 from gapgauge.gaps import GapSet, apply_gaps
 from gapgauge.harness import AggregateRow
-from gapgauge.imputers import _REGISTRY, derive_seed, kind_spec
+from gapgauge.imputers import _REGISTRY, KindSpec, derive_seed, kind_spec
 
 from _oracles import jsd_pair, mae_pair, rmse_pair, wasserstein_pair
 
@@ -359,6 +360,10 @@ class TestImputerBoundary:
         # finite values whose distances to any ordinary series overflow
         register_imputer("huge", lambda masked, gap, params, seed:
                          np.resize([-1e308, 1e308], gap.length))
+        register_imputer("column", lambda masked, gap, params, seed:
+                         np.zeros((gap.length, 1)))
+        register_imputer("scalar_on_one", lambda masked, gap, params, seed:
+                         0.0 if gap.length == 1 else np.zeros(gap.length))
 
     def test_failures_recorded_by_code(self):
         series = synthesize_series("seasonal", 3000, {}, seed=1)
@@ -375,6 +380,28 @@ class TestImputerBoundary:
         assert codes == {"nan": {"shape"}, "short": {"shape"},
                          "singular": {"numerical"}, "overflowing": {"numerical"},
                          "polynomial": {None}, "seasonal_naive": {None}}
+
+    def test_column_fill_beside_polynomial_recorded_as_shape_failure(self):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        config = EvalConfig(imputers=[*small_imputers(), ImputerConfig("column", {})],
+                            n_gaps=4, min_len=2, max_len=10, seed=4)
+        report = run_evaluation(series, config)
+        errors = [r.error for r in report.records if r.imputer_id.startswith("column")]
+        assert errors == ["shape: fill must be a 1-D array of gap.length values"] * 4
+        assert not any(r.failed for r in report.records
+                       if not r.imputer_id.startswith("column"))
+
+    def test_scalar_fill_of_a_one_sample_gap_recorded_as_shape_failure(self):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        config = EvalConfig(imputers=[*small_imputers(), ImputerConfig("scalar_on_one", {})],
+                            n_gaps=12, min_len=1, max_len=3, seed=4)
+        report = run_evaluation(series, config)
+        records = [r for r in report.records if r.imputer_id.startswith("scalar_on_one")]
+        assert any(r.gap_len == 1 for r in records) and any(r.gap_len > 1 for r in records)
+        for r in records:
+            assert r.failed == (r.gap_len == 1)
+            if r.failed:
+                assert r.error == "shape: fill must be a 1-D array of gap.length values"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
@@ -457,6 +484,61 @@ class TestImputerBoundary:
                             n_gaps=4, min_len=2, max_len=10, seed=4)
         with pytest.raises(TypeError, match="bug in a fill"):
             run_evaluation(series, config)
+
+
+class TestRowForm:
+    """Kinds with a row form fill every gap of a run in one ``impute`` call."""
+
+    def test_row_outcomes_land_in_their_record_slots(self, monkeypatch):
+        monkeypatch.setattr(imputers, "_REGISTRY", dict(imputers._REGISTRY))
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        calls = []
+
+        def per_gap(masked, gap, params, seed):
+            raise AssertionError("a row kind is not filled gap by gap")
+
+        def rows(masked, gaps, params):
+            calls.append((masked.values.flags.writeable, masked.observed.flags.writeable,
+                          masked.values.tobytes() == series.values.tobytes(),
+                          bool(masked.observed.all()), len(gaps)))
+            outcomes = []
+            for gi, gap in enumerate(gaps):
+                window = slice(gap.start_index, gap.end_index)
+                outcomes.append([ContextError("no context", found=gi),
+                                 np.zeros((gap.length, 1)),
+                                 np.linalg.LinAlgError("Singular matrix"),
+                                 masked.values[window] + 1.0][gi % 4])
+            return outcomes
+
+        imputers._REGISTRY["rows"] = KindSpec(per_gap, reads_seed=False, fill_gaps=rows)
+        config = EvalConfig(imputers=[ImputerConfig("rows", {}), *small_imputers()],
+                            n_gaps=8, min_len=2, max_len=10, seed=4)
+        report = run_evaluation(series, config)
+        assert calls == [(False, False, True, True, 8)]
+        errors = [r.error for r in report.records if r.imputer_id.startswith("rows")]
+        assert errors == ["context: no context",
+                          "shape: fill must be a 1-D array of gap.length values",
+                          "numerical: LinAlgError: Singular matrix", None] * 2
+        ok = [r for r in report.records if r.imputer_id.startswith("rows") and not r.failed]
+        assert all(r.rmse == pytest.approx(1.0) and r.mae == pytest.approx(1.0) for r in ok)
+        assert not any(r.failed for r in report.records if not r.imputer_id.startswith("rows"))
+
+    def test_polynomial_imputed_once_per_imputer(self, monkeypatch):
+        calls = []
+
+        def counting(masked, gap, config, seed=0):
+            calls.append((config.kind, isinstance(gap, GapSpec)))
+            return impute(masked, gap, config, seed)
+
+        monkeypatch.setattr(harness, "impute", counting)
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        config = EvalConfig(imputers=[*small_imputers(),
+                                      ImputerConfig("polynomial", {"order": 1})],
+                            n_gaps=6, min_len=2, max_len=10, seed=4)
+        report = run_evaluation(series, config)
+        assert sorted(calls) == sorted([("polynomial", False)] * 2 +
+                                       [("seasonal_naive", True)] * 6)
+        assert not any(r.failed for r in report.records)
 
 
 class TestEvalConfig:

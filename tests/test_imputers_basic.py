@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from gapgauge import (GapSpec, ImputerConfig, TimeSeries, impute,
                       register_imputer, synthesize_series)
-from gapgauge.errors import (ConfigError, ContextError, InvalidParameterError,
+from gapgauge.errors import (ConfigError, ContextError, DivergenceError, GapgaugeError,
+                             InvalidParameterError, NumericalError,
                              SeasonalReferenceError, ShapeError)
 from gapgauge.imputers import kind_spec
+
+from _oracles import seasonal_naive_walk
 
 
 def masked_series(values, gap):
@@ -84,6 +87,17 @@ class TestPolynomial:
         left_only = polynomial_fill(masked_series(values[:38], gap), gap, order=3)
         assert np.array_equal(fill, left_only)
 
+    @pytest.mark.parametrize("length", [30, 31])
+    def test_right_window_ending_at_series_end_is_not_cut(self, length):
+        # the right window [12, 30) is whole in both series, so its one
+        # observed point is an error, not a reason to extrapolate
+        gap = GapSpec(10, 2)
+        series = masked_series(np.arange(float(length)), gap)
+        series.observed[13:30] = False
+        with pytest.raises(ContextError, match="right of gap") as err:
+            polynomial_fill(series, gap, order=1, context=18)
+        assert err.value.context == {"needed": 2, "found": 1}
+
     def test_masked_right_context_mid_series_still_errors(self):
         gap = GapSpec(10, 3)
         series = masked_series(np.arange(60.0), gap)
@@ -116,7 +130,7 @@ class TestPolynomial:
         left = observed[observed < gap.start_index]
         right = observed[(observed >= gap.end_index) & (observed < gap.end_index + context)]
         uses_right = len(right) > order
-        assume(len(left) > order and (uses_right or gap.end_index + context >= len(values)))
+        assume(len(left) > order and (uses_right or gap.end_index + context > len(values)))
         idx = np.concatenate([left, right]) if uses_right else left
         grid = np.arange(gap.start_index, gap.end_index, dtype=float)
         with warnings.catch_warnings(record=True) as expected_warnings:
@@ -142,6 +156,126 @@ class TestPolynomial:
         assert fill.tobytes() == expected.tobytes()
 
 
+@st.composite
+def _row_cases(draw):
+    """A series with some positions masked and gaps anywhere in it, the
+    series ends included; gaps may overlap one another."""
+    n = draw(st.integers(6, 160))
+    gaps = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.integers(1, min(48, n)))
+        start = draw(st.one_of(st.just(0), st.just(n - length), st.integers(0, n - length)))
+        gaps.append(GapSpec(start, length))
+    params = {"order": draw(st.integers(1, 5)),
+              "context": draw(st.one_of(st.none(), st.integers(1, 12)))}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = TimeSeries.fully_observed(
+        0.0, 3600.0, 10.0 * np.sin(np.arange(n) / 7.0) + rng.standard_normal(n))
+    series.observed[rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.2]))] = False
+    series.values[~series.observed] = np.nan
+    return series, gaps, ImputerConfig("polynomial", params)
+
+
+def _one_gap_outcome(series, gap, config):
+    """``impute`` on a copy of ``series`` with ``gap`` masked too: the fill,
+    or the error it raised."""
+    view = series.copy()
+    view.values[gap.start_index:gap.end_index] = np.nan
+    view.observed[gap.start_index:gap.end_index] = False
+    try:
+        return impute(view, gap, config)
+    except GapgaugeError as exc:
+        return exc
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.tobytes() == b.tobytes()
+    return type(a) is type(b) and str(a) == str(b)
+
+
+class TestPolynomialRows:
+    """The row form, ``impute(series, gaps, config)``, of the polynomial kind."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_row_cases())
+    def test_each_row_equals_the_one_gap_fill(self, case):
+        series, gaps, config = case
+        with warnings.catch_warnings(record=True) as row_warnings:
+            warnings.simplefilter("always")
+            rows = impute(series, gaps, config)
+        with warnings.catch_warnings(record=True) as one_warnings:
+            warnings.simplefilter("always")
+            ones = [_one_gap_outcome(series, gap, config) for gap in gaps]
+        assert len(rows) == len(gaps)
+        assert all(_same_outcome(row, one) for row, one in zip(rows, ones))
+        assert ([w.category for w in row_warnings] ==
+                [w.category for w in one_warnings])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_row_cases(), poison=st.sampled_from([np.nan, 1e300]))
+    def test_a_gap_own_values_are_never_read(self, case, poison):
+        series, gaps, config = case
+        clean = impute(series, gaps, config)
+        for gi, gap in enumerate(gaps):
+            poisoned = series.copy()
+            poisoned.values[gap.start_index:gap.end_index] = poison
+            poisoned.observed[gap.start_index:gap.end_index] = True
+            assert _same_outcome(impute(poisoned, gaps, config)[gi], clean[gi])
+
+    def test_errors_are_returned_per_gap(self, monkeypatch):
+        values = np.sin(np.arange(120.0) / 9.0)
+        values[60] = np.nan  # an observed NaN: that fit is not finite
+        series = TimeSeries.fully_observed(0.0, 3600.0, values)
+        series.observed[95:105] = False
+        gaps = [GapSpec(1, 3), GapSpec(20, 4), GapSpec(56, 3), GapSpec(90, 5),
+                GapSpec(40, 2)]
+        lstsq = np.linalg.lstsq
+
+        def failing_on_the_last(a, b, rcond):
+            if b[0] == values[36]:  # the first left point of gap (40, 2)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return lstsq(a, b, rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing_on_the_last)
+        config = ImputerConfig("polynomial", {"order": 2, "context": 4})
+        rows = impute(series, gaps, config)
+        assert isinstance(rows[1], np.ndarray) and len(rows[1]) == 4
+        assert isinstance(rows[0], ContextError) and "left of gap" in str(rows[0])
+        assert isinstance(rows[2], DivergenceError)
+        assert isinstance(rows[3], ContextError) and "right of gap" in str(rows[3])
+        assert isinstance(rows[4], NumericalError)
+        assert str(rows[4]) == "[numerical] LinAlgError: SVD did not converge (kind='polynomial')"
+        assert isinstance(rows[4].__cause__, np.linalg.LinAlgError)
+        for gap, row in zip(gaps, rows):
+            assert _same_outcome(row, _one_gap_outcome(series, gap, config))
+
+    def test_rank_deficient_rows_warn_once_each(self):
+        order = 40
+        values = np.sin(np.arange(300.0) / 9.0)
+        series = TimeSeries.fully_observed(0.0, 3600.0, values)
+        gaps = [GapSpec(order + 1, 5), GapSpec(150, 2), GapSpec(200, 5)]
+        config = ImputerConfig("polynomial", {"order": order, "context": order + 1})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = impute(series, gaps, config)
+        with warnings.catch_warnings(record=True) as one_caught:
+            warnings.simplefilter("always")
+            ones = [_one_gap_outcome(series, gap, config) for gap in gaps]
+        ranks = [w for w in caught if w.category is np.exceptions.RankWarning]
+        assert len(ranks) == len(one_caught) == 3
+        assert all(_same_outcome(row, one) for row, one in zip(rows, ones))
+
+    def test_no_gaps_no_outcomes(self):
+        series = synthesize_series("seasonal", 300, {}, seed=1)
+        assert impute(series, [], ImputerConfig("polynomial", {})) == []
+
+    def test_row_form_of_a_kind_without_one_rejected(self):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        with pytest.raises(ConfigError, match="one gap per call"):
+            impute(series, [GapSpec(2500, 5)], ImputerConfig("gbt", {}))
+
+
 class TestSeasonalNaive:
     def test_exact_on_periodic_signal(self):
         gap = GapSpec(100, 30)
@@ -164,6 +298,26 @@ class TestSeasonalNaive:
         gap = GapSpec(2, 2)
         with pytest.raises(SeasonalReferenceError):
             seasonal_naive_fill(masked_series(np.arange(30.0), gap), gap, season=24)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 200), season=st.integers(2, 30), length=st.integers(1, 90),
+           start=st.integers(0, 199), dropout=st.sampled_from([0.0, 0.2, 0.6]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_per_position_walk(self, n, season, length, start, dropout, seed):
+        length = min(length, n)
+        gap = GapSpec(min(start, n - length), length)
+        rng = np.random.default_rng(seed)
+        series = masked_series(rng.standard_normal(n), gap)
+        series.observed[rng.random(n) < dropout] = False
+        try:
+            expected = seasonal_naive_walk(series, gap, season)
+        except SeasonalReferenceError as exc:
+            with pytest.raises(SeasonalReferenceError) as err:
+                seasonal_naive_fill(series, gap, season=season)
+            assert err.value.context == exc.context
+        else:
+            assert seasonal_naive_fill(series, gap, season=season).tobytes() == \
+                expected.tobytes()
 
 
 class TestImputerConfig:

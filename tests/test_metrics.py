@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -240,6 +241,17 @@ class TestMetricRecord:
         with pytest.raises(ShapeError):
             MetricRecord(gap_id="g", imputer_id="m", gap_len=2,
                          wd=1.0, jsd=0.1, rmse=np.inf, mae=1.0)
+
+    @pytest.mark.parametrize("bad", [None, math.inf, -math.inf, math.nan,
+                                     np.float64(np.inf), np.float64(np.nan)])
+    @pytest.mark.parametrize("name", ["wd", "jsd", "rmse", "mae"])
+    def test_missing_or_non_finite_metric_rejected(self, name, bad):
+        metrics = dict(wd=1.0, jsd=np.float64(0.1), rmse=2.0, mae=np.float64(1.5))
+        metrics[name] = bad
+        with pytest.raises(ShapeError, match=f"metric {name} must be finite"):
+            MetricRecord(gap_id="g", imputer_id="m", gap_len=2, **metrics)
+        assert not MetricRecord(gap_id="g", imputer_id="m", gap_len=2,
+                                wd=1.0, jsd=np.float64(0.1), rmse=2.0, mae=1.5).failed
 
     def test_error_record_carries_no_metrics(self):
         record = MetricRecord(gap_id="g", imputer_id="m", gap_len=2,
