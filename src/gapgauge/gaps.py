@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (CapacityError, GapConflictError, InvalidParameterError,
                      RangeError, ReferenceWindowError, TrainingWindowError)
-from .series import TimeSeries
+from .series import TimeSeries, is_integer
 
 # Counter-based generator so gap placement is bit-reproducible across
 # platforms; the name is echoed in every report for cross-checking.
@@ -25,6 +25,8 @@ PRNG_ALGORITHM = "philox4x64"
 
 def philox_generator(seed: int) -> np.random.Generator:
     """The generator behind every seeded draw: gap placement, synthesis, GBT."""
+    if not (is_integer(seed) and 0 <= seed < 2**64):
+        raise InvalidParameterError("seed must fit an unsigned 64-bit integer", seed=seed)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -77,6 +79,10 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
     draws, reporting how many gaps were placed, and before any draw when the
     request provably cannot fit.
     """
+    for name, value in dict(series_length=series_length, n_gaps=n_gaps, min_len=min_len,
+                            max_len=max_len, min_start=min_start).items():
+        if not is_integer(value):
+            raise InvalidParameterError(f"{name} must be an integer", **{name: value})
     if not (1 <= min_len <= max_len):
         raise InvalidParameterError("need 1 <= min_len <= max_len",
                                     min_len=min_len, max_len=max_len)
@@ -84,9 +90,7 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
         raise InvalidParameterError("n_gaps must be >= 1", n_gaps=n_gaps)
     if min_start < 0:
         raise InvalidParameterError("min_start must be >= 0", min_start=min_start)
-    if not 0 <= seed < 2**64:
-        raise InvalidParameterError("seed must fit an unsigned 64-bit integer",
-                                    seed=seed)
+    rng = philox_generator(seed)
 
     # Every extended interval spans at least 2 * min_len samples and lies in
     # [max(0, min_start - max_len), series_length); disjoint ones that do not
@@ -98,7 +102,6 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
             placed=0, requested=n_gaps, series_length=series_length,
             min_len=min_len, room=room)
 
-    rng = philox_generator(seed)
     occupied: list[tuple[int, int]] = []  # accepted extended intervals, sorted
     placed: list[GapSpec] = []
     max_attempts = 10_000 * n_gaps

@@ -18,7 +18,7 @@ reserves the largest head-of-series history the imputer kinds declare.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -27,9 +27,9 @@ from .errors import (ConfigError, DegenerateError, GapgaugeError,
                      InvalidParameterError, ShapeError)
 from .gaps import PRNG_ALGORITHM, GapSet, GapSpec, apply_gaps, generate_gaps, pre_gap_window
 from .imputers import ImputerConfig, derive_seed, impute, kind_spec
-from .metrics import METRICS, MetricRecord, jsd, mae, rmse, wasserstein_1d
+from .metrics import JSD_BINS, JSD_EPSILON, METRICS, MetricRecord, jsd, mae, rmse, wasserstein_1d
 from .ranking import kendall, spearman
-from .series import TimeSeries, fits_in_memory, validate
+from .series import TimeSeries, fits_in_memory, is_integer, validate
 
 AGGREGATIONS = ("exact", "quartile")
 METRIC_PAIRINGS = (("wd", "rmse"), ("wd", "mae"), ("jsd", "rmse"), ("jsd", "mae"))
@@ -42,11 +42,14 @@ class EvalConfig:
     min_len: int = 2
     max_len: int = 48
     seed: int = 0
-    bins: int = 10
-    epsilon: float = 1e-6
+    bins: int = JSD_BINS
+    epsilon: float = JSD_EPSILON
     aggregation: str = "exact"
 
     def __post_init__(self):
+        for name in ("n_gaps", "min_len", "max_len", "seed", "bins"):
+            if not is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer", **{name: getattr(self, name)})
         if self.n_gaps < 1:
             raise ConfigError("n_gaps must be >= 1", n_gaps=self.n_gaps)
         if not 1 <= self.min_len <= self.max_len:
@@ -55,15 +58,14 @@ class EvalConfig:
         if not self.imputers:
             raise ConfigError("need at least one imputer")
         if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit an unsigned 64-bit integer",
-                              seed=self.seed)
+            raise ConfigError("seed must fit an unsigned 64-bit integer", seed=self.seed)
         if not 2 <= self.bins < 2**63:
             raise ConfigError("bins must be >= 2 and fit a signed 64-bit integer",
                               bins=self.bins)
         if not fits_in_memory(self.bins + 1, bytes_each=8):
             raise ConfigError("bins + 1 histogram edges exceed physical memory",
                               bins=self.bins)
-        if not 0 < self.epsilon < np.inf:
+        if isinstance(self.epsilon, bool) or not 0 < self.epsilon < np.inf:
             raise ConfigError("epsilon must be finite and > 0", epsilon=self.epsilon)
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError("unknown aggregation rule",
@@ -74,17 +76,11 @@ class EvalConfig:
             raise ConfigError("duplicate imputer configurations", imputer_ids=ids)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_gaps": self.n_gaps,
-            "min_len": self.min_len,
-            "max_len": self.max_len,
-            "seed": self.seed,
-            "bins": self.bins,
-            "epsilon": self.epsilon,
-            "aggregation": self.aggregation,
-            "imputers": [{"kind": c.kind, "params": c.params,
-                          "imputer_id": c.imputer_id} for c in self.imputers],
-        }
+        """Every field in declared order, with the imputers last."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "imputers"}
+        doc["imputers"] = [{"kind": c.kind, "params": c.params,
+                            "imputer_id": c.imputer_id} for c in self.imputers]
+        return doc
 
 
 @dataclass(frozen=True)

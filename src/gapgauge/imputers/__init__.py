@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import (ConfigError, GapgaugeError, InvalidParameterError,
                       NumericalError, ShapeError)
 from ..gaps import GapSpec
-from ..series import TimeSeries
+from ..series import TimeSeries, is_integer
 from .arima import (ArimaOrder, FittedArima, arima_fill, fit_arima, forecast,
                     select_order)
 from .gbt import (GradientBoostedTrees, RegressionTree, causal_features,
@@ -68,10 +68,9 @@ class ParamSpec:
     def normalize(self, value):
         if value is None and self.nullable:
             return None
-        accepted = (int, np.integer) if self.type is int else (
-            int, float, np.integer, np.floating)
         noun = "an integer" if self.type is int else "a finite number"
-        if not isinstance(value, accepted) or isinstance(value, bool):
+        if not (is_integer(value) or (self.type is float
+                                      and isinstance(value, (float, np.floating)))):
             raise InvalidParameterError(f"{self.name} must be {noun}", value=value)
         try:
             value = self.type(value)
@@ -85,6 +84,16 @@ class ParamSpec:
             raise InvalidParameterError(f"{self.name} out of range", value=value,
                                         low=self.low, high=self.high)
         return value
+
+
+def normalize_params(specs: Sequence[ParamSpec], params: dict, owner: str) -> dict:
+    """Each spec's normalized value from ``params`` or its default; a key of
+    ``params`` that no spec names raises ``ConfigError``."""
+    unknown = sorted(set(params) - {spec.name for spec in specs})
+    if unknown:
+        raise ConfigError(f"unknown parameters for {owner}", unknown=unknown)
+    return {spec.name: spec.normalize(params.get(spec.name, spec.default))
+            for spec in specs}
 
 
 def _no_history(params: dict, max_gap_len: int) -> int:
@@ -108,14 +117,6 @@ class KindSpec:
     history: Callable[[dict, int], int] = _no_history
     reads_seed: bool = True
     fill_gaps: Callable | None = None
-
-    def normalize(self, kind: str, params: dict) -> dict:
-        unknown = sorted(set(params) - {spec.name for spec in self.params})
-        if unknown:
-            raise ConfigError(f"unknown parameters for imputer kind {kind!r}",
-                              unknown=unknown)
-        return {spec.name: spec.normalize(params.get(spec.name, spec.default))
-                for spec in self.params}
 
 
 def _train_span_history(params: dict, max_gap_len: int) -> int:
@@ -186,7 +187,8 @@ class ImputerConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.params = kind_spec(self.kind).normalize(self.kind, self.params)
+        self.params = normalize_params(kind_spec(self.kind).params, self.params,
+                                       f"imputer kind {self.kind!r}")
 
     @property
     def imputer_id(self) -> str:

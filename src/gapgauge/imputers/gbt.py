@@ -259,11 +259,12 @@ class GradientBoostedTrees:
         return self
 
     def predict(self, X) -> np.ndarray:
+        """``base`` plus ``learning_rate`` times each tree's prediction, each
+        row summed in tree order through a ``(trees + 1) × rows`` array."""
         X = np.asarray(X, dtype=float)
-        out = np.full(len(X), self.base)
-        for tree in self.stages:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        terms = np.stack([np.full(len(X), self.base), *(t.predict(X) for t in self.stages)])
+        terms[1:] *= self.learning_rate
+        return np.add.accumulate(terms)[-1].copy()
 
 
 def causal_features(values: np.ndarray, hours: np.ndarray,

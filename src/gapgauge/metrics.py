@@ -25,8 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySampleError, InvalidParameterError, InvalidSampleError, ShapeError
+from .series import is_integer
 
 METRICS = ("wd", "jsd", "rmse", "mae")
+# JSD's histogram resolution and smoothing unless a caller or run config sets them.
+JSD_BINS, JSD_EPSILON = 10, 1e-6
 
 
 def _values(sample) -> np.ndarray:
@@ -115,6 +118,8 @@ class Histogram:
 
 
 def _check_histogram_parameters(bins: int, epsilon: float) -> None:
+    if not is_integer(bins):
+        raise InvalidParameterError("bins must be an integer", bins=bins)
     if bins < 2:
         raise InvalidParameterError("bins must be >= 2", bins=bins)
     if not 0 < epsilon < np.inf:
@@ -193,7 +198,8 @@ def _jsd_masses(masses: np.ndarray) -> np.ndarray:
     return 0.5 * against_mixture[0] + 0.5 * against_mixture[1]
 
 
-def shared_histogram(p, q, bins: int = 10, epsilon: float = 1e-6) -> tuple[Histogram, Histogram]:
+def shared_histogram(p, q, bins: int = JSD_BINS,
+                     epsilon: float = JSD_EPSILON) -> tuple[Histogram, Histogram]:
     """Histogram two 1-D samples on one set of edges spanning the pooled range.
 
     A pooled range too narrow to split is widened (see ``jsd``).  Each bin's
@@ -221,7 +227,7 @@ def jsd_histograms(p: Histogram, q: Histogram) -> float:
     return float(_jsd_masses(np.stack([p.mass, q.mass])[:, None])[0])
 
 
-def jsd(p, q, bins: int = 10, epsilon: float = 1e-6):
+def jsd(p, q, bins: int = JSD_BINS, epsilon: float = JSD_EPSILON):
     """Jensen-Shannon divergence between two samples, in [0, 1] (base 2).
 
     Histograms both samples on ``bins`` shared edges over their pooled

@@ -26,6 +26,11 @@ def fits_in_memory(samples: int, bytes_each: int = 9) -> bool:
     return samples * bytes_each <= memory
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or numpy integer; a ``bool`` is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class TimeSeries:
     """Regularly sampled values plus a missing mask.

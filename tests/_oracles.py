@@ -3,8 +3,9 @@
 Nothing here may share code with the library paths under test: the
 transport cost is solved as a coupling problem (permutation enumeration for
 equal sizes, an explicit linear program otherwise), divergences by direct
-summation, forecasts by a hand-rolled recursion, and seasonal-naive fills one
-position at a time.  The one exception is
+summation, forecasts by a hand-rolled recursion, seasonal-naive fills one
+position at a time, and synthetic series by the generator that popped each
+parameter with its default in turn.  The one exception is
 ARIMA order selection: the exhaustive grid reuses the library's
 per-candidate fit, because what it checks is which candidate gets picked.
 """
@@ -17,8 +18,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from gapgauge.errors import (CapacityError, GapgaugeError, SeasonalReferenceError,
-                             SelectionError)
+from gapgauge.errors import (CapacityError, ConfigError, GapgaugeError,
+                             InvalidParameterError, SeasonalReferenceError, SelectionError)
 from gapgauge.gaps import GapSet, GapSpec, philox_generator
 from gapgauge.imputers import arima
 
@@ -398,3 +399,79 @@ def exhaustive_select_and_fit(train, p_max, d_max, q_max, seasonal=None):
         raise SelectionError("no candidate order could be fitted",
                              failures=failures)
     return best[1], failures
+
+
+def _pop_noise_sd(params: dict, default: float) -> float:
+    noise_sd = float(params.pop("noise_sd", default))
+    if not noise_sd >= 0:
+        raise InvalidParameterError("noise_sd must be >= 0", noise_sd=noise_sd)
+    return noise_sd
+
+
+def synthesized_values_by_pops(kind, length, params=None, seed=0, step=3600.0,
+                               start_time=1_609_459_200) -> np.ndarray:
+    """The values of ``synthesize_series`` as first written: each default
+    and range check in a chain of ``params.pop`` calls, and an unknown key
+    reported only after the values were generated.  Its check of lengths
+    beyond memory is left out."""
+    if length < 1:
+        raise InvalidParameterError("length must be >= 1", length=length)
+    for key, value in {**(params or {}), "start_time": start_time, "step": step}.items():
+        if not np.isfinite(value):
+            raise InvalidParameterError(f"{key} must be finite", value=value)
+    if not step > 0:
+        raise InvalidParameterError("step must be > 0", step=step)
+    params = dict(params or {})
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    i = np.arange(length, dtype=float)
+
+    if kind == "constant":
+        values = np.full(length, float(params.pop("value", 5.0)))
+    elif kind == "sine":
+        amplitude = float(params.pop("amplitude", 1.0))
+        period = float(params.pop("period", 24.0))
+        if not period > 0:
+            raise InvalidParameterError("sine period must be > 0", period=period)
+        phase = float(params.pop("phase", 0.0))
+        offset = float(params.pop("offset", 0.0))
+        noise_sd = _pop_noise_sd(params, 0.0)
+        values = offset + amplitude * np.sin(2.0 * np.pi * i / period + phase)
+        if noise_sd > 0:
+            values = values + noise_sd * rng.standard_normal(length)
+    elif kind == "ar1":
+        coefficient = float(params.pop("coefficient", 0.8))
+        intercept = float(params.pop("intercept", 0.0))
+        noise_sd = _pop_noise_sd(params, 1.0)
+        if not -1.0 < coefficient < 1.0:
+            raise InvalidParameterError("ar1 coefficient must lie in (-1, 1)",
+                                        coefficient=coefficient)
+        noise = noise_sd * rng.standard_normal(length)
+        values = np.empty(length)
+        values[0] = intercept / (1.0 - coefficient) + noise[0]
+        for t in range(1, length):
+            values[t] = intercept + coefficient * values[t - 1] + noise[t]
+    elif kind == "seasonal":
+        base = float(params.pop("base", 120.0))
+        daily_amplitude = float(params.pop("daily_amplitude", 60.0))
+        weekly_amplitude = float(params.pop("weekly_amplitude", 25.0))
+        yearly_amplitude = float(params.pop("yearly_amplitude", 0.0))
+        harmonic2 = float(params.pop("harmonic2", 0.45))
+        harmonic3 = float(params.pop("harmonic3", 0.20))
+        noise_sd = _pop_noise_sd(params, 8.0)
+        samples_per_day = 86400.0 / step
+        phase = 2.0 * np.pi * i / samples_per_day
+        daily = (0.60 * np.sin(phase - 0.6)
+                 + harmonic2 * np.sin(2.0 * phase + 0.8)
+                 + harmonic3 * np.sin(3.0 * phase + 0.2))
+        values = (base
+                  + daily_amplitude * daily
+                  + weekly_amplitude * np.sin(phase / 7.0 + 0.3)
+                  + yearly_amplitude * np.sin(phase / 365.25 + 1.1))
+        if noise_sd > 0:
+            values = values + noise_sd * rng.standard_normal(length)
+    else:
+        raise ConfigError(f"unknown series kind {kind!r}")
+
+    if params:
+        raise ConfigError(f"unknown parameters for kind {kind!r}", unknown=sorted(params))
+    return values

@@ -104,6 +104,15 @@ class TestSynthAndIngest:
         with pytest.raises(SystemExit):
             main(["synth", "--kind", "fractal", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_synth_seed_outside_64_unsigned_bits_exits_one(self, tmp_path, capsys, seed):
+        assert main(["synth", "--length", "100", "--out", str(tmp_path),
+                     "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [invalid-parameter] seed must fit")
+        assert "Traceback" not in err
+        assert not (tmp_path / "series.csv").exists()
+
     @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
     def test_synth_bad_param_exits_one(self, tmp_path, capsys, value):
         assert main(["synth", "--length", "100", "--out", str(tmp_path),

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from gapgauge import (GapSet, GapSpec, TimeSeries, apply_gaps,
                       generate_gaps, pre_gap_window)
-from gapgauge.errors import (CapacityError, GapConflictError,
+from gapgauge.errors import (CapacityError, GapConflictError, InvalidParameterError,
                              RangeError, ReferenceWindowError)
+from gapgauge.gaps import philox_generator
 
 from _oracles import reference_gap_placement
 
@@ -30,6 +31,24 @@ class TestGenerateGaps:
         assert first == second
         assert len(first) == 100
         assert extended_intervals_disjoint(first)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"min_len": 2.5}, {"max_len": 48.0}, {"n_gaps": 3.5}, {"n_gaps": True},
+        {"min_start": 1.5}, {"series_length": 1000.0}])
+    def test_count_that_is_not_an_integer_rejected(self, kwargs):
+        args = dict(series_length=1000, n_gaps=3, min_len=2, max_len=48, seed=0)
+        name, = kwargs
+        with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+            generate_gaps(**{**args, **kwargs})
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, 2**64])
+    def test_seed_outside_64_unsigned_bits_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed must fit"):
+            generate_gaps(1000, 3, 2, 48, seed=seed)
+
+    def test_bad_seed_reported_before_an_infeasible_request(self):
+        with pytest.raises(InvalidParameterError, match="seed must fit"):
+            generate_gaps(10, 30, 20, 24, seed=-1)
 
     def test_single_gap_bounds(self):
         gap_set = generate_gaps(10, 1, 2, 2, seed=1)
@@ -204,3 +223,15 @@ class TestPreGapWindow:
         masked, _ = apply_gaps(series, gap_set)
         for gap in gap_set:
             assert len(pre_gap_window(masked, gap)) == gap.length
+
+
+class TestPhiloxGenerator:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(7), np.int64(7)])
+    def test_every_64_bit_unsigned_integer_keys_a_generator(self, seed):
+        expected = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        assert philox_generator(seed).integers(2**63) == expected.integers(2**63)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.0, True, np.float64(3), "3", None])
+    def test_other_seeds_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed must fit"):
+            philox_generator(seed)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -556,6 +557,35 @@ class TestEvalConfig:
         for epsilon in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="epsilon"):
                 EvalConfig(imputers=small_imputers(), epsilon=epsilon)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_gaps", 3.5), ("n_gaps", True), ("min_len", 2.5), ("max_len", 48.0),
+        ("seed", 1.5), ("seed", True), ("bins", 10.5), ("bins", np.float64(10))])
+    def test_count_or_seed_that_is_not_an_integer_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer") as err:
+            EvalConfig(imputers=small_imputers(), **{field: value})
+        assert err.value.context == {field: value}
+
+    @pytest.mark.parametrize("epsilon", [True, False])
+    def test_bool_epsilon_rejected(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon"):
+            EvalConfig(imputers=small_imputers(), epsilon=epsilon)
+
+    def test_numpy_integers_accepted(self):
+        config = EvalConfig(imputers=small_imputers(), n_gaps=np.int64(5),
+                            seed=np.uint64(2**64 - 1), bins=np.int32(12))
+        assert config.n_gaps == 5 and config.bins == 12
+
+    def test_json_document_pinned(self):
+        config = EvalConfig(imputers=small_imputers(), n_gaps=7, seed=2**64 - 1,
+                            epsilon=0.25)
+        assert json.dumps(config.to_json_dict()) == (
+            '{"n_gaps": 7, "min_len": 2, "max_len": 48, "seed": 18446744073709551615, '
+            '"bins": 10, "epsilon": 0.25, "aggregation": "exact", "imputers": ['
+            '{"kind": "polynomial", "params": {"order": 2, "context": 8}, '
+            '"imputer_id": "polynomial-69326f52"}, '
+            '{"kind": "seasonal_naive", "params": {"season": 24}, '
+            '"imputer_id": "seasonal_naive-2bcdc8c9"}]}')
 
     def test_duplicate_imputers_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -290,6 +290,25 @@ class TestBoosting:
             rng=np.random.Generator(np.random.Philox(key=np.uint64(9)))).fit(x, y)
         assert np.array_equal(a.predict(x), b.predict(x))
 
+    @pytest.mark.parametrize("rows", [0, 1, 7, 500])
+    @pytest.mark.parametrize("trees,learning_rate,subsample", [
+        (1, 1.0, 1.0), (13, 0.1, 1.0), (40, 0.37, 0.6)])
+    def test_predict_equals_the_per_tree_sum(self, rows, trees, learning_rate, subsample):
+        rng = np.random.default_rng(trees)
+        x = rng.normal(size=(200, 3))
+        y = 40.0 * np.sin(x[:, 0]) + x[:, 1] ** 3 + rng.normal(size=200)
+        model = GradientBoostedTrees(
+            trees=trees, max_depth=3, learning_rate=learning_rate, subsample=subsample,
+            rng=np.random.Generator(np.random.Philox(key=np.uint64(5)))).fit(x, y)
+        z = rng.normal(size=(rows, 3)) * 2.0
+        expected = np.full(rows, model.base)
+        for tree in model.stages:
+            expected += model.learning_rate * tree.predict(z)
+        predicted = model.predict(z)
+        assert predicted.shape == (rows,)
+        assert predicted.tobytes() == expected.tobytes()
+        assert predicted.base is None  # owns its values, keeps no buffer alive
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             GradientBoostedTrees(trees=0)

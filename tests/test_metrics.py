@@ -134,6 +134,13 @@ class TestSharedHistogram:
         wiggled = base + 3e-15
         assert jsd(base, wiggled) <= 1e-6
 
+    @pytest.mark.parametrize("bins", [10.5, 10.0, True])
+    def test_bins_that_is_not_an_integer_rejected(self, bins):
+        with pytest.raises(InvalidParameterError, match="bins must be an integer"):
+            shared_histogram([1.0, 3.0], [2.0], bins=bins)
+        with pytest.raises(InvalidParameterError, match="bins must be an integer"):
+            jsd([1.0, 3.0], [2.0], bins=bins)
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             shared_histogram([1.0], [2.0], bins=1)

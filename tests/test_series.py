@@ -3,6 +3,7 @@ import pytest
 
 from gapgauge import TimeSeries, slice_series, validate
 from gapgauge.errors import RangeError
+from gapgauge.series import is_integer
 
 
 def hourly(values, observed=None, start=0.0, step=3600.0):
@@ -93,3 +94,15 @@ class TestSlice:
             assert np.array_equal(direct.values, nested.values)
             assert np.array_equal(direct.observed, nested.observed)
 
+
+
+class TestIsInteger:
+    @pytest.mark.parametrize("value", [0, -3, 2**70, np.int64(5), np.uint64(2**64 - 1),
+                                       np.int8(-1)])
+    def test_integers_pass(self, value):
+        assert is_integer(value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 1.0, 2.5, np.float64(1),
+                                       "1", None, np.array(1)])
+    def test_bools_floats_and_others_fail(self, value):
+        assert not is_integer(value)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapgauge import synthesize_series, validate
-from gapgauge.errors import ConfigError, InvalidParameterError
+from gapgauge import SERIES_KINDS, synthesize_series, validate
+from gapgauge.errors import ConfigError, GapgaugeError, InvalidParameterError
+
+from _oracles import synthesized_values_by_pops
 
 
 class TestSynthesizeSeries:
@@ -85,3 +89,98 @@ class TestSynthesizeSeries:
                                    seed=1, step=900.0)
         by_slot = series.values.reshape(-1, 96).mean(axis=0)
         assert by_slot.max() - by_slot.min() > 30.0
+
+
+_KEYS = {
+    "constant": ("value",),
+    "sine": ("amplitude", "period", "phase", "offset", "noise_sd"),
+    "ar1": ("coefficient", "intercept", "noise_sd"),
+    "seasonal": ("base", "daily_amplitude", "weekly_amplitude", "yearly_amplitude",
+                 "harmonic2", "harmonic3", "noise_sd"),
+}
+_PARAM_VALUES = st.one_of(
+    st.floats(-50.0, 50.0), st.integers(-3, 3),
+    st.sampled_from([0.0, -1.0, 1.0, -1.5, np.float64(0.5), np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def _synth_calls(draw):
+    kind = draw(st.sampled_from(SERIES_KINDS))
+    keys = draw(st.lists(st.sampled_from(_KEYS[kind]), unique=True))
+    params = {key: draw(_PARAM_VALUES) for key in keys}
+    kwargs = dict(seed=draw(st.integers(0, 2**64 - 1)),
+                  step=draw(st.sampled_from([3600.0, 900.0, 60, 0.0, -5.0, np.nan])),
+                  start_time=draw(st.sampled_from([1_609_459_200, 0.0, -7.5, np.nan, np.inf])))
+    return kind, draw(st.integers(-2, 120)), params, kwargs
+
+
+class TestAgainstThePoppingGenerator:
+    @settings(max_examples=400, deadline=None)
+    @given(_synth_calls())
+    def test_values_bit_identical_and_bad_values_rejected_alike(self, call):
+        kind, length, params, kwargs = call
+        try:
+            expected = synthesized_values_by_pops(kind, length, params, **kwargs)
+        except GapgaugeError as exc:
+            with pytest.raises(type(exc)):
+                synthesize_series(kind, length, params, **kwargs)
+            return
+        series = synthesize_series(kind, length, params, **kwargs)
+        assert series.values.tobytes() == expected.tobytes()
+        assert series.start_time is kwargs["start_time"]
+        assert series.step is kwargs["step"]
+
+    def test_defaults_and_protocol_parameters_bit_identical(self):
+        protocol = {"daily_amplitude": 50.0, "weekly_amplitude": 4.0, "yearly_amplitude": 40.0,
+                    "harmonic2": 0.30, "harmonic3": 0.08, "noise_sd": 3.0}
+        for kind, params in [*((kind, {}) for kind in SERIES_KINDS), ("seasonal", protocol)]:
+            series = synthesize_series(kind, 5_000, params, seed=3)
+            expected = synthesized_values_by_pops(kind, 5_000, params, seed=3)
+            assert series.values.tobytes() == expected.tobytes()
+
+    def test_default_start_time_kept_as_an_integer(self):
+        # report.json's provenance prints the series' start_time as given
+        assert repr(synthesize_series("constant", 3).start_time) == "1609459200"
+
+
+class TestParameterTables:
+    def test_kinds_are_the_table_keys_in_order(self):
+        assert SERIES_KINDS == ("constant", "sine", "ar1", "seasonal")
+
+    def test_unknown_key_reported_before_range_checks(self):
+        # the popping generator raised InvalidParameterError for the period
+        with pytest.raises(ConfigError, match="unknown parameters for kind 'sine'"):
+            synthesize_series("sine", 50, {"period": -1.0, "bogus": 1.0})
+
+    def test_unknown_kind_reported_before_argument_checks(self):
+        with pytest.raises(ConfigError, match="unknown series kind"):
+            synthesize_series("brownian", 0, {}, seed=-1)
+
+    @pytest.mark.parametrize("params", [{"value": True}, {"value": "5"}, {"value": None}])
+    def test_parameter_that_is_not_a_number_rejected(self, params):
+        with pytest.raises(InvalidParameterError, match="value must be a finite number"):
+            synthesize_series("constant", 10, params)
+
+    @pytest.mark.parametrize("coefficient", [1.0, -1.0, 1.5, -2.0])
+    def test_ar1_coefficient_outside_the_open_interval_rejected(self, coefficient):
+        with pytest.raises(InvalidParameterError):
+            synthesize_series("ar1", 10, {"coefficient": coefficient})
+
+    @pytest.mark.parametrize("length", [10.5, 10.0, np.float64(10), True, "10"])
+    def test_length_that_is_not_an_integer_rejected(self, length):
+        with pytest.raises(InvalidParameterError, match="length must be an integer"):
+            synthesize_series("seasonal", length)
+
+    def test_numpy_integer_length_accepted(self):
+        assert len(synthesize_series("seasonal", np.int64(12))) == 12
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, 2**64, "1"])
+    def test_seed_that_is_not_a_64_bit_unsigned_integer_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed must fit"):
+            synthesize_series("seasonal", 10, seed=seed)
+
+    @pytest.mark.parametrize("kwargs", [{"step": "3600"}, {"step": True},
+                                        {"start_time": None}, {"start_time": 1e400}])
+    def test_step_and_start_time_must_be_finite_numbers(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            synthesize_series("seasonal", 10, **kwargs)
