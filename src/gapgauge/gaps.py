@@ -16,18 +16,25 @@ import numpy as np
 
 from .errors import (CapacityError, GapConflictError, InvalidParameterError,
                      RangeError, ReferenceWindowError, TrainingWindowError)
-from .series import TimeSeries, is_integer
+from .series import ParamSpec, TimeSeries
 
 # Counter-based generator so gap placement is bit-reproducible across
 # platforms; the name is echoed in every report for cross-checking.
 PRNG_ALGORITHM = "philox4x64"
 
+# The numbers of a gap request; a run's settings (EvalConfig) check theirs
+# through the same specs and take their defaults.
+N_GAPS = ParamSpec("n_gaps", int, 100, low=1)
+MIN_LEN = ParamSpec("min_len", int, 2, low=1)
+MAX_LEN = ParamSpec("max_len", int, 48, low=1)
+SEED = ParamSpec("seed", int, 0, low=0, high=2**64 - 1)
+_SERIES_LENGTH = ParamSpec("series_length", int, None)
+_MIN_START = ParamSpec("min_start", int, 0, low=0)
+
 
 def philox_generator(seed: int) -> np.random.Generator:
     """The generator behind every seeded draw: gap placement, synthesis, GBT."""
-    if not (is_integer(seed) and 0 <= seed < 2**64):
-        raise InvalidParameterError("seed must fit an unsigned 64-bit integer", seed=seed)
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return np.random.Generator(np.random.Philox(key=np.uint64(SEED.normalize(seed))))
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class GapSet:
 
 
 def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
-                  seed: int, min_start: int = 0) -> GapSet:
+                  seed: int, min_start: int = _MIN_START.default) -> GapSet:
     """Place ``n_gaps`` disjoint gaps by rejection sampling.
 
     Lengths are drawn uniformly from [min_len, max_len] and starts uniformly
@@ -75,21 +82,19 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
     result is a pure function of the arguments.  ``min_start`` lets a caller
     reserve head-of-series history, e.g. for model training windows.
 
-    Raises :class:`CapacityError` after ``10_000 * n_gaps`` total rejected
-    draws, reporting how many gaps were placed, and before any draw when the
+    Each count is checked by its ``ParamSpec`` and the seed by
+    :func:`philox_generator` (``InvalidParameterError``).  Raises
+    :class:`CapacityError` after ``10_000 * n_gaps`` total rejected draws,
+    reporting how many gaps were placed, and before any draw when the
     request provably cannot fit.
     """
-    for name, value in dict(series_length=series_length, n_gaps=n_gaps, min_len=min_len,
-                            max_len=max_len, min_start=min_start).items():
-        if not is_integer(value):
-            raise InvalidParameterError(f"{name} must be an integer", **{name: value})
-    if not (1 <= min_len <= max_len):
-        raise InvalidParameterError("need 1 <= min_len <= max_len",
+    series_length, n_gaps, min_len, max_len, min_start = (
+        spec.normalize(value) for spec, value in zip(
+            (_SERIES_LENGTH, N_GAPS, MIN_LEN, MAX_LEN, _MIN_START),
+            (series_length, n_gaps, min_len, max_len, min_start)))
+    if min_len > max_len:
+        raise InvalidParameterError("need min_len <= max_len",
                                     min_len=min_len, max_len=max_len)
-    if n_gaps < 1:
-        raise InvalidParameterError("n_gaps must be >= 1", n_gaps=n_gaps)
-    if min_start < 0:
-        raise InvalidParameterError("min_start must be >= 0", min_start=min_start)
     rng = philox_generator(seed)
 
     # Every extended interval spans at least 2 * min_len samples and lies in

@@ -25,48 +25,51 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateError, GapgaugeError,
                      InvalidParameterError, ShapeError)
-from .gaps import PRNG_ALGORITHM, GapSet, GapSpec, apply_gaps, generate_gaps, pre_gap_window
+from .gaps import (MAX_LEN, MIN_LEN, N_GAPS, PRNG_ALGORITHM, SEED, GapSet, GapSpec,
+                   apply_gaps, generate_gaps, pre_gap_window)
 from .imputers import ImputerConfig, derive_seed, impute, kind_spec
-from .metrics import JSD_BINS, JSD_EPSILON, METRICS, MetricRecord, jsd, mae, rmse, wasserstein_1d
+from .metrics import BINS, EPSILON, METRICS, MetricRecord, jsd, mae, rmse, wasserstein_1d
 from .ranking import kendall, spearman
-from .series import TimeSeries, fits_in_memory, is_integer, validate
+from .series import TimeSeries, fits_in_memory, validate
 
 AGGREGATIONS = ("exact", "quartile")
 METRIC_PAIRINGS = (("wd", "rmse"), ("wd", "mae"), ("jsd", "rmse"), ("jsd", "mae"))
+# The numeric settings, each checked by the spec of the module that reads it.
+_SETTINGS = (N_GAPS, MIN_LEN, MAX_LEN, SEED, BINS, EPSILON)
 
 
 @dataclass
 class EvalConfig:
+    """A run's settings.  Each numeric one is stored as its spec normalizes
+    it, a Python ``int`` or ``float``; a value the spec rejects raises
+    ``ConfigError`` keyed by the field's name.  The rules across fields run
+    after every spec."""
+
     imputers: list[ImputerConfig]
-    n_gaps: int = 100
-    min_len: int = 2
-    max_len: int = 48
-    seed: int = 0
-    bins: int = JSD_BINS
-    epsilon: float = JSD_EPSILON
+    n_gaps: int = N_GAPS.default
+    min_len: int = MIN_LEN.default
+    max_len: int = MAX_LEN.default
+    seed: int = SEED.default
+    bins: int = BINS.default
+    epsilon: float = EPSILON.default
     aggregation: str = "exact"
 
     def __post_init__(self):
-        for name in ("n_gaps", "min_len", "max_len", "seed", "bins"):
-            if not is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer", **{name: getattr(self, name)})
-        if self.n_gaps < 1:
-            raise ConfigError("n_gaps must be >= 1", n_gaps=self.n_gaps)
-        if not 1 <= self.min_len <= self.max_len:
-            raise ConfigError("need 1 <= min_len <= max_len",
-                              min_len=self.min_len, max_len=self.max_len)
+        for spec in _SETTINGS:
+            value = getattr(self, spec.name)
+            try:
+                setattr(self, spec.name, spec.normalize(value))
+            except InvalidParameterError as exc:
+                bounds = {k: v for k, v in exc.context.items() if k != "value"}
+                raise ConfigError(exc.message, **{spec.name: value}, **bounds) from None
         if not self.imputers:
             raise ConfigError("need at least one imputer")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit an unsigned 64-bit integer", seed=self.seed)
-        if not 2 <= self.bins < 2**63:
-            raise ConfigError("bins must be >= 2 and fit a signed 64-bit integer",
-                              bins=self.bins)
+        if self.min_len > self.max_len:
+            raise ConfigError("need min_len <= max_len",
+                              min_len=self.min_len, max_len=self.max_len)
         if not fits_in_memory(self.bins + 1, bytes_each=8):
             raise ConfigError("bins + 1 histogram edges exceed physical memory",
                               bins=self.bins)
-        if isinstance(self.epsilon, bool) or not 0 < self.epsilon < np.inf:
-            raise ConfigError("epsilon must be finite and > 0", epsilon=self.epsilon)
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError("unknown aggregation rule",
                               aggregation=self.aggregation, known=AGGREGATIONS)

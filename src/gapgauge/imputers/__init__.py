@@ -4,10 +4,11 @@ Every imputer consumes a masked series plus a gap spec and returns exactly
 ``gap.length`` finite values.  Each method, built-in or added through
 :func:`register_imputer`, registers under a ``kind`` string as one
 :class:`KindSpec`: its ``fill(masked, gap, params, seed)``, a table of
-:class:`ParamSpec` entries holding each default and range, and a history
-hook.  Parameter validation and normalization, hour-form config keys and
-head-of-series history reservation all derive from that one declaration,
-so equal configurations always produce equal ``imputer_id`` strings.
+:class:`ParamSpec` entries holding each default and range (a built-in
+kind's table lives in its own module), and a history hook.  Parameter
+validation and normalization, hour-form config keys and head-of-series
+history reservation all derive from that one declaration, so equal
+configurations always produce equal ``imputer_id`` strings.
 ``impute(masked, gap, ImputerConfig(kind, params), seed)`` runs any kind on
 one gap, and a kind with a row form (``fill_gaps``) on a sequence of gaps.
 """
@@ -16,22 +17,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import (ConfigError, GapgaugeError, InvalidParameterError,
-                      NumericalError, ShapeError)
+from ..errors import ConfigError, GapgaugeError, NumericalError, ShapeError
 from ..gaps import GapSpec
-from ..series import TimeSeries, is_integer
-from .arima import (ArimaOrder, FittedArima, arima_fill, fit_arima, forecast,
-                    select_order)
-from .gbt import (GradientBoostedTrees, RegressionTree, causal_features,
-                  gbt_fill)
-from .polynomial import polynomial_fill, polynomial_fill_gaps, polynomial_reach
-from .seasonal import seasonal_naive_fill, seasonal_reach
+from ..series import ParamSpec, TimeSeries, normalize_params
+from . import gbt, polynomial, seasonal
+from .arima import (ARIMA_PARAMS, SARIMA_PARAMS, ArimaOrder, FittedArima, arima_fill,
+                    fit_arima, forecast, select_order)
+from .gbt import GradientBoostedTrees, RegressionTree, causal_features
 
 __all__ = [
     "ArimaOrder", "FittedArima", "GradientBoostedTrees", "ImputerConfig",
@@ -45,55 +42,6 @@ def derive_seed(master: int, *parts: int) -> int:
     """Deterministic, platform-stable child seed for one (gap, imputer) job."""
     state = np.random.SeedSequence([int(master), *map(int, parts)]).generate_state(1)
     return int(state[0])
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    """One imputer parameter: its type, default and accepted range.
-
-    ``type`` is ``int`` or ``float``.  ``low`` is exclusive when
-    ``low_open`` is set; ``high`` is always inclusive.  ``nullable`` admits
-    ``None``; ``hours`` lets a config file give the value as ``<name>_hours``.
-    """
-
-    name: str
-    type: type
-    default: object
-    low: float | None = None
-    high: float | None = None
-    low_open: bool = False
-    nullable: bool = False
-    hours: bool = False
-
-    def normalize(self, value):
-        if value is None and self.nullable:
-            return None
-        noun = "an integer" if self.type is int else "a finite number"
-        if not (is_integer(value) or (self.type is float
-                                      and isinstance(value, (float, np.floating)))):
-            raise InvalidParameterError(f"{self.name} must be {noun}", value=value)
-        try:
-            value = self.type(value)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if not -math.inf < value < math.inf:
-            raise InvalidParameterError(f"{self.name} must be {noun}", value=value)
-        low_ok = self.low is None or (
-            value > self.low if self.low_open else value >= self.low)
-        if not low_ok or (self.high is not None and value > self.high):
-            raise InvalidParameterError(f"{self.name} out of range", value=value,
-                                        low=self.low, high=self.high)
-        return value
-
-
-def normalize_params(specs: Sequence[ParamSpec], params: dict, owner: str) -> dict:
-    """Each spec's normalized value from ``params`` or its default; a key of
-    ``params`` that no spec names raises ``ConfigError``."""
-    unknown = sorted(set(params) - {spec.name for spec in specs})
-    if unknown:
-        raise ConfigError(f"unknown parameters for {owner}", unknown=unknown)
-    return {spec.name: spec.normalize(params.get(spec.name, spec.default))
-            for spec in specs}
 
 
 def _no_history(params: dict, max_gap_len: int) -> int:
@@ -123,40 +71,15 @@ def _train_span_history(params: dict, max_gap_len: int) -> int:
     return params["train_span"]
 
 
-_ARIMA_PARAMS = (
-    ParamSpec("train_span", int, 1008, low=20, hours=True),
-    ParamSpec("p_max", int, 3, low=0),
-    ParamSpec("d_max", int, 2, low=0),
-    ParamSpec("q_max", int, 3, low=0),
-)
-
 _REGISTRY: dict[str, KindSpec] = {
-    "polynomial": KindSpec(
-        polynomial_fill,
-        (ParamSpec("order", int, 3, low=1),
-         ParamSpec("context", int, None, low=1, nullable=True, hours=True)),
-        polynomial_reach, reads_seed=False, fill_gaps=polynomial_fill_gaps),
-    "seasonal_naive": KindSpec(
-        seasonal_naive_fill, (ParamSpec("season", int, 24, low=2, hours=True),),
-        seasonal_reach, reads_seed=False),
-    "arima": KindSpec(arima_fill, _ARIMA_PARAMS, _train_span_history, reads_seed=False),
-    "sarima": KindSpec(
-        arima_fill,
-        _ARIMA_PARAMS + (ParamSpec("P_max", int, 1, low=0),
-                         ParamSpec("D_max", int, 1, low=0),
-                         ParamSpec("Q_max", int, 1, low=0),
-                         ParamSpec("season", int, 24, low=2, hours=True)),
-        _train_span_history, reads_seed=False),
-    "gbt": KindSpec(
-        gbt_fill,
-        (ParamSpec("train_span", int, 8760, low=2, hours=True),
-         ParamSpec("trees", int, 100, low=1),
-         ParamSpec("max_depth", int, 4, low=1),
-         ParamSpec("learning_rate", float, 0.1, low=0.0, high=1.0, low_open=True),
-         ParamSpec("subsample", float, 1.0, low=0.0, high=1.0, low_open=True),
-         ParamSpec("sma_window", int, 24, low=1, hours=True),
-         ParamSpec("ewma_alpha", float, 0.3, low=0.0, high=1.0, low_open=True)),
-        _train_span_history),
+    "polynomial": KindSpec(polynomial.polynomial_fill, polynomial.PARAMS,
+                           polynomial.polynomial_reach, reads_seed=False,
+                           fill_gaps=polynomial.polynomial_fill_gaps),
+    "seasonal_naive": KindSpec(seasonal.seasonal_naive_fill, seasonal.PARAMS,
+                               seasonal.seasonal_reach, reads_seed=False),
+    "arima": KindSpec(arima_fill, ARIMA_PARAMS, _train_span_history, reads_seed=False),
+    "sarima": KindSpec(arima_fill, SARIMA_PARAMS, _train_span_history, reads_seed=False),
+    "gbt": KindSpec(gbt.gbt_fill, gbt.PARAMS, _train_span_history),
 }
 
 

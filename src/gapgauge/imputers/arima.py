@@ -32,7 +32,14 @@ from ..errors import (DivergenceError, GapgaugeError, InvalidParameterError,
                       RankDeficiencyError, SelectionError, TrainingError,
                       TrainingWindowError)
 from ..gaps import GapSpec, training_window_start
-from ..series import TimeSeries, slice_series
+from ..series import ParamSpec, TimeSeries, slice_series
+
+ARIMA_PARAMS = (ParamSpec("train_span", int, 1008, low=20, hours=True),
+                ParamSpec("p_max", int, 3, low=0), ParamSpec("d_max", int, 2, low=0),
+                ParamSpec("q_max", int, 3, low=0))
+SARIMA_PARAMS = ARIMA_PARAMS + (
+    ParamSpec("P_max", int, 1, low=0), ParamSpec("D_max", int, 1, low=0),
+    ParamSpec("Q_max", int, 1, low=0), ParamSpec("season", int, 24, low=2, hours=True))
 
 # Screened AICs this close to the screened best are refitted exactly.  Half
 # of it bounds the screen's error on any candidate not refitted regardless.

@@ -13,7 +13,16 @@ import numpy as np
 
 from ..errors import DivergenceError, InvalidParameterError, TrainingError
 from ..gaps import GapSpec, philox_generator, training_window_start
-from ..series import TimeSeries
+from ..series import ParamSpec, TimeSeries
+
+PARAMS = (ParamSpec("train_span", int, 8760, low=2, hours=True),
+          ParamSpec("trees", int, 100, low=1),
+          ParamSpec("max_depth", int, 4, low=1),
+          ParamSpec("learning_rate", float, 0.1, low=0.0, high=1.0, low_open=True),
+          ParamSpec("subsample", float, 1.0, low=0.0, high=1.0, low_open=True),
+          ParamSpec("sma_window", int, 24, low=1, hours=True),
+          ParamSpec("ewma_alpha", float, 0.3, low=0.0, high=1.0, low_open=True))
+_SPEC = {spec.name: spec for spec in PARAMS}
 
 
 class RegressionTree:
@@ -41,10 +50,8 @@ class RegressionTree:
       Children at ``max_depth`` are leaves and read only the row indices.
     """
 
-    def __init__(self, max_depth: int = 4):
-        if max_depth < 1:
-            raise InvalidParameterError("max_depth must be >= 1", max_depth=max_depth)
-        self.max_depth = max_depth
+    def __init__(self, max_depth: int = _SPEC["max_depth"].default):
+        self.max_depth = _SPEC["max_depth"].normalize(max_depth)
         self._feature: list[int] = []
         self._threshold: list[float] = []
         self._left: list[int] = []
@@ -208,21 +215,15 @@ class GradientBoostedTrees:
     """Stagewise least-squares boosting: start from the target mean, then
     repeatedly fit a tree to the residuals and step by ``learning_rate``."""
 
-    def __init__(self, trees: int = 100, max_depth: int = 4,
-                 learning_rate: float = 0.1, subsample: float = 1.0,
+    def __init__(self, trees: int = _SPEC["trees"].default,
+                 max_depth: int = _SPEC["max_depth"].default,
+                 learning_rate: float = _SPEC["learning_rate"].default,
+                 subsample: float = _SPEC["subsample"].default,
                  rng: np.random.Generator | None = None):
-        if trees < 1:
-            raise InvalidParameterError("trees must be >= 1", trees=trees)
-        if not 0.0 < learning_rate <= 1.0:
-            raise InvalidParameterError("learning_rate must lie in (0, 1]",
-                                        learning_rate=learning_rate)
-        if not 0.0 < subsample <= 1.0:
-            raise InvalidParameterError("subsample must lie in (0, 1]",
-                                        subsample=subsample)
-        self.trees = trees
-        self.max_depth = max_depth
-        self.learning_rate = learning_rate
-        self.subsample = subsample
+        self.trees = _SPEC["trees"].normalize(trees)
+        self.max_depth = _SPEC["max_depth"].normalize(max_depth)
+        self.learning_rate = _SPEC["learning_rate"].normalize(learning_rate)
+        self.subsample = _SPEC["subsample"].normalize(subsample)
         self.rng = rng
         self.base = 0.0
         self.stages: list[RegressionTree] = []

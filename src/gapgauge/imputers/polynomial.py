@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from typing import Sequence
 
@@ -9,7 +10,11 @@ import numpy as np
 
 from ..errors import ContextError, DivergenceError
 from ..gaps import GapSpec
-from ..series import TimeSeries
+from ..series import ParamSpec, TimeSeries
+
+PARAMS = (ParamSpec("order", int, 3, low=1),
+          ParamSpec("context", int, None, low=1, nullable=True, hours=True))
+_EPS = np.finfo(float).eps
 
 
 def polynomial_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:
@@ -35,17 +40,15 @@ def polynomial_fill_gaps(series: TimeSeries, gaps: Sequence[GapSpec], params: di
     """
     order, n, needed = params["order"], len(series), params["order"] + 1
     outcomes: list = [None] * len(gaps)
-    if not outcomes:
-        return outcomes
-    starts, lengths, reach = np.array(
-        [(gap.start_index, gap.length, polynomial_reach(params, gap.length)) for gap in gaps],
-        dtype=np.intp).reshape(-1, 3).T
-    geometry = np.stack([lengths, np.minimum(starts, reach),
-                         np.minimum(n - starts - lengths, reach), reach])
-    ranked = np.lexsort(geometry[::-1])
-    for rows in np.split(ranked, np.flatnonzero(np.diff(geometry[:, ranked]).any(0)) + 1):
-        length, left, right, context = geometry[:, rows[0]].tolist()
-        windows = starts[rows, None] + np.concatenate(
+    groups: dict[tuple[int, int, int, int], list[int]] = {}
+    for i, gap in enumerate(gaps):
+        start, length = gap.start_index, gap.length
+        reach = polynomial_reach(params, length)
+        groups.setdefault((length, min(start, reach), min(n - start - length, reach), reach),
+                          []).append(i)
+    for (length, left, right, context), rows in sorted(groups.items()):
+        starts = np.array([gaps[i].start_index for i in rows])
+        windows = starts[:, None] + np.concatenate(
             [np.arange(-left, 0), np.arange(length, length + right)])
         use = series.observed[windows]
         found = use[:, :left].sum(1), use[:, left:].sum(1)
@@ -63,9 +66,9 @@ def polynomial_fill_gaps(series: TimeSeries, gaps: Sequence[GapSpec], params: di
         for m in set(counts.tolist()) - {0}:
             batch = counts == m
             idx = windows[batch][use[batch]].reshape(-1, m)
-            grid = (starts[rows[batch], None] + np.arange(length)).astype(float)
+            grid = (starts[batch, None] + np.arange(length)).astype(float)
             fits = _fit_and_evaluate(idx, series.values[idx], order, grid)
-            for gi, outcome in zip(rows[batch].tolist(), fits):
+            for gi, outcome in zip(itertools.compress(rows, batch.tolist()), fits):
                 outcomes[gi] = outcome
     return outcomes
 
@@ -103,7 +106,7 @@ def _fit_and_evaluate(idx: np.ndarray, y: np.ndarray, order: int,
     norms = np.sqrt(np.square(vander).sum(-1))
     norms[norms == 0] = 1
     design = vander.transpose(0, 2, 1) / norms[:, None, :]
-    rcond = x.shape[1] * np.finfo(float).eps
+    rcond = x.shape[1] * _EPS
     coef = np.zeros(norms.shape)
     failed: dict[int, Exception] = {}
     for r in range(len(x)):

@@ -8,7 +8,9 @@ import numpy as np
 
 from ..errors import SeasonalReferenceError
 from ..gaps import GapSpec
-from ..series import TimeSeries
+from ..series import ParamSpec, TimeSeries
+
+PARAMS = (ParamSpec("season", int, 24, low=2, hours=True),)
 
 
 def seasonal_naive_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:

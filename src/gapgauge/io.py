@@ -193,7 +193,9 @@ def _expect(doc: dict, key: str, kinds, path: str, default=None, required=False)
 def load_config(path, step_seconds: float = IngestSpec.expected_step) -> EvalConfig:
     """Load a run configuration, converting hour-form fields to samples.
 
-    A setting the file leaves out, the seed too, takes ``EvalConfig``'s default.
+    A setting the file leaves out, the seed too, takes ``EvalConfig``'s default;
+    ``EvalConfig`` checks each one given, and a setting it rejects is named
+    as the ``SchemaError`` path.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -249,14 +251,8 @@ def load_config(path, step_seconds: float = IngestSpec.expected_step) -> EvalCon
             raise SchemaError(f"invalid imputer config: {exc}",
                               path=f"{where}.params") from None
 
-    # Read outside the try below, so that a wrong type keeps its field path.
-    settings = {key: _expect(doc, key, kinds, key) for key, kinds in (
-        ("n_gaps", int), ("seed", int), ("bins", int), ("epsilon", (int, float)),
-        ("aggregation", str)) if key in doc}
-    try:
-        float(settings.get("epsilon", 0.0))
-    except OverflowError:
-        raise SchemaError("epsilon must convert to a finite float", path="epsilon") from None
+    settings = {key: doc[key] for key in ("n_gaps", "seed", "bins", "epsilon", "aggregation")
+                if key in doc}
     try:
         return EvalConfig(imputers=imputers, min_len=min_len, max_len=max_len, **settings)
     except GapgaugeError as exc:

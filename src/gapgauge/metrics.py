@@ -24,12 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySampleError, InvalidParameterError, InvalidSampleError, ShapeError
-from .series import is_integer
+from .errors import EmptySampleError, InvalidSampleError, ShapeError
+from .series import ParamSpec
 
 METRICS = ("wd", "jsd", "rmse", "mae")
-# JSD's histogram resolution and smoothing unless a caller or run config sets them.
-JSD_BINS, JSD_EPSILON = 10, 1e-6
+# JSD's histogram resolution (its bins + 1 edges counted by a signed 64-bit
+# integer) and smoothing; a run's settings (EvalConfig) check theirs
+# through the same specs and take their defaults.
+BINS = ParamSpec("bins", int, 10, low=2, high=2**63 - 1)
+EPSILON = ParamSpec("epsilon", float, 1e-6, low=0.0, low_open=True)
 
 
 def _values(sample) -> np.ndarray:
@@ -117,15 +120,6 @@ class Histogram:
         object.__setattr__(self, "mass", mass)
 
 
-def _check_histogram_parameters(bins: int, epsilon: float) -> None:
-    if not is_integer(bins):
-        raise InvalidParameterError("bins must be an integer", bins=bins)
-    if bins < 2:
-        raise InvalidParameterError("bins must be >= 2", bins=bins)
-    if not 0 < epsilon < np.inf:
-        raise InvalidParameterError("epsilon must be finite and > 0", epsilon=epsilon)
-
-
 def _shared_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
     """One row of ``bins + 1`` edges over each pooled range [lo, hi].
 
@@ -198,15 +192,15 @@ def _jsd_masses(masses: np.ndarray) -> np.ndarray:
     return 0.5 * against_mixture[0] + 0.5 * against_mixture[1]
 
 
-def shared_histogram(p, q, bins: int = JSD_BINS,
-                     epsilon: float = JSD_EPSILON) -> tuple[Histogram, Histogram]:
+def shared_histogram(p, q, bins: int = BINS.default,
+                     epsilon: float = EPSILON.default) -> tuple[Histogram, Histogram]:
     """Histogram two 1-D samples on one set of edges spanning the pooled range.
 
     A pooled range too narrow to split is widened (see ``jsd``).  Each bin's
     mass gets ``epsilon`` added before renormalization so downstream log
     ratios stay finite.
     """
-    _check_histogram_parameters(bins, epsilon)
+    bins, epsilon = BINS.normalize(bins), EPSILON.normalize(epsilon)
     pv, qv = _sample_values(p), _sample_values(q)
     if pv.ndim != 1 or qv.ndim != 1:
         raise ShapeError("shared_histogram takes two 1-D samples",
@@ -227,7 +221,7 @@ def jsd_histograms(p: Histogram, q: Histogram) -> float:
     return float(_jsd_masses(np.stack([p.mass, q.mass])[:, None])[0])
 
 
-def jsd(p, q, bins: int = JSD_BINS, epsilon: float = JSD_EPSILON):
+def jsd(p, q, bins: int = BINS.default, epsilon: float = EPSILON.default):
     """Jensen-Shannon divergence between two samples, in [0, 1] (base 2).
 
     Histograms both samples on ``bins`` shared edges over their pooled
@@ -243,7 +237,7 @@ def jsd(p, q, bins: int = JSD_BINS, epsilon: float = JSD_EPSILON):
     Two 1-D samples (of any sizes) give a float; two ``(rows, samples)``
     batches of equal shape give one float64 per row.
     """
-    _check_histogram_parameters(bins, epsilon)
+    bins, epsilon = BINS.normalize(bins), EPSILON.normalize(epsilon)
     prows, qrows, one_pair = _rows(_sample_values(p), _sample_values(q),
                                    same_length=False)
     edges, masses = _histogram_rows(prows, qrows, bins, epsilon)

@@ -4,16 +4,22 @@ A series is a start epoch, a positive step in seconds, a value array and a
 boolean ``observed`` mask of the same length.  Timestamps are implied:
 ``t_i = start_time + i * step``.  A position with ``observed=False`` carries
 no meaningful value and must never be consumed.
+
+The rules every checked number of the library follows live here too:
+``is_integer``, and ``ParamSpec``, with which each module declares the
+numbers it reads.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import ConfigError, InvalidParameterError, RangeError
 
 
 def fits_in_memory(samples: int, bytes_each: int = 9) -> bool:
@@ -29,6 +35,58 @@ def fits_in_memory(samples: int, bytes_each: int = 9) -> bool:
 def is_integer(value) -> bool:
     """Whether ``value`` is an ``int`` or numpy integer; a ``bool`` is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class ParamSpec:
+    """One checked number: its type, default and accepted range.
+
+    ``type`` is ``int`` or ``float``.  ``low`` is exclusive when
+    ``low_open`` is set; ``high`` is always inclusive.  ``nullable`` admits
+    ``None``; ``hours`` lets a config file give the value as ``<name>_hours``.
+    """
+
+    name: str
+    type: type
+    default: object
+    low: float | None = None
+    high: float | None = None
+    low_open: bool = False
+    nullable: bool = False
+    hours: bool = False
+
+    def normalize(self, value):
+        """``value`` as a Python ``int`` or ``float`` (or ``None``), else
+        ``InvalidParameterError``: a wrong type, not finite, or out of range."""
+        if value is None and self.nullable:
+            return None
+        noun = "an integer" if self.type is int else "a finite number"
+        if not (is_integer(value) or (self.type is float
+                                      and isinstance(value, (float, np.floating)))):
+            raise InvalidParameterError(f"{self.name} must be {noun}", value=value)
+        try:
+            value = self.type(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not -math.inf < value < math.inf:
+            raise InvalidParameterError(f"{self.name} must be {noun}", value=value)
+        low_ok = self.low is None or (
+            value > self.low if self.low_open else value >= self.low)
+        if not low_ok or (self.high is not None and value > self.high):
+            raise InvalidParameterError(f"{self.name} out of range", value=value,
+                                        low=self.low, high=self.high)
+        return value
+
+
+def normalize_params(specs: Sequence[ParamSpec], params: dict | None, owner: str) -> dict:
+    """Each spec's normalized value from ``params`` (``None`` gives none) or
+    its default; a key of ``params`` that no spec names raises ``ConfigError``."""
+    params = {} if params is None else params
+    unknown = sorted(set(params) - {spec.name for spec in specs})
+    if unknown:
+        raise ConfigError(f"unknown parameters for {owner}", unknown=unknown)
+    return {spec.name: spec.normalize(params.get(spec.name, spec.default))
+            for spec in specs}
 
 
 @dataclass

@@ -11,8 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
 from .gaps import philox_generator
-from .imputers import ParamSpec, normalize_params
-from .series import TimeSeries, fits_in_memory
+from .series import ParamSpec, TimeSeries, fits_in_memory, normalize_params
 
 _KIND_PARAMS = {
     "constant": (ParamSpec("value", float, 5.0),),
@@ -57,7 +56,7 @@ def synthesize_series(kind: str, length: int, params: dict | None = None,
     """
     if kind not in _KIND_PARAMS:
         raise ConfigError(f"unknown series kind {kind!r}", known=SERIES_KINDS)
-    p = normalize_params(_KIND_PARAMS[kind], params or {}, f"kind {kind!r}")
+    p = normalize_params(_KIND_PARAMS[kind], params, f"kind {kind!r}")
     length = _LENGTH.normalize(length)
     if not fits_in_memory(length):
         raise InvalidParameterError("length is more than fits in memory", length=length)

@@ -4,8 +4,10 @@ Nothing here may share code with the library paths under test: the
 transport cost is solved as a coupling problem (permutation enumeration for
 equal sizes, an explicit linear program otherwise), divergences by direct
 summation, forecasts by a hand-rolled recursion, seasonal-naive fills one
-position at a time, and synthetic series by the generator that popped each
-parameter with its default in turn.  The one exception is
+position at a time, synthetic series by the generator that popped each
+parameter with its default in turn, and the checks of a run's settings,
+gap requests and histogram parameters by hand-written rules.  The one
+exception is
 ARIMA order selection: the exhaustive grid reuses the library's
 per-candidate fit, because what it checks is which candidate gets picked.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 
 import numpy as np
 from scipy.optimize import linprog
@@ -475,3 +478,64 @@ def synthesized_values_by_pops(kind, length, params=None, seed=0, step=3600.0,
     if params:
         raise ConfigError(f"unknown parameters for kind {kind!r}", unknown=sorted(params))
     return values
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def eval_config_checks(imputers, n_gaps=100, min_len=2, max_len=48, seed=0, bins=10,
+                       epsilon=1e-6, aggregation="exact") -> None:
+    """``EvalConfig.__post_init__`` as first written: each rule by hand, in
+    this order.  A non-number ``epsilon`` reaches ``0 < epsilon`` and raises
+    ``TypeError``; a numpy ``bins`` adds 1 in numpy's integer arithmetic."""
+    for name, value in dict(n_gaps=n_gaps, min_len=min_len, max_len=max_len,
+                            seed=seed, bins=bins).items():
+        if not _is_integer(value):
+            raise ConfigError(f"{name} must be an integer", **{name: value})
+    if n_gaps < 1:
+        raise ConfigError("n_gaps must be >= 1", n_gaps=n_gaps)
+    if not 1 <= min_len <= max_len:
+        raise ConfigError("need 1 <= min_len <= max_len", min_len=min_len, max_len=max_len)
+    if not imputers:
+        raise ConfigError("need at least one imputer")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must fit an unsigned 64-bit integer", seed=seed)
+    if not 2 <= bins < 2**63:
+        raise ConfigError("bins must be >= 2 and fit a signed 64-bit integer", bins=bins)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not (bins + 1) * 8 <= memory:
+        raise ConfigError("bins + 1 histogram edges exceed physical memory", bins=bins)
+    if isinstance(epsilon, bool) or not 0 < epsilon < np.inf:
+        raise ConfigError("epsilon must be finite and > 0", epsilon=epsilon)
+    if aggregation not in ("exact", "quartile"):
+        raise ConfigError("unknown aggregation rule", aggregation=aggregation)
+
+
+def gap_request_checks(series_length, n_gaps, min_len, max_len, seed, min_start=0) -> None:
+    """The checks of ``generate_gaps`` as first written, then those of the
+    seed, which ``philox_generator`` made before any draw."""
+    for name, value in dict(series_length=series_length, n_gaps=n_gaps, min_len=min_len,
+                            max_len=max_len, min_start=min_start).items():
+        if not _is_integer(value):
+            raise InvalidParameterError(f"{name} must be an integer", **{name: value})
+    if not (1 <= min_len <= max_len):
+        raise InvalidParameterError("need 1 <= min_len <= max_len",
+                                    min_len=min_len, max_len=max_len)
+    if n_gaps < 1:
+        raise InvalidParameterError("n_gaps must be >= 1", n_gaps=n_gaps)
+    if min_start < 0:
+        raise InvalidParameterError("min_start must be >= 0", min_start=min_start)
+    if not (_is_integer(seed) and 0 <= seed < 2**64):
+        raise InvalidParameterError("seed must fit an unsigned 64-bit integer", seed=seed)
+
+
+def histogram_parameter_checks(bins, epsilon) -> None:
+    """The checks ``jsd`` and ``shared_histogram`` made as first written.  A
+    ``bool`` epsilon passes; a non-number one raises ``TypeError``."""
+    if not _is_integer(bins):
+        raise InvalidParameterError("bins must be an integer", bins=bins)
+    if bins < 2:
+        raise InvalidParameterError("bins must be >= 2", bins=bins)
+    if not 0 < epsilon < np.inf:
+        raise InvalidParameterError("epsilon must be finite and > 0", epsilon=epsilon)

@@ -109,7 +109,7 @@ class TestSynthAndIngest:
         assert main(["synth", "--length", "100", "--out", str(tmp_path),
                      "--seed", seed]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: [invalid-parameter] seed must fit")
+        assert err.startswith("error: [invalid-parameter] seed out of range")
         assert "Traceback" not in err
         assert not (tmp_path / "series.csv").exists()
 
@@ -186,7 +186,7 @@ class TestRun:
         assert main(["run", "--config", str(small_config), "--series",
                      str(synth_series), "--out", str(out),
                      "--bins", "1", "--quiet"]) == 1
-        assert "bins must be >= 2" in capsys.readouterr().err
+        assert "error: [config] bins out of range" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_of_range_bins_exits_one(self, synth_series, small_config,
@@ -195,7 +195,7 @@ class TestRun:
         assert main(["run", "--config", str(small_config), "--series",
                      str(synth_series), "--out", str(out),
                      "--bins", "9" * 400, "--quiet"]) == 1
-        assert "error: [config] bins must be >= 2 and fit" in capsys.readouterr().err
+        assert "error: [config] bins out of range" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bins_beyond_memory_exits_one_before_any_imputer(
@@ -218,7 +218,7 @@ class TestRun:
         assert main(["run", "--config", str(small_config), "--series",
                      str(synth_series), "--out", str(out),
                      "--seed", str(2**64), "--quiet"]) == 1
-        assert "error: [config] seed must fit" in capsys.readouterr().err
+        assert "error: [config] seed out of range" in capsys.readouterr().err
         assert not out.exists()
 
     def test_capacity_abort_exits_two(self, synth_series, tmp_path, capsys):

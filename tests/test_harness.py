@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gapgauge import (EvalConfig, GapSpec, ImputerConfig, MetricRecord,
-                      aggregate, impute, imputers, jsd, pre_gap_window,
+                      aggregate, emit_report, impute, imputers, jsd, pre_gap_window,
                       rank_agreement, register_imputer, required_history,
                       run_evaluation, synthesize_series, wasserstein_1d)
 from gapgauge import harness
@@ -575,6 +575,37 @@ class TestEvalConfig:
         config = EvalConfig(imputers=small_imputers(), n_gaps=np.int64(5),
                             seed=np.uint64(2**64 - 1), bins=np.int32(12))
         assert config.n_gaps == 5 and config.bins == 12
+
+    @pytest.mark.parametrize("epsilon", ["x", None, np.True_, 10**400])
+    def test_epsilon_that_is_not_a_finite_number_rejected(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon must be a finite number") as err:
+            EvalConfig(imputers=small_imputers(), epsilon=epsilon)
+        assert err.value.context == {"epsilon": epsilon}
+
+    def test_numpy_settings_stored_as_python_numbers(self):
+        config = EvalConfig(imputers=small_imputers(), n_gaps=np.int64(5), min_len=np.int8(2),
+                            max_len=np.uint16(9), seed=np.uint64(2**64 - 1),
+                            bins=np.int32(12), epsilon=np.float32(0.25))
+        names = ("n_gaps", "min_len", "max_len", "seed", "bins", "epsilon")
+        assert [type(getattr(config, name)) for name in names] == [int] * 5 + [float]
+        assert config == EvalConfig(imputers=small_imputers(), n_gaps=5, min_len=2, max_len=9,
+                                    seed=2**64 - 1, bins=12, epsilon=0.25)
+
+    @pytest.mark.parametrize("numpy_settings", [
+        {"seed": np.int64(3)}, {"n_gaps": np.int64(6)}, {"bins": np.int64(12)},
+        {"seed": np.uint64(3), "n_gaps": np.int32(6), "bins": np.int16(12)}])
+    def test_numpy_settings_emit_the_python_run_report(self, tmp_path, numpy_settings):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        python = dict(seed=3, n_gaps=6, bins=12)
+        outputs = []
+        for name, settings in (("python", python), ("numpy", {**python, **numpy_settings})):
+            config = EvalConfig(imputers=small_imputers(), max_len=12, **settings)
+            emit_report(run_evaluation(series, config), tmp_path / name)
+            doc = json.loads((tmp_path / name / "report.json").read_text())
+            del doc["provenance"]["created_utc"]
+            outputs.append([doc] + [(tmp_path / name / f).read_bytes()
+                                    for f in ("records.csv", "aggregates.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_json_document_pinned(self):
         config = EvalConfig(imputers=small_imputers(), n_gaps=7, seed=2**64 - 1,

@@ -328,6 +328,17 @@ class TestImputerConfig:
         assert a.imputer_id == b.imputer_id
         assert a.imputer_id.startswith("gbt-")
 
+    def test_default_ids_pinned(self):
+        # Each table moved into its kind's module; every default id stays.
+        assert {kind: ImputerConfig(kind).imputer_id for kind in (
+            "polynomial", "seasonal_naive", "arima", "sarima", "gbt")} == {
+            "polynomial": "polynomial-2e5479fc", "seasonal_naive": "seasonal_naive-2bcdc8c9",
+            "arima": "arima-d3e7b32f", "sarima": "sarima-dbfc0f22", "gbt": "gbt-ada7b7b9"}
+
+    @pytest.mark.parametrize("kind", ["polynomial", "gbt"])
+    def test_none_params_are_no_params(self, kind):
+        assert ImputerConfig(kind, None) == ImputerConfig(kind, {})
+
     def test_different_params_different_id(self):
         assert ImputerConfig("gbt", {"trees": 50}).imputer_id != \
             ImputerConfig("gbt", {"trees": 100}).imputer_id

@@ -251,6 +251,30 @@ class TestPresortedTreeEqualsReference:
             assert_same_tree(tree, reference)
 
 
+class TestConstructorsCheckTheGbtTable:
+    @pytest.mark.parametrize("make", [
+        lambda: RegressionTree(max_depth=1.5), lambda: RegressionTree(max_depth=True),
+        lambda: RegressionTree(max_depth=0), lambda: GradientBoostedTrees(trees=2.5),
+        lambda: GradientBoostedTrees(max_depth=np.float64(3)),
+        lambda: GradientBoostedTrees(learning_rate="0.1"),
+        lambda: GradientBoostedTrees(subsample=1.5)],
+        ids=["depth-1.5", "depth-True", "depth-0", "trees-2.5", "depth-float64",
+             "rate-str", "subsample-1.5"])
+    def test_bad_parameter_rejected_when_constructed(self, make):
+        with pytest.raises(InvalidParameterError):
+            make()
+
+    def test_defaults_and_values_are_the_tables(self):
+        table = {spec.name: spec.default for spec in gbt.PARAMS}
+        model = GradientBoostedTrees(trees=np.int64(3), learning_rate=1)
+        assert (model.trees, model.learning_rate) == (3, 1.0)
+        assert type(model.trees) is int and type(model.learning_rate) is float
+        default = GradientBoostedTrees()
+        assert [default.trees, default.max_depth, default.learning_rate, default.subsample] \
+            == [table["trees"], table["max_depth"], table["learning_rate"], table["subsample"]]
+        assert RegressionTree().max_depth == table["max_depth"]
+
+
 class TestBoosting:
     def test_one_tree_full_rate_equals_single_tree(self):
         rng = np.random.default_rng(34)

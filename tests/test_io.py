@@ -269,6 +269,20 @@ class TestConfig:
         with pytest.raises(SchemaError, match="epsilon"):
             load_config(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_gaps", "ten"), ("n_gaps", 2.5), ("n_gaps", True), ("n_gaps", None), ("n_gaps", 0),
+        ("seed", "1"), ("seed", 1.5), ("seed", False), ("seed", -1), ("seed", 2**64),
+        ("bins", [10]), ("bins", 10.0), ("bins", 1), ("bins", 2**63), ("bins", 2**62),
+        ("epsilon", "1e-6"), ("epsilon", None), ("epsilon", True), ("epsilon", 0),
+        ("epsilon", -1e-6), ("epsilon", 10**400), ("epsilon", float("nan")),
+        ("aggregation", 3), ("aggregation", None), ("aggregation", "median")])
+    def test_bad_setting_names_its_path(self, tmp_path, field, value):
+        path = tmp_path / "c.json"
+        path.write_text(config_text(**{field: value}))
+        with pytest.raises(SchemaError, match=field) as err:
+            load_config(path)
+        assert err.value.path == field
+
     def test_param_given_in_samples_and_hours_names_both(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({

@@ -141,6 +141,12 @@ class TestSharedHistogram:
         with pytest.raises(InvalidParameterError, match="bins must be an integer"):
             jsd([1.0, 3.0], [2.0], bins=bins)
 
+    @pytest.mark.parametrize("call", [jsd, shared_histogram])
+    @pytest.mark.parametrize("epsilon", [True, np.True_, "x", None, 10**400])
+    def test_epsilon_that_is_not_a_finite_number_rejected(self, call, epsilon):
+        with pytest.raises(InvalidParameterError, match="epsilon must be a finite number"):
+            call([1.0, 2.0], [1.5], epsilon=epsilon)
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             shared_histogram([1.0], [2.0], bins=1)
