@@ -9,9 +9,10 @@ measure rank agreement between the families.
 Each gap is imputed in isolation: the imputer sees the original series with
 only that gap masked, so one method's training window is never corrupted by
 a different artificial gap.  The gap's held-out values read as NaN and the
-series an imputer receives is read-only.  A row kind (``polynomial``) fills
-every gap in one ``impute`` call on the unmasked series, never reading a
-gap's own positions, so each fill equals its one-gap fill.  Gap placement
+series an imputer receives is read-only.  A row kind (``polynomial``,
+``seasonal_naive``) fills every gap in one ``impute`` call on the unmasked
+series, never reading a gap's own positions, so each fill equals its
+one-gap fill.  Gap placement
 reserves the largest head-of-series history the imputer kinds declare.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 
 import numpy as np
 
@@ -139,32 +141,33 @@ def _failure(exc: GapgaugeError) -> str:
     return f"{exc.code}: {exc.message}"
 
 
-def _score_fills(jobs, outcomes, references, truth, config) -> list[dict | None]:
+def _score_fills(outcomes, references, truths, config) -> np.ndarray:
     """Both metric families of every fill, one batch call per gap length.
 
-    ``jobs[j]`` is ``(gap index, gap, imputer_id)`` and ``outcomes[j]`` its
-    fill, or its error string, which scores ``None``.  The fills of each
-    length are stacked into rows beside their reference windows (indexed
-    by gap) and held-out truths (keyed by gap).
+    ``outcomes`` holds each gap's jobs in imputer order: a fill, or an
+    error string.  The fills of each length are stacked into rows beside
+    their gaps' reference windows and held-out truths.  Returns a float
+    array of shape gaps × imputers × ``METRICS``, NaN for a failed job.
     """
+    n_imputers = len(config.imputers)
+    scores = np.full((len(outcomes), len(METRICS)), np.nan)
     by_length: dict[int, list[int]] = {}
     for j, outcome in enumerate(outcomes):
         if not isinstance(outcome, str):
             by_length.setdefault(len(outcome), []).append(j)
-    scores: list[dict | None] = [None] * len(outcomes)
     for members in by_length.values():
-        filled = np.stack([outcomes[j] for j in members])
-        reference = np.stack([references[jobs[j][0]] for j in members])
-        held_out = np.stack([truth[jobs[j][1]] for j in members])
+        gis = [j // n_imputers for j in members]
+        filled = np.array([outcomes[j] for j in members])
+        reference = np.array([references[gi] for gi in gis])
+        held_out = np.array([truths[gi] for gi in gis])
         # A finite fill can still overflow a metric; the non-finite score
         # becomes a typed failure on its record, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
             columns = (wasserstein_1d(filled, reference),
                        jsd(filled, reference, bins=config.bins, epsilon=config.epsilon),
                        rmse(filled, held_out), mae(filled, held_out))
-        for j, values in zip(members, zip(*(c.tolist() for c in columns))):
-            scores[j] = dict(zip(METRICS, values))
-    return scores
+        scores[members] = np.stack(columns, axis=1)
+    return scores.reshape(len(references), n_imputers, len(METRICS))
 
 
 def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
@@ -200,11 +203,10 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
     rows = {mi: impute(TimeSeries(work.start_time, work.step, values, observed),
                        gap_set.gaps, imputer)
             for mi, imputer in enumerate(config.imputers) if specs[mi].fill_gaps}
-    jobs, outcomes = [], []
+    outcomes = []
     for gi, gap in enumerate(gap_set.gaps):
         _single_gap_view(work, gap)
         for mi, imputer in enumerate(config.imputers):
-            jobs.append((gi, gap, imputer_ids[mi]))
             if mi in rows:
                 outcome = rows[mi][gi]
             else:
@@ -217,17 +219,23 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
             outcomes.append(_failure(outcome) if isinstance(outcome, GapgaugeError) else outcome)
         _restore_gap(work, series, gap)
 
-    scores = _score_fills(jobs, outcomes, references, truth, config)
-    records = []
-    for (gi, gap, imputer_id), outcome, score in zip(jobs, outcomes, scores):
-        keys = dict(gap_id=f"gap{gi:03d}", imputer_id=imputer_id, gap_len=gap.length)
-        if score is None:
-            records.append(MetricRecord(**keys, error=outcome))
-            continue
-        try:
-            records.append(MetricRecord(**keys, **score))
-        except ShapeError as exc:  # a non-finite metric
-            records.append(MetricRecord(**keys, error=_failure(exc)))
+    truths = [truth[gap] for gap in gap_set.gaps]
+    scores = _score_fills(outcomes, references, truths, config).reshape(
+        -1, len(METRICS)).tolist()
+    records, j = [], 0
+    for gi, gap in enumerate(gap_set.gaps):
+        gap_id = f"gap{gi:03d}"
+        for imputer_id in imputer_ids:
+            outcome, score = outcomes[j], scores[j]
+            j += 1
+            if isinstance(outcome, str):
+                records.append(MetricRecord(gap_id, imputer_id, gap.length, error=outcome))
+                continue
+            try:
+                records.append(MetricRecord(gap_id, imputer_id, gap.length, *score))
+            except ShapeError as exc:  # a non-finite metric
+                records.append(MetricRecord(gap_id, imputer_id, gap.length,
+                                            error=_failure(exc)))
 
     aggregates = aggregate(records, config.aggregation)
     try:
@@ -280,18 +288,17 @@ def aggregate(records: list[MetricRecord], bucketing: str = "exact") -> list[Agg
     for record in records:
         groups.setdefault((record.imputer_id, bucket_of(record)), []).append(record)
 
+    metrics = attrgetter(*METRICS)
     rows = []
     for imputer_id, bucket in sorted(groups):
         members = groups[(imputer_id, bucket)]
-        ok = [r for r in members if not r.failed]
-        n_failed = len(members) - len(ok)
+        ok = [metrics(r) for r in members if r.error is None]
         if not ok:
             continue
-        rows.append(AggregateRow(
-            imputer_id=imputer_id, gap_len=bucket,
-            **{f"mean_{m}": float(np.mean([getattr(r, m) for r in ok]))
-               for m in METRICS},
-            n=len(ok), n_failed=n_failed))
+        # One contiguous row per metric: np.mean sums each row pairwise, the
+        # same float operations as over that metric's list alone.
+        means = np.mean(np.array(ok, dtype=float).T.copy(), axis=1).tolist()
+        rows.append(AggregateRow(imputer_id, bucket, *means, len(ok), len(members) - len(ok)))
     return rows
 
 

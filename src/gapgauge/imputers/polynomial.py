@@ -7,6 +7,7 @@ import warnings
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ..errors import ContextError, DivergenceError
 from ..gaps import GapSpec
@@ -90,9 +91,12 @@ def _fit_and_evaluate(idx: np.ndarray, y: np.ndarray, order: int,
     with numpy's ``numpy.polynomial`` series class, in numpy's order, so each
     row is bit-identical to it.  The abscissa (sorted ascending) is mapped
     onto [-1, 1], the Vandermonde columns are scaled to unit norm (each norm
-    summed pairwise along a contiguous row, as numpy does), ``lstsq`` solves
-    each row's own matrix and Horner's rule reads the fit off; only the
-    solve runs per row.  A rank-deficient row warns ``RankWarning``.
+    summed pairwise along a contiguous row, as numpy does), the stacked
+    LAPACK solver behind numpy's ``lstsq`` solves every row's own matrix in
+    one call, and Horner's rule reads the fit off.  A row whose solution is
+    not finite is solved again alone by ``lstsq``, which raises that row's
+    ``LinAlgError`` or returns its NaNs.  A rank-deficient row warns
+    ``RankWarning``.
     """
     lo, hi = idx[:, :1].astype(float), idx[:, -1:].astype(float)
     span = hi - lo
@@ -107,14 +111,20 @@ def _fit_and_evaluate(idx: np.ndarray, y: np.ndarray, order: int,
     norms[norms == 0] = 1
     design = vander.transpose(0, 2, 1) / norms[:, None, :]
     rcond = x.shape[1] * _EPS
-    coef = np.zeros(norms.shape)
+    with np.errstate(all="ignore"):  # a failed row reads NaN here
+        solved, _, ranks, _ = _umath_linalg.lstsq(design, y[:, :, None], rcond,
+                                                  signature="ddd->ddid")
+    coef = solved[:, :, 0]
+    redo = ~np.isfinite(coef).all(1)
     failed: dict[int, Exception] = {}
-    for r in range(len(x)):
-        try:
-            coef[r], _, rank, _ = np.linalg.lstsq(design[r], y[r], rcond)
-        except np.linalg.LinAlgError as exc:
-            failed[r] = exc
-            continue
+    for r in np.flatnonzero(redo | (ranks != order + 1)).tolist():
+        rank = ranks[r]
+        if redo[r]:  # alone, as numpy.polynomial would: its error or its NaNs
+            try:
+                coef[r], _, rank, _ = np.linalg.lstsq(design[r], y[r], rcond)
+            except np.linalg.LinAlgError as exc:
+                failed[r] = exc
+                continue
         if rank != order + 1:
             warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
                           stacklevel=2)

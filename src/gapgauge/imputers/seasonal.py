@@ -4,6 +4,8 @@ the evaluated method family, and flagged as such in reports."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import SeasonalReferenceError
@@ -14,25 +16,45 @@ PARAMS = (ParamSpec("season", int, 24, low=2, hours=True),)
 
 
 def seasonal_naive_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:
+    """One gap: the one-row case of :func:`seasonal_naive_fill_gaps`, raising its error."""
+    outcome, = seasonal_naive_fill_gaps(masked, [gap], params)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def seasonal_naive_fill_gaps(series: TimeSeries, gaps: Sequence[GapSpec], params: dict) -> list:
     """Fill each gap position from its nearest observed seasonal ancestor.
 
     For gap index ``i`` the fill is ``value[i - k*season]`` for the smallest
     ``k >= 1`` whose position is observed, with ``season = params["season"]``;
-    positions inside the gap itself are masked and therefore skipped.
+    positions inside the gap itself count as unobserved and are skipped.
+    Every gap's positions walk back together in one array.  Returns one
+    outcome per gap: its fill, or a ``SeasonalReferenceError`` naming its
+    first position that has no such ancestor.
     """
-    season, observed = params["season"], masked.observed
-    source = np.arange(gap.start_index - season, gap.end_index - season)
-    lost, walked = ~observed.take(source, mode="clip"), season
+    if not gaps:
+        return []
+    season, observed = params["season"], series.observed
+    lengths = np.array([gap.length for gap in gaps])
+    ends = np.cumsum(lengths)  # each gap's end among all gaps' positions
+    own = np.repeat([gap.start_index for gap in gaps], lengths)  # a position's gap start
+    # each position: its gap's start plus its offset within that gap
+    positions = own + np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+    source = positions - season
+    lost = (source >= own) | ~observed.take(source, mode="clip")
     while lost.any():  # walk each unobserved ancestor back one more season
         lost &= source >= 0
         np.subtract(source, season, out=source, where=lost)
-        lost &= ~observed.take(source, mode="clip")
-        walked += season
-    if walked > gap.start_index and source.min() < 0:  # else no walk left the series
-        raise SeasonalReferenceError(
+        lost &= (source >= own) | ~observed.take(source, mode="clip")
+    outcomes = np.split(series.values.take(source, mode="clip"), ends[:-1].tolist())
+    orphans = np.flatnonzero(source < 0)  # walked out of the series
+    gis, first = np.unique(np.searchsorted(ends, orphans, side="right"), return_index=True)
+    for gi, at in zip(gis.tolist(), orphans[first].tolist()):
+        outcomes[gi] = SeasonalReferenceError(
             "no observed value a whole number of seasons earlier",
-            index=gap.start_index + int(np.flatnonzero(source < 0)[0]), season=season)
-    return masked.values[source]
+            index=int(positions[at]), season=season)
+    return outcomes
 
 
 def seasonal_reach(params: dict, gap_length: int) -> int:

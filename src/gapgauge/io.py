@@ -9,21 +9,23 @@ written atomically (temp file in the target directory, then rename).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (CadenceError, ConfigError, DuplicateTimestampError,
-                     GapgaugeError, ParseError, SchemaError, ShapeError)
+from .errors import (CadenceError, ConfigError, DuplicateTimestampError, GapgaugeError,
+                     InvalidParameterError, ParseError, SchemaError, ShapeError)
 from .harness import AggregateRow, EvalConfig, EvalReport, aggregate
 from .imputers import ImputerConfig, kind_spec
 from .metrics import METRICS, MetricRecord
-from .series import TimeSeries, fits_in_memory
+from .series import ParamSpec, TimeSeries, fits_in_memory
 
 SCHEMA_VERSION = 1
 
@@ -32,20 +34,27 @@ RECORD_COLUMNS = tuple(f.name for f in fields(MetricRecord))
 AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateRow))
 TIMESTAMP_FORMATS = ("epoch", "iso8601")
 MISSING_POLICIES = ("reject", "mask")
+# Seconds between samples; a config's hour-form fields convert with it.
+EXPECTED_STEP = ParamSpec("expected_step", float, 3600.0, low=0.0, low_open=True)
+
 
 @dataclass
 class IngestSpec:
+    """Where a series CSV is and how to read it.  ``expected_step`` is
+    stored as its spec normalizes it, a Python ``float``."""
+
     path: str
     timestamp_column: str = "timestamp"
     value_column: str = "value"
     timestamp_format: str = "epoch"
-    expected_step: float = 3600.0
+    expected_step: float = EXPECTED_STEP.default
     missing_policy: str = "reject"
 
     def __post_init__(self):
-        if not 0 < self.expected_step < math.inf:
-            raise SchemaError("expected_step must be finite and > 0",
-                              path="ingest.expected_step")
+        try:
+            self.expected_step = EXPECTED_STEP.normalize(self.expected_step)
+        except InvalidParameterError as exc:
+            raise SchemaError(exc.message, path="ingest.expected_step", **exc.context) from None
         for name, choices in (("timestamp_format", TIMESTAMP_FORMATS),
                               ("missing_policy", MISSING_POLICIES)):
             if getattr(self, name) not in choices:
@@ -261,14 +270,6 @@ def load_config(path, step_seconds: float = IngestSpec.expected_step) -> EvalCon
         raise SchemaError(f"invalid configuration: {exc}", path=path) from None
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _atomic_write(path, fill) -> None:
     """Let ``fill(handle)`` write a temp file beside ``path``, then rename it.
 
@@ -291,13 +292,13 @@ def _write_rows(path, rows) -> None:
 
 
 def _write_table(path, columns: tuple[str, ...], items) -> None:
-    """One CSV row per item, its ``columns`` attributes as cells, streamed."""
-    def rows():
-        yield columns
-        for item in items:
-            yield [_format_cell(getattr(item, name)) for name in columns]
+    """One CSV row per item, its ``columns`` attributes as cells, streamed.
 
-    _write_rows(path, rows())
+    ``csv`` writes ``None`` as an empty cell and any other value as its
+    ``str``: a float (numpy's ``float64`` too) as its shortest round-trip
+    repr.
+    """
+    _write_rows(path, itertools.chain([columns], map(attrgetter(*columns), items)))
 
 
 def write_json(path, doc) -> None:
@@ -342,8 +343,7 @@ def _plot_rows(exact: list[AggregateRow], metric: str, imputer_ids: list[str]):
         table.setdefault(row.gap_len, {})[row.imputer_id] = getattr(row, f"mean_{metric}")
     yield ("gap_len", *imputer_ids)
     for gap_len in sorted(table):
-        cells = [table[gap_len].get(i) for i in imputer_ids]
-        yield (str(gap_len), *[_format_cell(c) for c in cells])
+        yield (gap_len, *[table[gap_len].get(i) for i in imputer_ids])
 
 
 def emit_report(report: EvalReport, out_dir) -> list[Path]:

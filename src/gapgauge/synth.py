@@ -7,6 +7,8 @@ the shape the evaluation protocol is designed around.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
@@ -69,6 +71,10 @@ def synthesize_series(kind: str, length: int, params: dict | None = None,
     if kind == "constant":
         values = np.full(length, p["value"])
     elif kind == "sine":
+        if not math.isfinite(2.0 * math.pi * (length - 1) / p["period"]):
+            # a period so small that the last sample's angle overflows
+            raise InvalidParameterError("sine period too small for the series length",
+                                        period=p["period"], length=length)
         wave = np.sin(2.0 * np.pi * i / p["period"] + p["phase"])
         values = p["offset"] + p["amplitude"] * wave
         if p["noise_sd"] > 0:

@@ -5,8 +5,9 @@ transport cost is solved as a coupling problem (permutation enumeration for
 equal sizes, an explicit linear program otherwise), divergences by direct
 summation, forecasts by a hand-rolled recursion, seasonal-naive fills one
 position at a time, synthetic series by the generator that popped each
-parameter with its default in turn, and the checks of a run's settings,
-gap requests and histogram parameters by hand-written rules.  The one
+parameter with its default in turn, the checks of a run's settings,
+gap requests and histogram parameters by hand-written rules, and each
+aggregate mean by one ``np.mean`` over that metric's list.  The one
 exception is
 ARIMA order selection: the exhaustive grid reuses the library's
 per-candidate fit, because what it checks is which candidate gets picked.
@@ -157,6 +158,42 @@ def seasonal_naive_walk(masked, gap, season: int) -> np.ndarray:
                 index=i, season=season)
         filled[offset] = masked.values[j]
     return filled
+
+
+def aggregates_by_lists(records, bucketing: str = "exact") -> list:
+    """``harness.aggregate`` as first written: records grouped one at a time
+    and each mean taken by ``np.mean`` over a Python list of that metric."""
+    from gapgauge.harness import AggregateRow
+
+    if bucketing == "exact":
+        def bucket_of(record):
+            return record.gap_len
+    else:
+        all_lengths = np.array([r.gap_len for r in records])
+        edges = np.quantile(all_lengths, [0.25, 0.5, 0.75])
+        quartile = {length: int(np.searchsorted(edges, length, side="left"))
+                    for length in np.unique(all_lengths)}
+        label = {}
+        for length, q in quartile.items():
+            label[q] = max(label.get(q, 0), int(length))
+
+        def bucket_of(record):
+            return label[quartile[record.gap_len]]
+
+    groups = {}
+    for record in records:
+        groups.setdefault((record.imputer_id, bucket_of(record)), []).append(record)
+    rows = []
+    for imputer_id, bucket in sorted(groups):
+        members = groups[(imputer_id, bucket)]
+        ok = [r for r in members if not r.failed]
+        if ok:
+            rows.append(AggregateRow(
+                imputer_id=imputer_id, gap_len=bucket,
+                **{f"mean_{m}": float(np.mean([getattr(r, m) for r in ok]))
+                   for m in ("wd", "jsd", "rmse", "mae")},
+                n=len(ok), n_failed=len(members) - len(ok)))
+    return rows
 
 
 def arima_forecast_by_hand(fitted, steps: int) -> np.ndarray:

@@ -3,19 +3,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapgauge import (EvalConfig, GapSpec, ImputerConfig, MetricRecord,
-                      aggregate, emit_report, impute, imputers, jsd, pre_gap_window,
-                      rank_agreement, register_imputer, required_history,
+                      aggregate, emit_report, impute, imputers, jsd, mae, pre_gap_window,
+                      rank_agreement, register_imputer, required_history, rmse,
                       run_evaluation, synthesize_series, wasserstein_1d)
 from gapgauge import harness
 from gapgauge.errors import (ConfigError, ContextError, DegenerateError, GapgaugeError,
-                             InvalidParameterError, NumericalError)
+                             InvalidParameterError, NumericalError, ShapeError)
 from gapgauge.gaps import GapSet, apply_gaps
 from gapgauge.harness import AggregateRow
 from gapgauge.imputers import _REGISTRY, KindSpec, derive_seed, kind_spec
 
-from _oracles import jsd_pair, mae_pair, rmse_pair, wasserstein_pair
+from _oracles import aggregates_by_lists, jsd_pair, mae_pair, rmse_pair, wasserstein_pair
 
 
 def small_imputers():
@@ -63,6 +65,20 @@ class TestAggregate:
     def test_empty_records_rejected(self):
         with pytest.raises(InvalidParameterError):
             aggregate([])
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 60),
+                                   st.integers(0, 3), st.integers(-300, 300),
+                                   st.integers(0, 2**32 - 1)), min_size=1, max_size=400),
+           repeat=st.integers(1, 40), bucketing=st.sampled_from(["exact", "quartile"]))
+    def test_means_bit_identical_to_one_mean_per_metric_list(self, rows, repeat, bucketing):
+        # repeats make buckets long enough for numpy's pairwise blocks
+        records = []
+        for i, (imputer, length, fails, exponent, seed) in enumerate(rows * repeat):
+            values = np.random.default_rng(seed).standard_normal(4) * 10.0 ** exponent
+            records.append(record(imputer, length, *values.tolist(), gap_id=f"g{i}",
+                                  error="context: x" if fails == 0 else None))
+        assert aggregate(records, bucketing) == aggregates_by_lists(records, bucketing)
 
 
 class TestRankAgreement:
@@ -524,6 +540,67 @@ class TestRowForm:
         assert all(r.rmse == pytest.approx(1.0) and r.mae == pytest.approx(1.0) for r in ok)
         assert not any(r.failed for r in report.records if not r.imputer_id.startswith("rows"))
 
+    def test_non_finite_row_fills_fail_alone(self, monkeypatch):
+        monkeypatch.setattr(imputers, "_REGISTRY", dict(imputers._REGISTRY))
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+
+        def rows(masked, gaps, params):
+            return [masked.values[gap.start_index:gap.end_index] * [1.0, np.nan, np.inf][gi % 3]
+                    for gi, gap in enumerate(gaps)]
+
+        imputers._REGISTRY["rows"] = KindSpec(None, reads_seed=False, fill_gaps=rows)
+        config = EvalConfig(imputers=[ImputerConfig("rows", {})], n_gaps=7, min_len=2,
+                            max_len=10, seed=4)
+        errors = [r.error for r in run_evaluation(series, config).records]
+        assert errors == [None, *["shape: fill contains non-finite values"] * 2] * 2 + [None]
+
+    @pytest.mark.parametrize("aggregation", ["exact", "quartile"])
+    def test_failing_jobs_recorded_and_aggregated_as_each_job_alone(self, monkeypatch,
+                                                                   aggregation):
+        monkeypatch.setattr(imputers, "_REGISTRY", dict(imputers._REGISTRY))
+        series = synthesize_series("seasonal", 3000, {"noise_sd": 4.0}, seed=2)
+
+        def flaky(masked, gap, params, seed):
+            if gap.start_index % 3 == 0:
+                raise ContextError("no context", found=gap.start_index)
+            if gap.start_index % 3 == 1:  # finite, but its rmse overflows
+                return np.full(gap.length, 1e300)
+            return masked.values[gap.start_index - gap.length:gap.start_index] + 1.0
+
+        register_imputer("flaky", flaky)
+        config = EvalConfig(imputers=[ImputerConfig("flaky"), *small_imputers()],
+                            n_gaps=40, min_len=2, max_len=12, seed=3,
+                            aggregation=aggregation)
+        report = run_evaluation(series, config)
+
+        masked, truth = apply_gaps(series, report.gaps)
+        expected = []
+        for gi, gap in enumerate(report.gaps):
+            view = series.copy()
+            view.values[gap.start_index:gap.end_index] = np.nan
+            view.observed[gap.start_index:gap.end_index] = False
+            reference = pre_gap_window(masked, gap)
+            for imputer in config.imputers:
+                keys = (f"gap{gi:03d}", imputer.imputer_id, gap.length)
+                try:
+                    fill = impute(view, gap, imputer)
+                except GapgaugeError as exc:
+                    expected.append(MetricRecord(*keys, error=f"{exc.code}: {exc.message}"))
+                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scores = (wasserstein_1d(fill, reference),
+                              jsd(fill, reference, bins=config.bins, epsilon=config.epsilon),
+                              rmse(fill, truth[gap]), mae(fill, truth[gap]))
+                try:
+                    expected.append(MetricRecord(*keys, *scores))
+                except ShapeError as exc:
+                    expected.append(MetricRecord(*keys, error=f"{exc.code}: {exc.message}"))
+        assert report.records == expected
+        errors = {r.error for r in report.records}
+        assert errors == {None, "context: no context",
+                          "shape: metric rmse must be finite on a success record"}
+        assert report.aggregates == aggregates_by_lists(expected, aggregation)
+
     def test_polynomial_imputed_once_per_imputer(self, monkeypatch):
         calls = []
 
@@ -537,8 +614,9 @@ class TestRowForm:
                                       ImputerConfig("polynomial", {"order": 1})],
                             n_gaps=6, min_len=2, max_len=10, seed=4)
         report = run_evaluation(series, config)
+        # seasonal_naive has a row form too: one call, not one per gap
         assert sorted(calls) == sorted([("polynomial", False)] * 2 +
-                                       [("seasonal_naive", True)] * 6)
+                                       [("seasonal_naive", False)])
         assert not any(r.failed for r in report.records)
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gapgauge import (GapSpec, ImputerConfig, TimeSeries, impute,
 from gapgauge.errors import (ConfigError, ContextError, DivergenceError, GapgaugeError,
                              InvalidParameterError, NumericalError,
                              SeasonalReferenceError, ShapeError)
-from gapgauge.imputers import kind_spec
+from gapgauge.imputers import kind_spec, polynomial
 
 from _oracles import seasonal_naive_walk
 
@@ -230,16 +231,29 @@ class TestPolynomialRows:
         series.observed[95:105] = False
         gaps = [GapSpec(1, 3), GapSpec(20, 4), GapSpec(56, 3), GapSpec(90, 5),
                 GapSpec(40, 2)]
-        lstsq = np.linalg.lstsq
+        stacked, lstsq = polynomial._umath_linalg.lstsq, np.linalg.lstsq
+        alone = []
 
-        def failing_on_the_last(a, b, rcond):
-            if b[0] == values[36]:  # the first left point of gap (40, 2)
+        # The stacked solve leaves a failed row NaN; that row alone raises.
+        def failing_stacked(a, b, rcond, signature):
+            solved, *rest = stacked(a, b, rcond, signature=signature)
+            solved[b[:, 0, 0] == values[36]] = np.nan  # the first left point of gap (40, 2)
+            return solved, *rest
+
+        def failing_alone(a, b, rcond):
+            alone.append(b[0])
+            if b[0] == values[36]:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return lstsq(a, b, rcond)
 
-        monkeypatch.setattr(np.linalg, "lstsq", failing_on_the_last)
+        monkeypatch.setattr(polynomial, "_umath_linalg",
+                            SimpleNamespace(lstsq=failing_stacked))
+        monkeypatch.setattr(np.linalg, "lstsq", failing_alone)
         config = ImputerConfig("polynomial", {"order": 2, "context": 4})
         rows = impute(series, gaps, config)
+        # only the two rows whose stacked solutions are not finite: the
+        # failed one and the one whose window holds the observed NaN
+        assert alone == [values[36], values[52]]
         assert isinstance(rows[1], np.ndarray) and len(rows[1]) == 4
         assert isinstance(rows[0], ContextError) and "left of gap" in str(rows[0])
         assert isinstance(rows[2], DivergenceError)
@@ -274,6 +288,106 @@ class TestPolynomialRows:
         series = synthesize_series("seasonal", 3000, {}, seed=1)
         with pytest.raises(ConfigError, match="one gap per call"):
             impute(series, [GapSpec(2500, 5)], ImputerConfig("gbt", {}))
+
+
+class TestStackedSolve:
+    """One stacked least-squares call stands in for one ``np.linalg.lstsq`` per row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.integers(1, 5), rows=st.integers(1, 12), spare=st.integers(0, 60),
+           offset=st.integers(0, 10**6), exponent=st.integers(-3, 6),
+           deficient=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_each_row_bit_equal_to_lstsq_alone(self, order, rows, spare, offset, exponent,
+                                               deficient, seed):
+        rng = np.random.default_rng(seed)
+        m, n = order + 1 + spare, order + 1
+        design = rng.standard_normal((rows, m, n)) * 10.0 ** rng.integers(-3, 4, (rows, 1, n))
+        if deficient:  # a repeated column: rank below n
+            design[:, :, -1] = design[:, :, 0]
+        y = offset + 10.0 ** exponent * rng.standard_normal((rows, m))
+        rcond = m * np.finfo(float).eps
+        solved, _, ranks, _ = polynomial._umath_linalg.lstsq(design, y[:, :, None], rcond,
+                                                             signature="ddd->ddid")
+        for r in range(rows):
+            coef, _, rank, _ = np.linalg.lstsq(design[r], y[r], rcond)
+            assert solved[r, :, 0].tobytes() == coef.tobytes()
+            assert ranks[r] == rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.integers(1, 5), rows=st.integers(1, 12), spare=st.integers(0, 40),
+           offset=st.integers(0, 10**6), exponent=st.integers(-3, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_fit_row_bit_equal_to_numpy_polynomial_fit(self, order, rows, spare,
+                                                            offset, exponent, seed):
+        rng = np.random.default_rng(seed)
+        m = order + 1 + spare
+        # each row's sample positions, as a gap's observed context would be
+        idx = offset + np.sort([rng.choice(4 * m + 50, m, replace=False)
+                                for _ in range(rows)], axis=1)
+        y = 10.0 ** exponent * rng.standard_normal((rows, m))
+        grid = (idx[:, :1] + rng.integers(-20, 20, (rows, 5))).astype(float)
+        with warnings.catch_warnings(record=True) as fit_warnings:
+            warnings.simplefilter("always")
+            fits = polynomial._fit_and_evaluate(idx, y, order, grid)
+        with warnings.catch_warnings(record=True) as numpy_warnings:
+            warnings.simplefilter("always")
+            expected = []
+            for r in range(rows):
+                try:
+                    expected.append(np.polynomial.Polynomial.fit(idx[r], y[r], deg=order)(grid[r]))
+                except np.linalg.LinAlgError as exc:
+                    expected.append(exc)
+        assert [w.category for w in fit_warnings] == [w.category for w in numpy_warnings]
+        for fit, one in zip(fits, expected, strict=True):
+            if isinstance(one, np.ndarray) and np.isfinite(one).all():
+                assert fit.tobytes() == one.tobytes()
+            else:
+                assert isinstance(fit, (DivergenceError, np.linalg.LinAlgError))
+
+
+@st.composite
+def _seasonal_row_cases(draw):
+    """As ``_row_cases``, for the seasonal-naive kind."""
+    series, gaps, _ = draw(_row_cases())
+    return series, gaps, ImputerConfig("seasonal_naive", {"season": draw(st.integers(2, 30))})
+
+
+class TestSeasonalRows:
+    """The row form, ``impute(series, gaps, config)``, of the seasonal-naive kind."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_seasonal_row_cases())
+    def test_each_row_equals_the_one_gap_fill_and_the_walk(self, case):
+        series, gaps, config = case
+        rows = impute(series, gaps, config)
+        assert len(rows) == len(gaps)
+        for row, gap in zip(rows, gaps):
+            one = _one_gap_outcome(series, gap, config)
+            assert _same_outcome(row, one)
+            masked = series.copy()
+            masked.observed[gap.start_index:gap.end_index] = False
+            try:
+                walked = seasonal_naive_walk(masked, gap, config.params["season"])
+            except SeasonalReferenceError as exc:
+                assert isinstance(row, SeasonalReferenceError)
+                assert row.context == exc.context and str(row) == str(exc)
+            else:
+                assert row.tobytes() == walked.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_seasonal_row_cases(), poison=st.sampled_from([np.nan, 1e300]))
+    def test_a_gap_own_values_are_never_read(self, case, poison):
+        series, gaps, config = case
+        clean = impute(series, gaps, config)
+        for gi, gap in enumerate(gaps):
+            poisoned = series.copy()
+            poisoned.values[gap.start_index:gap.end_index] = poison
+            poisoned.observed[gap.start_index:gap.end_index] = True
+            assert _same_outcome(impute(poisoned, gaps, config)[gi], clean[gi])
+
+    def test_no_gaps_no_outcomes(self):
+        series = synthesize_series("seasonal", 300, {}, seed=1)
+        assert impute(series, [], ImputerConfig("seasonal_naive", {})) == []
 
 
 class TestSeasonalNaive:

@@ -15,7 +15,8 @@ from gapgauge import (EvalConfig, ImputerConfig, IngestSpec, MetricRecord,
 from gapgauge.errors import (CadenceError, ConfigError,
                              DuplicateTimestampError, ParseError, SchemaError)
 from gapgauge.imputers import _REGISTRY
-from gapgauge.io import write_records_csv
+from gapgauge.harness import AggregateRow
+from gapgauge.io import write_aggregates_csv, write_records_csv
 
 REPO_DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -141,6 +142,18 @@ class TestIngest:
         with pytest.raises(SchemaError) as err:
             IngestSpec(path="s.csv", expected_step=step)
         assert err.value.path == "ingest.expected_step"
+
+    @pytest.mark.parametrize("step", ["3600", None, True, np.bool_(True), [3600.0]])
+    def test_expected_step_that_is_not_a_number_rejected(self, step):
+        # "3600" and None raised a bare TypeError; True ran as a 1-second step
+        with pytest.raises(SchemaError, match="expected_step must be a finite number") as err:
+            IngestSpec(path="s.csv", expected_step=step)
+        assert err.value.path == "ingest.expected_step"
+
+    @pytest.mark.parametrize("step", [900, np.int64(60), np.float32(0.5), 3600.0])
+    def test_expected_step_stored_as_a_python_float(self, step):
+        spec = IngestSpec(path="s.csv", expected_step=step)
+        assert type(spec.expected_step) is float and spec.expected_step == step
 
     def test_iso8601_timestamps(self, tmp_path):
         path = write_csv(tmp_path / "s.csv",
@@ -507,6 +520,26 @@ class TestReportFiles:
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
         assert read_records_csv(path) == records
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+                           min_size=1, max_size=5))
+    def test_numpy_float_metrics_write_the_bytes_of_python_floats(self, values):
+        # csv writes each float by str(), which for numpy's float64 is the
+        # same shortest repr; its repr() would be "np.float64(...)"
+        def write(kind):
+            records = [MetricRecord(f"g{i}", "m", 3, *map(kind, row))
+                       for i, row in enumerate(values)]
+            rows = [AggregateRow("m", 3, *map(kind, row), 1, 0) for row in values]
+            with tempfile.TemporaryDirectory() as tmp:
+                write_records_csv(records, Path(tmp) / "r.csv")
+                write_aggregates_csv(rows, Path(tmp) / "a.csv")
+                return (Path(tmp) / "r.csv").read_bytes(), (Path(tmp) / "a.csv").read_bytes()
+
+        python, numpy = write(float), write(np.float64)
+        assert python == numpy
+        assert python[0].decode().splitlines()[1:] == [
+            f"g{i},m,3," + ",".join(map(repr, row)) + "," for i, row in enumerate(values)]
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         record = MetricRecord(gap_id="g0", imputer_id="m", gap_len=3,

@@ -84,6 +84,20 @@ class TestSynthesizeSeries:
         with pytest.raises(InvalidParameterError, match="fits in memory"):
             synthesize_series("constant", 100_000_000_000, {}, seed=0)
 
+    @pytest.mark.parametrize("period,length", [(5e-324, 5), (1e-307, 120), (2e-308, 2)])
+    def test_sine_period_whose_angles_overflow_rejected(self, period, length):
+        # 2*pi*(length - 1)/period is inf: the series would read NaN
+        with pytest.raises(InvalidParameterError, match="period too small") as err:
+            synthesize_series("sine", length, {"period": period})
+        assert err.value.context == {"period": period, "length": length}
+
+    @pytest.mark.parametrize("period,length", [(5e-324, 1), (1e-306, 5), (1e-300, 120)])
+    def test_tiny_sine_period_whose_angles_stay_finite_kept(self, period, length):
+        series = synthesize_series("sine", length, {"period": period})
+        expected = synthesized_values_by_pops("sine", length, {"period": period})
+        assert series.values.tobytes() == expected.tobytes()
+        assert np.isfinite(series.values).all()
+
     def test_step_scales_daily_period(self):
         series = synthesize_series("seasonal", 96 * 50, {"noise_sd": 0.0},
                                    seed=1, step=900.0)
@@ -121,10 +135,14 @@ class TestAgainstThePoppingGenerator:
         kind, length, params, kwargs = call
         try:
             expected = synthesized_values_by_pops(kind, length, params, **kwargs)
-        # A RuntimeWarning (an error under the suite's filter): a period so
-        # small that 2*pi*i/period overflows, which both generators divide.
-        except (GapgaugeError, RuntimeWarning) as exc:
+        except GapgaugeError as exc:
             with pytest.raises(type(exc)):
+                synthesize_series(kind, length, params, **kwargs)
+            return
+        # A RuntimeWarning (an error under the suite's filter): a period so
+        # small that 2*pi*i/period overflows, which the library rejects.
+        except RuntimeWarning:
+            with pytest.raises(InvalidParameterError, match="period too small"):
                 synthesize_series(kind, length, params, **kwargs)
             return
         series = synthesize_series(kind, length, params, **kwargs)
