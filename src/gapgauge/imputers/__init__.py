@@ -147,23 +147,14 @@ def impute(masked: TimeSeries, gap: GapSpec | Sequence[GapSpec], config: Imputer
     outcomes = []
     for one, outcome in zip(gap, spec.fill_gaps(masked, gap, config.params), strict=True):
         try:
-            outcomes.append(_checked(outcome, one, config.kind, finite=False))
+            outcomes.append(_checked(outcome, one, config.kind))
         except GapgaugeError as exc:
             outcomes.append(exc)
-    # One finiteness check over every fill; only a failing call looks at each.
-    fills = [o for o in outcomes if isinstance(o, np.ndarray)]
-    if fills and not np.isfinite(np.concatenate(fills)).all():
-        outcomes = [o if not isinstance(o, np.ndarray) or np.isfinite(o).all()
-                    else ShapeError(_NON_FINITE) for o in outcomes]
     return outcomes
 
 
-_NON_FINITE = "fill contains non-finite values"
-
-
-def _checked(outcome, gap: GapSpec, kind: str, finite: bool = True) -> np.ndarray:
-    """``outcome`` as a checked fill of ``gap``, or raised as the error it is;
-    a caller that checks finiteness itself passes ``finite=False``."""
+def _checked(outcome, gap: GapSpec, kind: str) -> np.ndarray:
+    """``outcome`` as a checked fill of ``gap``, or raised as the error it is."""
     if isinstance(outcome, (np.linalg.LinAlgError, FloatingPointError)):
         raise NumericalError(f"{type(outcome).__name__}: {outcome}", kind=kind) from outcome
     if isinstance(outcome, Exception):
@@ -172,6 +163,6 @@ def _checked(outcome, gap: GapSpec, kind: str, finite: bool = True) -> np.ndarra
     if filled.shape != (gap.length,):
         raise ShapeError("fill must be a 1-D array of gap.length values",
                          shape=filled.shape, gap=gap.length)
-    if finite and not np.isfinite(filled).all():
-        raise ShapeError(_NON_FINITE)
+    if not np.isfinite(filled).all():
+        raise ShapeError("fill contains non-finite values")
     return filled

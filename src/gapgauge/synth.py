@@ -7,8 +7,6 @@ the shape the evaluation protocol is designed around.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
@@ -54,7 +52,8 @@ def synthesize_series(kind: str, length: int, params: dict | None = None,
       period counts derived from ``step``.
 
     ``step`` and ``start_time`` must be finite, ``step`` positive, and
-    ``length`` and ``seed`` integers.
+    ``length`` and ``seed`` integers.  Parameters whose values are not all
+    finite raise ``InvalidParameterError``.
     """
     if kind not in _KIND_PARAMS:
         raise ConfigError(f"unknown series kind {kind!r}", known=SERIES_KINDS)
@@ -68,39 +67,42 @@ def synthesize_series(kind: str, length: int, params: dict | None = None,
     rng = philox_generator(seed)
     i = np.arange(length, dtype=float)
 
-    if kind == "constant":
-        values = np.full(length, p["value"])
-    elif kind == "sine":
-        if not math.isfinite(2.0 * math.pi * (length - 1) / p["period"]):
-            # a period so small that the last sample's angle overflows
-            raise InvalidParameterError("sine period too small for the series length",
-                                        period=p["period"], length=length)
-        wave = np.sin(2.0 * np.pi * i / p["period"] + p["phase"])
-        values = p["offset"] + p["amplitude"] * wave
-        if p["noise_sd"] > 0:
-            values = values + p["noise_sd"] * rng.standard_normal(length)
-    elif kind == "ar1":
-        coefficient, intercept = p["coefficient"], p["intercept"]
-        if not coefficient < 1.0:  # a ParamSpec's high bound is inclusive
-            raise InvalidParameterError("ar1 coefficient must lie in (-1, 1)",
-                                        coefficient=coefficient)
-        noise = p["noise_sd"] * rng.standard_normal(length)
-        values = np.empty(length)
-        values[0] = intercept / (1.0 - coefficient) + noise[0]
-        for t in range(1, length):
-            values[t] = intercept + coefficient * values[t - 1] + noise[t]
-    else:
-        phase = 2.0 * np.pi * i / (86400.0 / step)  # one turn a day
-        # Daily harmonics give the sharp two-peaked rush-hour shape real
-        # traffic counts show; a single sinusoid is too easy to mimic with
-        # a low-order non-seasonal recurrence.
-        daily = (0.60 * np.sin(phase - 0.6)
-                 + p["harmonic2"] * np.sin(2.0 * phase + 0.8)
-                 + p["harmonic3"] * np.sin(3.0 * phase + 0.2))
-        values = (p["base"]
-                  + p["daily_amplitude"] * daily
-                  + p["weekly_amplitude"] * np.sin(phase / 7.0 + 0.3)
-                  + p["yearly_amplitude"] * np.sin(phase / 365.25 + 1.1))
-        if p["noise_sd"] > 0:
-            values = values + p["noise_sd"] * rng.standard_normal(length)
+    # Finite parameters can still overflow (a subnormal sine period, a huge
+    # amplitude plus offset): the values are checked, not each cause.
+    with np.errstate(all="ignore"):
+        if kind == "constant":
+            values = np.full(length, p["value"])
+        elif kind == "sine":
+            wave = np.sin(2.0 * np.pi * i / p["period"] + p["phase"])
+            values = p["offset"] + p["amplitude"] * wave
+            if p["noise_sd"] > 0:
+                values = values + p["noise_sd"] * rng.standard_normal(length)
+        elif kind == "ar1":
+            coefficient, intercept = p["coefficient"], p["intercept"]
+            if not coefficient < 1.0:  # a ParamSpec's high bound is inclusive
+                raise InvalidParameterError("ar1 coefficient must lie in (-1, 1)",
+                                            coefficient=coefficient)
+            noise = p["noise_sd"] * rng.standard_normal(length)
+            values = np.empty(length)
+            values[0] = intercept / (1.0 - coefficient) + noise[0]
+            for t in range(1, length):
+                values[t] = intercept + coefficient * values[t - 1] + noise[t]
+        else:
+            phase = 2.0 * np.pi * i / (86400.0 / step)  # one turn a day
+            # Daily harmonics give the sharp two-peaked rush-hour shape real
+            # traffic counts show; a single sinusoid is too easy to mimic with
+            # a low-order non-seasonal recurrence.
+            daily = (0.60 * np.sin(phase - 0.6)
+                     + p["harmonic2"] * np.sin(2.0 * phase + 0.8)
+                     + p["harmonic3"] * np.sin(3.0 * phase + 0.2))
+            values = (p["base"]
+                      + p["daily_amplitude"] * daily
+                      + p["weekly_amplitude"] * np.sin(phase / 7.0 + 0.3)
+                      + p["yearly_amplitude"] * np.sin(phase / 365.25 + 1.1))
+            if p["noise_sd"] > 0:
+                values = values + p["noise_sd"] * rng.standard_normal(length)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidParameterError(f"{kind} parameters give non-finite series values",
+                                    index=int(bad[0]), length=length)
     return TimeSeries.fully_observed(start_time, step, values)

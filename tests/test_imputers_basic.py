@@ -385,6 +385,22 @@ class TestSeasonalRows:
             poisoned.observed[gap.start_index:gap.end_index] = True
             assert _same_outcome(impute(poisoned, gaps, config)[gi], clean[gi])
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=_seasonal_row_cases(), poison=st.sampled_from([np.nan, 1e300]))
+    def test_a_one_gap_call_never_reads_the_gap_left_observed(self, case, poison):
+        # the one-gap call is the row form's one-row case: an unmasked gap
+        # is skipped just as a masked one is
+        series, gaps, config = case
+        for gap in gaps:
+            poisoned = series.copy()
+            poisoned.values[gap.start_index:gap.end_index] = poison
+            poisoned.observed[gap.start_index:gap.end_index] = True
+            try:
+                unmasked = impute(poisoned, gap, config)
+            except GapgaugeError as exc:
+                unmasked = exc
+            assert _same_outcome(unmasked, _one_gap_outcome(series, gap, config))
+
     def test_no_gaps_no_outcomes(self):
         series = synthesize_series("seasonal", 300, {}, seed=1)
         assert impute(series, [], ImputerConfig("seasonal_naive", {})) == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,12 +86,22 @@ class TestSynthesizeSeries:
         with pytest.raises(InvalidParameterError, match="fits in memory"):
             synthesize_series("constant", 100_000_000_000, {}, seed=0)
 
-    @pytest.mark.parametrize("period,length", [(5e-324, 5), (1e-307, 120), (2e-308, 2)])
-    def test_sine_period_whose_angles_overflow_rejected(self, period, length):
-        # 2*pi*(length - 1)/period is inf: the series would read NaN
-        with pytest.raises(InvalidParameterError, match="period too small") as err:
-            synthesize_series("sine", length, {"period": period})
-        assert err.value.context == {"period": period, "length": length}
+    @pytest.mark.parametrize("kind,length,params,index", [
+        ("sine", 5, {"period": 5e-324}, 1),  # 2*pi*i/period is inf: sin() reads NaN
+        ("sine", 120, {"period": 1e-307}, 3),
+        ("sine", 2, {"period": 2e-308}, 1),
+        ("sine", 8, {"amplitude": 1e308, "offset": 1e308}, 4),  # offset + amplitude*wave
+        ("sine", 3, {"period": 6e-308, "phase": 1.7e308}, 1),  # angle + phase
+        ("sine", 4, {"noise_sd": 1e308, "offset": 1e308}, 0),
+        ("ar1", 50, {"intercept": 1e308, "coefficient": 0.9, "noise_sd": 0.0}, 0),
+        ("seasonal", 24, {"base": 1e308, "yearly_amplitude": 1e308}, 0),
+    ])
+    def test_parameters_giving_non_finite_values_rejected(self, kind, length, params, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # none escapes, outside pytest's filter too
+            with pytest.raises(InvalidParameterError, match="non-finite series values") as err:
+                synthesize_series(kind, length, params, seed=1)
+        assert err.value.context == {"index": index, "length": length}
 
     @pytest.mark.parametrize("period,length", [(5e-324, 1), (1e-306, 5), (1e-300, 120)])
     def test_tiny_sine_period_whose_angles_stay_finite_kept(self, period, length):
@@ -142,7 +154,7 @@ class TestAgainstThePoppingGenerator:
         # A RuntimeWarning (an error under the suite's filter): a period so
         # small that 2*pi*i/period overflows, which the library rejects.
         except RuntimeWarning:
-            with pytest.raises(InvalidParameterError, match="period too small"):
+            with pytest.raises(InvalidParameterError, match="non-finite series values"):
                 synthesize_series(kind, length, params, **kwargs)
             return
         series = synthesize_series(kind, length, params, **kwargs)
