@@ -7,9 +7,9 @@ import warnings
 from typing import Sequence
 
 import numpy as np
-# Private numpy API: the stacked gufunc behind np.linalg.lstsq, named
+# Private numpy API: the stacked gufunc behind numpy.linalg.lstsq, named
 # lstsq in numpy 2.x (lstsq_m/lstsq_n in 1.x).  TestStackedSolve pins it
-# against np.linalg.lstsq row by row.
+# row by row against the public one-matrix solve.
 from numpy.linalg import _umath_linalg
 
 from ..errors import ContextError, DivergenceError
