@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CapacityError, GapConflictError, InvalidParameterError,
-                     RangeError, ReferenceWindowError, TrainingWindowError)
-from .series import ParamSpec, TimeSeries
+                     ReferenceWindowError, TrainingWindowError)
+from .series import ParamSpec, TimeSeries, _check_window
 
 # Counter-based generator so gap placement is bit-reproducible across
 # platforms; the name is echoed in every report for cross-checking.
@@ -142,18 +142,14 @@ def generate_gaps(series_length: int, n_gaps: int, min_len: int, max_len: int,
 def apply_gaps(series: TimeSeries, gaps: GapSet) -> tuple[TimeSeries, dict[GapSpec, np.ndarray]]:
     """Mask every gap position; return the masked series and held-out truth.
 
-    Truth values are kept per gap in index order.  A gap touching an already
-    missing position raises :class:`GapConflictError` naming the gap.
+    Truth values are kept per gap in index order.  A gap not inside the
+    series raises ``RangeError``; one touching an already missing position
+    raises :class:`GapConflictError` naming the gap.
     """
     masked = series.copy()
     truth: dict[GapSpec, np.ndarray] = {}
     for gap in gaps:
-        if gap.start_index < 0 or gap.length < 1:
-            raise RangeError("gap start/length out of range",
-                             start=gap.start_index, length=gap.length)
-        if gap.end_index > len(series):
-            raise RangeError("gap end exceeds series length",
-                             end=gap.end_index, series_length=len(series))
+        _check_window(series, gap.start_index, gap.length)
         window = slice(gap.start_index, gap.end_index)
         if not series.observed[window].all():
             raise GapConflictError("gap overlaps an already-missing position",

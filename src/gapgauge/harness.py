@@ -12,8 +12,9 @@ a different artificial gap.  The gap's held-out values read as NaN and the
 series an imputer receives is read-only.  A row kind (``polynomial``,
 ``seasonal_naive``) fills every gap in one ``impute`` call on the unmasked
 series, never reading a gap's own positions, so each fill equals its
-one-gap fill.  Gap placement
-reserves the largest head-of-series history the imputer kinds declare.
+one-gap fill.  Every other job is one ``impute`` call on its gap, given the
+job's derived seed.  Gap placement reserves the largest head-of-series
+history the imputer kinds declare.
 """
 
 from __future__ import annotations
@@ -199,10 +200,9 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
     values, observed = work.values.view(), work.observed.view()
     values.flags.writeable = observed.flags.writeable = False
     imputer_ids = [c.imputer_id for c in config.imputers]
-    specs = [kind_spec(c.kind) for c in config.imputers]
     rows = {mi: impute(TimeSeries(work.start_time, work.step, values, observed),
                        gap_set.gaps, imputer)
-            for mi, imputer in enumerate(config.imputers) if specs[mi].fill_gaps}
+            for mi, imputer in enumerate(config.imputers) if kind_spec(imputer.kind).fill_gaps}
     outcomes = []
     for gi, gap in enumerate(gap_set.gaps):
         _single_gap_view(work, gap)
@@ -211,9 +211,8 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
                 outcome = rows[mi][gi]
             else:
                 view = TimeSeries(work.start_time, work.step, values, observed)
-                seed = derive_seed(config.seed, gi, mi) if specs[mi].reads_seed else 0
                 try:
-                    outcome = impute(view, gap, imputer, seed=seed)
+                    outcome = impute(view, gap, imputer, seed=derive_seed(config.seed, gi, mi))
                 except GapgaugeError as exc:
                     outcome = exc
             outcomes.append(_failure(outcome) if isinstance(outcome, GapgaugeError) else outcome)

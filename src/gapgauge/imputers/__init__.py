@@ -3,14 +3,15 @@
 Every imputer consumes a masked series plus a gap spec and returns exactly
 ``gap.length`` finite values.  Each method, built-in or added through
 :func:`register_imputer`, registers under a ``kind`` string as one
-:class:`KindSpec`: its ``fill(masked, gap, params, seed)``, a table of
+:class:`KindSpec`: one fill form (a per-gap ``fill(masked, gap, params,
+seed)``, or a row form ``fill_gaps(series, gaps, params)``), a table of
 :class:`ParamSpec` entries holding each default and range (a built-in
 kind's table lives in its own module), and a history hook.  Parameter
 validation and normalization, hour-form config keys and head-of-series
 history reservation all derive from that one declaration, so equal
 configurations always produce equal ``imputer_id`` strings.
 ``impute(masked, gap, ImputerConfig(kind, params), seed)`` runs any kind on
-one gap, and a kind with a row form (``fill_gaps``) on a sequence of gaps.
+one gap, and a row kind on a sequence of gaps.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from ..errors import ConfigError, GapgaugeError, NumericalError, ShapeError
 from ..gaps import GapSpec
-from ..series import ParamSpec, TimeSeries, normalize_params
+from ..series import ParamSpec, TimeSeries, _check_window, normalize_params
 from . import gbt, polynomial, seasonal
 from .arima import (ARIMA_PARAMS, SARIMA_PARAMS, ArimaOrder, FittedArima, arima_fill,
                     fit_arima, forecast, select_order)
@@ -52,18 +53,18 @@ def _no_history(params: dict, max_gap_len: int) -> int:
 class KindSpec:
     """Everything gapgauge knows about one imputer kind.
 
-    ``fill(masked, gap, params, seed)`` returns the gap's values;
-    ``history(params, max_gap_len)`` is how many head-of-series samples it
-    may read before any gap, which gap placement reserves.  ``reads_seed``
-    is false for a fill that ignores its seed, so a run need not derive one.
-    ``fill_gaps(series, gaps, params)``, if set, returns one outcome per gap
-    (its fill or its error), each gap treated as the only one missing.
+    A per-gap kind sets ``fill(masked, gap, params, seed)``, which returns
+    one gap's values.  A row kind sets ``fill_gaps(series, gaps, params)``
+    instead, which returns one outcome per gap (its fill or its error), each
+    gap treated as the only one missing; it serves every call, and a one-gap
+    call is its one-row case.  ``history(params, max_gap_len)`` is how many
+    head-of-series samples the kind may read before any gap, which gap
+    placement reserves.
     """
 
-    fill: Callable
+    fill: Callable | None
     params: tuple[ParamSpec, ...] = ()
     history: Callable[[dict, int], int] = _no_history
-    reads_seed: bool = True
     fill_gaps: Callable | None = None
 
 
@@ -72,14 +73,12 @@ def _train_span_history(params: dict, max_gap_len: int) -> int:
 
 
 _REGISTRY: dict[str, KindSpec] = {
-    "polynomial": KindSpec(polynomial.polynomial_fill, polynomial.PARAMS,
-                           polynomial.polynomial_reach, reads_seed=False,
+    "polynomial": KindSpec(None, polynomial.PARAMS, polynomial.polynomial_reach,
                            fill_gaps=polynomial.polynomial_fill_gaps),
-    "seasonal_naive": KindSpec(seasonal.seasonal_naive_fill, seasonal.PARAMS,
-                               seasonal.seasonal_reach, reads_seed=False,
+    "seasonal_naive": KindSpec(None, seasonal.PARAMS, seasonal.seasonal_reach,
                                fill_gaps=seasonal.seasonal_naive_fill_gaps),
-    "arima": KindSpec(arima_fill, ARIMA_PARAMS, _train_span_history, reads_seed=False),
-    "sarima": KindSpec(arima_fill, SARIMA_PARAMS, _train_span_history, reads_seed=False),
+    "arima": KindSpec(arima_fill, ARIMA_PARAMS, _train_span_history),
+    "sarima": KindSpec(arima_fill, SARIMA_PARAMS, _train_span_history),
     "gbt": KindSpec(gbt.gbt_fill, gbt.PARAMS, _train_span_history),
 }
 
@@ -91,7 +90,8 @@ def register_imputer(kind: str, fill: Callable, params: tuple[ParamSpec, ...] = 
     ``params`` declares every parameter the kind accepts; any other key is
     rejected.  ``history(params, max_gap_len)`` returns the head-of-series
     samples the kind needs before any gap (none when omitted).  A run passes
-    every such kind the job's derived seed.
+    every per-gap job its derived seed, ``derive_seed(seed, gap_index,
+    imputer_index)``.
     """
     _REGISTRY[kind] = KindSpec(fill, tuple(params), history or _no_history)
 
@@ -125,44 +125,55 @@ def impute(masked: TimeSeries, gap: GapSpec | Sequence[GapSpec], config: Imputer
            seed: int = 0):
     """Run one imputer on one gap and return its ``gap.length`` finite values.
 
-    Deterministic given (inputs, config, seed).  A fill that is not a 1-D
+    Deterministic given (inputs, config, seed).  A gap not inside the series
+    raises ``RangeError`` before any fill runs.  A fill that is not a 1-D
     array of ``gap.length`` finite values raises ``ShapeError``.  A
     ``LinAlgError`` or ``FloatingPointError`` escaping the fill becomes a
     ``NumericalError``; any other exception that is not a ``GapgaugeError``
-    is a bug and propagates unchanged.
+    is a bug and propagates unchanged.  A row kind fills one gap as the
+    one-row case of its ``fill_gaps``.
 
-    Given a sequence of gaps, a kind with a row form (``fill_gaps``) returns
-    one outcome per gap: its fill after the same checks, or the
-    ``GapgaugeError`` it alone raised.  Other kinds raise ``ConfigError``.
+    Given a sequence of gaps, a row kind returns one outcome per gap: its
+    fill after the same checks, or the ``GapgaugeError`` it alone raised.
+    Other kinds raise ``ConfigError``.
     """
-    spec = _REGISTRY[config.kind]
-    if isinstance(gap, GapSpec):
-        try:
+    spec, rows = _REGISTRY[config.kind], not isinstance(gap, GapSpec)
+    gaps = gap if rows else [gap]
+    for each in gaps:
+        _check_window(masked, each.start_index, each.length)
+    if rows:
+        if spec.fill_gaps is None:
+            raise ConfigError("imputer kind fills one gap per call", kind=config.kind)
+        return [_checked(outcome, each, config.kind) for each, outcome in
+                zip(gaps, spec.fill_gaps(masked, gaps, config.params), strict=True)]
+    try:
+        if spec.fill_gaps is None:
             outcome = spec.fill(masked, gap, config.params, seed)
-        except (np.linalg.LinAlgError, FloatingPointError) as exc:
-            outcome = exc
-        return _checked(outcome, gap, config.kind)
-    if spec.fill_gaps is None:
-        raise ConfigError("imputer kind fills one gap per call", kind=config.kind)
-    outcomes = []
-    for one, outcome in zip(gap, spec.fill_gaps(masked, gap, config.params), strict=True):
-        try:
-            outcomes.append(_checked(outcome, one, config.kind))
-        except GapgaugeError as exc:
-            outcomes.append(exc)
-    return outcomes
+        else:
+            outcome, = spec.fill_gaps(masked, gaps, config.params)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        outcome = exc
+    outcome = _checked(outcome, gap, config.kind)
+    if isinstance(outcome, GapgaugeError):
+        raise outcome
+    return outcome
 
 
-def _checked(outcome, gap: GapSpec, kind: str) -> np.ndarray:
-    """``outcome`` as a checked fill of ``gap``, or raised as the error it is."""
+def _checked(outcome, gap: GapSpec, kind: str):
+    """``outcome`` as a checked fill of ``gap``, or the ``GapgaugeError`` it
+    is or becomes.  Any other exception is a bug and is raised."""
     if isinstance(outcome, (np.linalg.LinAlgError, FloatingPointError)):
-        raise NumericalError(f"{type(outcome).__name__}: {outcome}", kind=kind) from outcome
+        error = NumericalError(f"{type(outcome).__name__}: {outcome}", kind=kind)
+        error.__cause__ = outcome
+        return error
+    if isinstance(outcome, GapgaugeError):
+        return outcome
     if isinstance(outcome, Exception):
         raise outcome
     filled = np.asarray(outcome, dtype=float)
     if filled.shape != (gap.length,):
-        raise ShapeError("fill must be a 1-D array of gap.length values",
-                         shape=filled.shape, gap=gap.length)
+        return ShapeError("fill must be a 1-D array of gap.length values",
+                          shape=filled.shape, gap=gap.length)
     if not np.isfinite(filled).all():
-        raise ShapeError("fill contains non-finite values")
+        return ShapeError("fill contains non-finite values")
     return filled

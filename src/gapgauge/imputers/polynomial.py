@@ -21,14 +21,6 @@ PARAMS = (ParamSpec("order", int, 3, low=1),
 _EPS = np.finfo(float).eps
 
 
-def polynomial_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:
-    """One gap: the one-row case of :func:`polynomial_fill_gaps`, raising its error."""
-    outcome, = polynomial_fill_gaps(masked, [gap], params)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def polynomial_fill_gaps(series: TimeSeries, gaps: Sequence[GapSpec], params: dict) -> list:
     """Fit one polynomial per gap through observed context points and read off the gap.
 

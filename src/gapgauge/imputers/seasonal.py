@@ -15,14 +15,6 @@ from ..series import ParamSpec, TimeSeries
 PARAMS = (ParamSpec("season", int, 24, low=2, hours=True),)
 
 
-def seasonal_naive_fill(masked: TimeSeries, gap: GapSpec, params: dict, seed: int) -> np.ndarray:
-    """One gap: the one-row case of :func:`seasonal_naive_fill_gaps`, raising its error."""
-    outcome, = seasonal_naive_fill_gaps(masked, [gap], params)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def seasonal_naive_fill_gaps(series: TimeSeries, gaps: Sequence[GapSpec], params: dict) -> list:
     """Fill each gap position from its nearest observed seasonal ancestor.
 

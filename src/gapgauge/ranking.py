@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import InvalidSampleError, ShapeError
 
 
 def average_ranks(scores) -> np.ndarray:
@@ -18,9 +18,12 @@ def average_ranks(scores) -> np.ndarray:
 
     A score with ``below`` scores under it and ``upto`` scores at most equal
     to it shares the tied positions ``below + 1 .. upto``, whose mean is
-    ``(below + upto + 1) / 2``.
+    ``(below + upto + 1) / 2``.  A NaN score has no order and raises
+    ``InvalidSampleError``; ``-inf`` and ``inf`` rank first and last.
     """
     scores = np.asarray(scores, dtype=float)
+    if np.isnan(scores).any():
+        raise InvalidSampleError("scores contain NaN")
     ordered = np.sort(scores)
     below = np.searchsorted(ordered, scores, side="left")
     upto = np.searchsorted(ordered, scores, side="right")

@@ -15,7 +15,7 @@ from gapgauge.errors import (ConfigError, ContextError, DegenerateError, Gapgaug
                              InvalidParameterError, NumericalError, ShapeError)
 from gapgauge.gaps import GapSet, apply_gaps
 from gapgauge.harness import AggregateRow
-from gapgauge.imputers import _REGISTRY, KindSpec, derive_seed, kind_spec
+from gapgauge.imputers import _REGISTRY, KindSpec, derive_seed
 
 from _oracles import aggregates_by_lists, jsd_pair, mae_pair, rmse_pair, wasserstein_pair
 
@@ -483,10 +483,6 @@ class TestImputerBoundary:
                             n_gaps=5, min_len=2, max_len=10, seed=11)
         run_evaluation(series, config)
         assert seeds == [derive_seed(11, gi, 2) for gi in range(5)]
-        assert kind_spec("seed_reader").reads_seed
-        assert kind_spec("gbt").reads_seed
-        assert not any(kind_spec(kind).reads_seed for kind in
-                       ("polynomial", "seasonal_naive", "arima", "sarima"))
 
     def test_numerical_error_keeps_its_cause(self):
         series = synthesize_series("seasonal", 300, {}, seed=1)
@@ -511,9 +507,6 @@ class TestRowForm:
         series = synthesize_series("seasonal", 3000, {}, seed=1)
         calls = []
 
-        def per_gap(masked, gap, params, seed):
-            raise AssertionError("a row kind is not filled gap by gap")
-
         def rows(masked, gaps, params):
             calls.append((masked.values.flags.writeable, masked.observed.flags.writeable,
                           masked.values.tobytes() == series.values.tobytes(),
@@ -527,7 +520,7 @@ class TestRowForm:
                                  masked.values[window] + 1.0][gi % 4])
             return outcomes
 
-        imputers._REGISTRY["rows"] = KindSpec(per_gap, reads_seed=False, fill_gaps=rows)
+        imputers._REGISTRY["rows"] = KindSpec(None, fill_gaps=rows)
         config = EvalConfig(imputers=[ImputerConfig("rows", {}), *small_imputers()],
                             n_gaps=8, min_len=2, max_len=10, seed=4)
         report = run_evaluation(series, config)
@@ -548,7 +541,7 @@ class TestRowForm:
             return [masked.values[gap.start_index:gap.end_index] * [1.0, np.nan, np.inf][gi % 3]
                     for gi, gap in enumerate(gaps)]
 
-        imputers._REGISTRY["rows"] = KindSpec(None, reads_seed=False, fill_gaps=rows)
+        imputers._REGISTRY["rows"] = KindSpec(None, fill_gaps=rows)
         config = EvalConfig(imputers=[ImputerConfig("rows", {})], n_gaps=7, min_len=2,
                             max_len=10, seed=4)
         errors = [r.error for r in run_evaluation(series, config).records]

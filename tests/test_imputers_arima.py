@@ -126,6 +126,18 @@ class TestSelectOrder:
         assert len(failures) == 15
         assert any("rank-deficiency" in reason for reason in failures.values())
         assert any("[training]" in reason for reason in failures.values())
+        # Too short for seasonal differencing: each seasonal candidate's
+        # difference levels fail while its fit is being tried.
+        series = synthesize_series("seasonal", 80, {}, seed=0)
+        with pytest.raises(SelectionError) as err:
+            select_order(slice_series(series, 0, 9), p_max=1, d_max=1, q_max=1,
+                         seasonal=(1, 1, 1, 24))
+        failures = err.value.context["failures"]
+        assert set(failures) == {order.label() for order in
+                                 arima._candidate_orders(1, 1, 1, (1, 1, 1, 24))}
+        assert len(failures) == 63
+        assert sum("series too short for seasonal differencing" in reason
+                   for reason in failures.values()) == 32
 
     def test_program_error_in_a_candidate_propagates(self, monkeypatch):
         def broken_fit(*args, **kwargs):

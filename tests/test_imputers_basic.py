@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gapgauge import (GapSpec, ImputerConfig, TimeSeries, impute,
                       register_imputer, synthesize_series)
 from gapgauge.errors import (ConfigError, ContextError, DivergenceError, GapgaugeError,
-                             InvalidParameterError, NumericalError,
+                             InvalidParameterError, NumericalError, RangeError,
                              SeasonalReferenceError, ShapeError)
 from gapgauge.imputers import kind_spec, polynomial
 
@@ -506,8 +506,12 @@ class TestImputerConfig:
     def test_builtin_fill_takes_the_plugin_signature(self, kind):
         # Defaults and ranges live only in the kind's ParamSpec table: the
         # fill reads normalized params and declares no keyword defaults.
-        parameters = inspect.signature(kind_spec(kind).fill).parameters
-        assert list(parameters) == ["masked", "gap", "params", "seed"]
+        # A row kind declares its row form only.
+        spec, rows = kind_spec(kind), kind in ("polynomial", "seasonal_naive")
+        assert (spec.fill is None) == rows
+        parameters = inspect.signature(spec.fill_gaps if rows else spec.fill).parameters
+        assert list(parameters) == (["series", "gaps", "params"] if rows
+                                    else ["masked", "gap", "params", "seed"])
         assert all(p.default is inspect.Parameter.empty and
                    p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
                    for p in parameters.values())
@@ -548,6 +552,16 @@ class TestImputerConfig:
             filled = impute(view, gap, ImputerConfig(kind, params), seed=3)
             assert len(filled) == 30
             assert np.all(np.isfinite(filled))
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["one-gap", "row"])
+    @pytest.mark.parametrize("gap", [GapSpec(2995, 10), GapSpec(2500, 0), GapSpec(-5, 3)],
+                             ids=["past-end", "empty", "negative-start"])
+    @pytest.mark.parametrize("kind", ["polynomial", "seasonal_naive", "arima",
+                                      "sarima", "gbt"])
+    def test_gap_outside_the_series_raises_before_any_fill(self, kind, gap, rows):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        with pytest.raises(RangeError):
+            impute(series, [GapSpec(2500, 5), gap] if rows else gap, ImputerConfig(kind))
 
     def test_imputers_deterministic_given_seed(self):
         series = synthesize_series("seasonal", 3000, {"noise_sd": 5.0}, seed=1)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gapgauge import average_ranks, kendall, spearman
-from gapgauge.errors import ShapeError
+from gapgauge.errors import InvalidSampleError, ShapeError
 
 
 class TestAverageRanks:
@@ -21,6 +21,20 @@ class TestAverageRanks:
     def test_equals_scipy_rankdata_on_tie_heavy_vectors(self, scores):
         assert np.array_equal(average_ranks(scores),
                               stats.rankdata(scores, method="average"))
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("rank", [average_ranks, lambda s: spearman(s, [1.0, 2.0, 3.0]),
+                                      lambda s: kendall([1.0, 2.0, 3.0], s)],
+                             ids=["average_ranks", "spearman", "kendall"])
+    def test_nan_has_no_rank(self, rank):
+        with pytest.raises(InvalidSampleError):
+            rank([1.0, np.nan, 3.0])
+
+    def test_infinities_keep_their_order(self):
+        scores = [-np.inf, 0.0, np.inf]
+        assert np.array_equal(average_ranks(scores), [1.0, 2.0, 3.0])
+        assert spearman(scores, [1.0, 2.0, 3.0]) == kendall(scores, [1.0, 2.0, 3.0]) == 1.0
 
 
 class TestSpearman:
