@@ -142,33 +142,50 @@ def _failure(exc: GapgaugeError) -> str:
     return f"{exc.code}: {exc.message}"
 
 
-def _score_fills(outcomes, references, truths, config) -> np.ndarray:
+def _gather_windows(series: TimeSeries, masked: TimeSeries, gaps) -> dict:
+    """Each gap length's gap indices, reference windows (from ``masked``)
+    and held-out values (from ``series``), the windows and values as the
+    rows of one array each, in gap order."""
+    groups: dict[int, list[int]] = {}
+    for gi, gap in enumerate(gaps):
+        groups.setdefault(gap.length, []).append(gi)
+    windows = {}
+    for length, members in groups.items():
+        group = [gaps[gi] for gi in members]
+        starts = np.array([gap.start_index for gap in group], dtype=np.intp)
+        windows[length] = (np.array(members), pre_gap_window(masked, group),
+                           series.values[starts[:, None] + np.arange(length)])
+    return windows
+
+
+def _score_fills(outcomes, windows, config) -> np.ndarray:
     """Both metric families of every fill, one batch call per gap length.
 
     ``outcomes`` holds each gap's jobs in imputer order: a fill, or an
-    error string.  The fills of each length are stacked into rows beside
-    their gaps' reference windows and held-out truths.  Returns a float
-    array of shape gaps × imputers × ``METRICS``, NaN for a failed job.
+    error string.  ``windows`` is :func:`_gather_windows`' map.  The fills
+    of each length are stacked into rows beside their gaps' reference
+    windows and held-out truths.  Returns a float array of shape gaps ×
+    imputers × ``METRICS``, NaN for a failed job.
     """
     n_imputers = len(config.imputers)
-    scores = np.full((len(outcomes), len(METRICS)), np.nan)
-    by_length: dict[int, list[int]] = {}
-    for j, outcome in enumerate(outcomes):
-        if not isinstance(outcome, str):
-            by_length.setdefault(len(outcome), []).append(j)
-    for members in by_length.values():
-        gis = [j // n_imputers for j in members]
-        filled = np.array([outcomes[j] for j in members])
-        reference = np.array([references[gi] for gi in gis])
-        held_out = np.array([truths[gi] for gi in gis])
+    filled_ok = np.array([not isinstance(outcome, str) for outcome in outcomes],
+                         dtype=bool).reshape(-1, n_imputers)
+    scores = np.full(filled_ok.shape + (len(METRICS),), np.nan)
+    for gis, references, truths in windows.values():
+        rows, mis = np.nonzero(filled_ok[gis])
+        if not len(rows):
+            continue
+        gis = gis[rows]
+        filled = np.array([outcomes[j] for j in (gis * n_imputers + mis).tolist()])
+        reference, held_out = references[rows], truths[rows]
         # A finite fill can still overflow a metric; the non-finite score
         # becomes a typed failure on its record, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
             columns = (wasserstein_1d(filled, reference),
                        jsd(filled, reference, bins=config.bins, epsilon=config.epsilon),
                        rmse(filled, held_out), mae(filled, held_out))
-        scores[members] = np.stack(columns, axis=1)
-    return scores.reshape(len(references), n_imputers, len(METRICS))
+        scores[gis, mis] = np.stack(columns, axis=1)
+    return scores
 
 
 def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
@@ -189,8 +206,8 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
                           reserve=reserve, series_length=len(series))
     gap_set = generate_gaps(len(series), config.n_gaps, config.min_len,
                             config.max_len, config.seed, min_start=reserve)
-    masked, truth = apply_gaps(series, gap_set)
-    references = [pre_gap_window(masked, gap) for gap in gap_set]
+    masked, _ = apply_gaps(series, gap_set)
+    windows = _gather_windows(series, masked, gap_set.gaps)
 
     # One private working copy, read through read-only views, each call
     # through its own TimeSeries.  Row kinds fill every gap in one call on
@@ -218,9 +235,7 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
             outcomes.append(_failure(outcome) if isinstance(outcome, GapgaugeError) else outcome)
         _restore_gap(work, series, gap)
 
-    truths = [truth[gap] for gap in gap_set.gaps]
-    scores = _score_fills(outcomes, references, truths, config).reshape(
-        -1, len(METRICS)).tolist()
+    scores = _score_fills(outcomes, windows, config).reshape(-1, len(METRICS)).tolist()
     records, j = [], 0
     for gi, gap in enumerate(gap_set.gaps):
         gap_id = f"gap{gi:03d}"

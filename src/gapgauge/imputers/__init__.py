@@ -126,9 +126,10 @@ def impute(masked: TimeSeries, gap: GapSpec | Sequence[GapSpec], config: Imputer
     """Run one imputer on one gap and return its ``gap.length`` finite values.
 
     Deterministic given (inputs, config, seed).  A gap not inside the series
-    raises ``RangeError`` before any fill runs.  A fill that is not a 1-D
-    array of ``gap.length`` finite values raises ``ShapeError``.  A
-    ``LinAlgError`` or ``FloatingPointError`` escaping the fill becomes a
+    raises ``RangeError`` before any fill runs (a gap field that is not an
+    integer, ``InvalidParameterError``).  A fill that is not a 1-D array of
+    ``gap.length`` finite values raises ``ShapeError``.  A ``LinAlgError``
+    or ``FloatingPointError`` escaping the fill becomes a
     ``NumericalError``; any other exception that is not a ``GapgaugeError``
     is a bug and propagates unchanged.  A row kind fills one gap as the
     one-row case of its ``fill_gaps``.
@@ -144,36 +145,47 @@ def impute(masked: TimeSeries, gap: GapSpec | Sequence[GapSpec], config: Imputer
     if rows:
         if spec.fill_gaps is None:
             raise ConfigError("imputer kind fills one gap per call", kind=config.kind)
-        return [_checked(outcome, each, config.kind) for each, outcome in
-                zip(gaps, spec.fill_gaps(masked, gaps, config.params), strict=True)]
+        return _checked(spec.fill_gaps(masked, gaps, config.params), gaps, config.kind)
     try:
         if spec.fill_gaps is None:
-            outcome = spec.fill(masked, gap, config.params, seed)
+            outcomes = [spec.fill(masked, gap, config.params, seed)]
         else:
-            outcome, = spec.fill_gaps(masked, gaps, config.params)
+            outcomes = spec.fill_gaps(masked, gaps, config.params)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        outcome = exc
-    outcome = _checked(outcome, gap, config.kind)
+        outcomes = [exc]
+    outcome, = _checked(outcomes, gaps, config.kind)
     if isinstance(outcome, GapgaugeError):
         raise outcome
     return outcome
 
 
-def _checked(outcome, gap: GapSpec, kind: str):
-    """``outcome`` as a checked fill of ``gap``, or the ``GapgaugeError`` it
-    is or becomes.  Any other exception is a bug and is raised."""
-    if isinstance(outcome, (np.linalg.LinAlgError, FloatingPointError)):
-        error = NumericalError(f"{type(outcome).__name__}: {outcome}", kind=kind)
-        error.__cause__ = outcome
-        return error
-    if isinstance(outcome, GapgaugeError):
-        return outcome
-    if isinstance(outcome, Exception):
-        raise outcome
-    filled = np.asarray(outcome, dtype=float)
-    if filled.shape != (gap.length,):
-        return ShapeError("fill must be a 1-D array of gap.length values",
-                          shape=filled.shape, gap=gap.length)
-    if not np.isfinite(filled).all():
-        return ShapeError("fill contains non-finite values")
-    return filled
+def _checked(outcomes, gaps: Sequence[GapSpec], kind: str) -> list:
+    """Each of ``outcomes`` as a checked fill of its gap, or the
+    ``GapgaugeError`` it is or becomes.  Any other exception is a bug and is
+    raised.
+
+    One pass: each fill's shape is checked against its gap's length, then
+    one ``np.isfinite`` runs over every fill that passed, reduced per fill.
+    """
+    checked = []
+    for outcome, gap in zip(outcomes, gaps, strict=True):
+        if isinstance(outcome, (np.linalg.LinAlgError, FloatingPointError)):
+            error = NumericalError(f"{type(outcome).__name__}: {outcome}", kind=kind)
+            error.__cause__ = outcome
+            outcome = error
+        elif not isinstance(outcome, Exception):
+            filled = np.asarray(outcome, dtype=float)
+            outcome = filled if filled.shape == (gap.length,) else ShapeError(
+                "fill must be a 1-D array of gap.length values",
+                shape=filled.shape, gap=gap.length)
+        elif not isinstance(outcome, GapgaugeError):
+            raise outcome
+        checked.append(outcome)
+    fills = [i for i, outcome in enumerate(checked) if isinstance(outcome, np.ndarray)]
+    if fills:
+        sizes = np.array([len(checked[i]) for i in fills])
+        finite = np.logical_and.reduceat(
+            np.isfinite(np.concatenate([checked[i] for i in fills])), np.cumsum(sizes) - sizes)
+        for at in np.flatnonzero(~finite).tolist():
+            checked[fills[at]] = ShapeError("fill contains non-finite values")
+    return checked

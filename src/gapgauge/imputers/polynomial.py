@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from typing import Sequence
 
@@ -36,14 +35,20 @@ def polynomial_fill_gaps(series: TimeSeries, gaps: Sequence[GapSpec], params: di
     """
     order, n, needed = params["order"], len(series), params["order"] + 1
     outcomes: list = [None] * len(gaps)
-    groups: dict[tuple[int, int, int, int], list[int]] = {}
-    for i, gap in enumerate(gaps):
-        start, length = gap.start_index, gap.length
-        reach = polynomial_reach(params, length)
-        groups.setdefault((length, min(start, reach), min(n - start - length, reach), reach),
-                          []).append(i)
-    for (length, left, right, context), rows in sorted(groups.items()):
-        starts = np.array([gaps[i].start_index for i in rows])
+    if not gaps:
+        return outcomes
+    all_starts = np.array([gap.start_index for gap in gaps], dtype=np.intp)
+    lengths = np.array([gap.length for gap in gaps], dtype=np.intp)
+    distinct, which = np.unique(lengths, return_inverse=True)
+    reach = np.array([polynomial_reach(params, length) for length in distinct.tolist()])[which]
+    keys = np.stack([lengths, np.minimum(all_starts, reach),
+                     np.minimum(n - all_starts - lengths, reach), reach])
+    by_key = np.lexsort(keys[::-1])  # by (length, left, right, reach), stable
+    keys = keys[:, by_key]
+    cuts = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1
+    for (length, left, right, context), rows in zip(keys[:, np.r_[0, cuts]].T.tolist(),
+                                                    np.split(by_key, cuts)):
+        starts = all_starts[rows]
         windows = starts[:, None] + np.concatenate(
             [np.arange(-left, 0), np.arange(length, length + right)])
         use = series.observed[windows]
@@ -64,7 +69,7 @@ def polynomial_fill_gaps(series: TimeSeries, gaps: Sequence[GapSpec], params: di
             idx = windows[batch][use[batch]].reshape(-1, m)
             grid = (starts[batch, None] + np.arange(length)).astype(float)
             fits = _fit_and_evaluate(idx, series.values[idx], order, grid)
-            for gi, outcome in zip(itertools.compress(rows, batch.tolist()), fits):
+            for gi, outcome in zip(rows[batch].tolist(), fits):
                 outcomes[gi] = outcome
     return outcomes
 

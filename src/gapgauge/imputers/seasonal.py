@@ -28,9 +28,10 @@ def seasonal_naive_fill_gaps(series: TimeSeries, gaps: Sequence[GapSpec], params
     if not gaps:
         return []
     season, observed = params["season"], series.observed
-    lengths = np.array([gap.length for gap in gaps])
+    lengths = np.array([gap.length for gap in gaps], dtype=np.intp)
     ends = np.cumsum(lengths)  # each gap's end among all gaps' positions
-    own = np.repeat([gap.start_index for gap in gaps], lengths)  # a position's gap start
+    own = np.repeat(np.array([gap.start_index for gap in gaps], dtype=np.intp),
+                    lengths)  # a position's gap start
     # each position: its gap's start plus its offset within that gap
     positions = own + np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
     source = positions - season
@@ -39,7 +40,8 @@ def seasonal_naive_fill_gaps(series: TimeSeries, gaps: Sequence[GapSpec], params
         lost &= source >= 0
         np.subtract(source, season, out=source, where=lost)
         lost &= (source >= own) | ~observed.take(source, mode="clip")
-    outcomes = np.split(series.values.take(source, mode="clip"), ends[:-1].tolist())
+    filled = series.values.take(source, mode="clip")
+    outcomes = [filled[end - gap.length:end] for gap, end in zip(gaps, ends.tolist())]
     orphans = np.flatnonzero(source < 0)  # walked out of the series
     gis, first = np.unique(np.searchsorted(ends, orphans, side="right"), return_index=True)
     for gi, at in zip(gis.tolist(), orphans[first].tolist()):

@@ -34,7 +34,9 @@ def fits_in_memory(samples: int, bytes_each: int = 9) -> bool:
 
 def is_integer(value) -> bool:
     """Whether ``value`` is an ``int`` or numpy integer; a ``bool`` is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    # An exact int, the common case, takes one test; gap checks run per gap.
+    return type(value) is int or (isinstance(value, (int, np.integer))
+                                  and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,20 @@ def validate(series: TimeSeries) -> list[str]:
 
 
 def _check_window(series: TimeSeries, start_index: int, length: int) -> None:
+    """``RangeError`` unless ``[start_index, start_index + length)`` is a
+    non-empty window inside ``series``; ``InvalidParameterError`` first if
+    either field is not an integer (:func:`is_integer`)."""
+    if not is_integer(start_index):
+        raise InvalidParameterError("start_index must be an integer", start_index=start_index)
+    if not is_integer(length):
+        raise InvalidParameterError("length must be an integer", length=length)
     if start_index < 0:
         raise RangeError("start_index must be >= 0", start_index=start_index)
     if length < 1:
         raise RangeError("length must be >= 1", length=length)
-    if start_index + length > len(series):
+    if start_index + length > len(series.values):
         raise RangeError("window end exceeds series length",
-                         end=start_index + length, series_length=len(series))
+                         end=start_index + length, series_length=len(series.values))
 
 
 def slice_series(series: TimeSeries, start_index: int, length: int) -> TimeSeries:

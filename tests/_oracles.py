@@ -5,7 +5,8 @@ transport cost is solved as a coupling problem (permutation enumeration for
 equal sizes, an explicit linear program otherwise), divergences by direct
 summation, forecasts by a hand-rolled recursion, seasonal-naive fills one
 position at a time, synthetic series by the generator that popped each
-parameter with its default in turn, the checks of a run's settings,
+parameter with its default in turn, gap placement by numpy's own scalar
+draws and a linear overlap scan, the checks of a run's settings,
 gap requests and histogram parameters by hand-written rules, and each
 aggregate mean by one ``np.mean`` over that metric's list.  The one
 exception is
@@ -378,15 +379,22 @@ def reference_boosting(X, y, trees, max_depth, learning_rate, subsample=1.0,
     return base, stages, training_mse
 
 
-def reference_gap_placement(series_length, n_gaps, min_len, max_len, seed,
-                            min_start=0):
-    """Gap placement as first written: every draw scans all accepted
-    extended intervals for an overlap.
+def scalar_draw_gap_placement(series_length, n_gaps, min_len, max_len, seed,
+                              min_start=0):
+    """Gap placement as written before it read raw Philox words: two scalar
+    ``Generator.integers`` calls per candidate (its length, then its
+    start), after the feasibility precheck, with every draw scanning all
+    accepted extended intervals for an overlap.
 
-    Only the draw loop is kept; callers pass requests that clear the
-    library's feasibility precheck.  The library's bisect over sorted
-    intervals must place the same gaps, or fail after the same draws."""
+    Callers pass requests that clear the library's argument checks.  The
+    library's block-drawn placement, with its bisect over sorted intervals,
+    must place the same gaps, or fail with the same ``CapacityError``."""
     rng = philox_generator(seed)
+    room = series_length - max(0, min_start - max_len)
+    if n_gaps * 2 * min_len > room:
+        raise CapacityError("gaps with their windows cannot fit in the series",
+                            placed=0, requested=n_gaps, series_length=series_length,
+                            min_len=min_len, room=room)
     occupied, placed = [], []
     max_attempts = 10_000 * n_gaps
     attempts = 0
@@ -534,6 +542,8 @@ def eval_config_checks(imputers, n_gaps=100, min_len=2, max_len=48, seed=0, bins
         raise ConfigError("n_gaps must be >= 1", n_gaps=n_gaps)
     if not 1 <= min_len <= max_len:
         raise ConfigError("need 1 <= min_len <= max_len", min_len=min_len, max_len=max_len)
+    if max_len >= 2**63:
+        raise ConfigError("max_len must fit a signed 64-bit integer", max_len=max_len)
     if not imputers:
         raise ConfigError("need at least one imputer")
     if not 0 <= seed < 2**64:
@@ -559,6 +569,11 @@ def gap_request_checks(series_length, n_gaps, min_len, max_len, seed, min_start=
     if not (1 <= min_len <= max_len):
         raise InvalidParameterError("need 1 <= min_len <= max_len",
                                     min_len=min_len, max_len=max_len)
+    # numpy's int64 draws take a start below series_length and a length
+    # up to max_len (both bounds exclusive of the value drawn past them).
+    if series_length > 2**63 or max_len >= 2**63:
+        raise InvalidParameterError("series_length or max_len beyond int64 draws",
+                                    series_length=series_length, max_len=max_len)
     if n_gaps < 1:
         raise InvalidParameterError("n_gaps must be >= 1", n_gaps=n_gaps)
     if min_start < 0:

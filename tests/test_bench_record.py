@@ -99,3 +99,106 @@ def test_next_bench_path_follows_the_highest(tmp_path):
     for name in ("BENCH_1.json", "BENCH_3.json", "BENCH_x.json"):
         (tmp_path / name).write_text("{}")
     assert bench_record.next_bench_path(tmp_path).name == "BENCH_4.json"
+
+
+END_TO_END_DECLARED = [{"name": "jobs_per_s", "better": "higher"},
+                       {"name": "wall_s", "better": "lower"}]
+
+
+def test_compare_counts_wins_by_direction_and_takes_quartiles():
+    higher = bench_record.compare([10.0, 10.0, 10.0, 10.0, 10.0],
+                                  [12.0, 11.0, 9.0, 13.0, 10.0], "higher")
+    assert higher["ratios"] == [1.2, 1.1, 0.9, 1.3, 1.0]
+    assert (higher["won"], higher["pairs"]) == (3, 5)
+    assert higher["median_ratio"] == 1.1
+    assert higher["ratio_quartiles"] == pytest.approx([1.0, 1.2])
+    assert (higher["base_median"], higher["change_median"]) == (10.0, 11.0)
+    lower = bench_record.compare([2.0, 2.0], [1.0, 3.0], "lower")
+    assert (lower["won"], lower["median_ratio"]) == (1, 1.0)
+    assert lower["ratio_quartiles"] == [0.75, 1.25]
+
+
+def test_gather_ab_refuses_two_machines():
+    results = {"base": {"protocol": [fake_result("protocol", 30.0, commit="p", cpu_count=4)]},
+               "change": {"protocol": [fake_result("protocol", 31.0, commit="c")]}}
+    with pytest.raises(ValueError, match="different machines"):
+        bench_record.gather_ab(results, {"protocol": ["base"]}, 3.0, END_TO_END_DECLARED)
+
+
+def _ab_checkout(root: Path, name: str) -> Path:
+    checkout = root / name
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "protocol"}, {"name": "many_gaps"}],
+         "end_to_end": END_TO_END_DECLARED}))
+    (checkout / "perfbench" / "reference.json").write_text(json.dumps(
+        {"protocol": {"seed": 7}, "many_gaps": {"seed": 7}}))
+    return checkout
+
+
+def test_main_ab_alternates_the_order_and_writes_both_sides(tmp_path, monkeypatch):
+    base, change = _ab_checkout(tmp_path, "base"), _ab_checkout(tmp_path, "change")
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        side, workload = Path(cwd).name, argv[argv.index("--workload") + 1]
+        assert argv[argv.index("--trace") + 1] == "0"
+        calls.append((workload, side))
+        k = sum(1 for w, s in calls if (w, s) == (workload, side))
+        rate = 10.0 * k if side == "base" else 10.0 * k + (1.0 if k != 3 else -1.0)
+        path = bench_record.result_path(Path(cwd), workload, 7, 0)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(fake_result(workload, rate, 1.0 / rate, commit=side)))
+        return subprocess.CompletedProcess(argv, 0, stdout="correct: true\n", stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "REPO", tmp_path)
+    argv = ["--checkout", str(change), "--base", str(base), "--pairs", "4", "--seconds", "1"]
+    assert bench_record.main(argv) == 0
+    order = ["base", "change", "change", "base"] * 2
+    assert calls == [(w, side) for w in ("protocol", "many_gaps")
+                     for side in ["base", "change", "change", "base", "base", "change",
+                                  "change", "base"]]
+    assert [side for _, side in calls][:8] == order
+    entry = json.loads((tmp_path / "BENCH_1.json").read_text())
+    assert entry["mode"] == "ab" and entry["commits"] == {"base": "base", "change": "change"}
+    assert "commit" not in entry["machine"]
+    protocol = entry["runs"]["protocol"]
+    assert protocol["first"] == ["base", "change", "base", "change"]
+    assert [r["metrics"]["jobs_per_s"]["value"] for r in protocol["base"]] == [10, 20, 30, 40]
+    assert [r["metrics"]["jobs_per_s"]["value"] for r in protocol["change"]] == [11, 21, 29, 41]
+    jobs = protocol["metrics"]["jobs_per_s"]
+    assert jobs["ratios"] == pytest.approx([1.1, 1.05, 29 / 30, 1.025])
+    assert (jobs["won"], jobs["pairs"]) == (3, 4)
+    assert jobs["median_ratio"] == pytest.approx((1.05 + 1.025) / 2)
+    assert protocol["metrics"]["wall_s"]["won"] == 3
+
+
+def test_main_ab_drops_a_failed_pair_and_exits_1(tmp_path, monkeypatch):
+    base, change = _ab_checkout(tmp_path, "base"), _ab_checkout(tmp_path, "change")
+    runs = []
+
+    def fake_run(argv, cwd, **kwargs):
+        runs.append(Path(cwd).name)
+        workload = argv[argv.index("--workload") + 1]
+        if len(runs) == 3:  # pair 2's first run fails before writing its result
+            return subprocess.CompletedProcess(argv, 1, stdout="", stderr="boom")
+        path = bench_record.result_path(Path(cwd), workload, 7, 0)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(fake_result(workload, 10.0, commit=Path(cwd).name)))
+        return subprocess.CompletedProcess(argv, 0, stdout="correct: true\n", stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "REPO", tmp_path)
+    argv = ["--checkout", str(change), "--base", str(base), "--pairs", "3", "--seconds", "1"]
+    assert bench_record.main(argv) == 1
+    protocol = json.loads((tmp_path / "BENCH_1.json").read_text())["runs"]["protocol"]
+    assert protocol["first"] == ["base", "base"]
+    assert len(protocol["base"]) == len(protocol["change"]) == 2
+    assert protocol["metrics"]["jobs_per_s"]["pairs"] == 2
+
+
+def test_ab_needs_two_pairs(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_record.main(["--checkout", str(tmp_path), "--base", str(tmp_path),
+                           "--pairs", "1"])

@@ -352,6 +352,42 @@ class TestRunEvaluation:
             run_evaluation(series, config)
 
 
+class TestGatheredWindows:
+    """``run_evaluation`` gathers each gap length's reference windows and
+    held-out values once, as rows; each row must be that gap's own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 60), st.integers(1, 12))
+    def test_rows_equal_the_one_gap_calls(self, seed, n_gaps, max_len):
+        series = synthesize_series("seasonal", 2_000, {"noise_sd": 5.0}, seed=3)
+        gap_set = harness.generate_gaps(2_000, n_gaps, 1, max_len, seed)
+        masked, truth = apply_gaps(series, gap_set)
+        windows = harness._gather_windows(series, masked, gap_set.gaps)
+        seen = []
+        for length, (gis, references, truths) in windows.items():
+            assert references.shape == truths.shape == (len(gis), length)
+            for gi, reference, held_out in zip(gis.tolist(), references, truths):
+                gap = gap_set.gaps[gi]
+                assert gap.length == length
+                assert np.array_equal(reference, pre_gap_window(masked, gap))
+                assert np.array_equal(held_out, truth[gap])
+                seen.append(gi)
+        assert sorted(seen) == list(range(len(gap_set)))
+        assert all(np.all(np.diff(gis) > 0) for gis, _, _ in windows.values())
+
+    def test_a_failing_window_raises_the_one_gap_error(self):
+        series = synthesize_series("seasonal", 200, {}, seed=3)
+        # the second gap of length 4 has the first one in its window
+        gaps = (GapSpec(10, 2), GapSpec(20, 4), GapSpec(40, 3), GapSpec(26, 4))
+        masked, _ = apply_gaps(series, GapSet(gaps, 0, 200))
+        with pytest.raises(GapgaugeError) as alone:
+            pre_gap_window(masked, gaps[3])
+        with pytest.raises(GapgaugeError) as gathered:
+            harness._gather_windows(series, masked, gaps)
+        assert (type(gathered.value), gathered.value.message, gathered.value.context) == \
+            (type(alone.value), alone.value.message, alone.value.context)
+
+
 class TestImputerBoundary:
     """Fault-injection kinds registered through ``register_imputer``."""
 
@@ -546,6 +582,40 @@ class TestRowForm:
                             max_len=10, seed=4)
         errors = [r.error for r in run_evaluation(series, config).records]
         assert errors == [None, *["shape: fill contains non-finite values"] * 2] * 2 + [None]
+
+    def test_one_check_pass_gives_each_row_its_one_gap_outcome(self, monkeypatch):
+        monkeypatch.setattr(imputers, "_REGISTRY", dict(imputers._REGISTRY))
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+
+        def fill(gap):  # chosen by the gap alone, so one gap's call sees the same
+            good = np.arange(gap.length, dtype=float)
+            return [good, good.tolist(), np.append(good, np.nan), good + np.inf,
+                    np.where(good == 1, np.nan, good), good.astype(int),
+                    ContextError("no context"), np.linalg.LinAlgError("Singular matrix"),
+                    np.full((gap.length, 1), np.nan)][gap.start_index % 9]
+
+        imputers._REGISTRY["rows"] = KindSpec(None, fill_gaps=lambda masked, gaps, params:
+                                              [fill(gap) for gap in gaps])
+        gaps = [GapSpec(900 + 9 * i + i % 9, 2 + i % 4) for i in range(27)]
+        config = ImputerConfig("rows", {})
+
+        def described(outcome):
+            if isinstance(outcome, GapgaugeError):
+                return type(outcome), outcome.message, outcome.context
+            return outcome.dtype, outcome.tolist()
+
+        rows = impute(series, gaps, config)
+        for gap, row in zip(gaps, rows):
+            try:
+                alone = impute(series, gap, config)
+            except GapgaugeError as exc:
+                alone = exc
+            assert described(row) == described(alone)
+        assert [getattr(row, "message", "fill") for row in rows[:9]] == [
+            "fill", "fill", "fill must be a 1-D array of gap.length values",
+            "fill contains non-finite values", "fill contains non-finite values", "fill",
+            "no context", "LinAlgError: Singular matrix",
+            "fill must be a 1-D array of gap.length values"]
 
     @pytest.mark.parametrize("aggregation", ["exact", "quartile"])
     def test_failing_jobs_recorded_and_aggregated_as_each_job_alone(self, monkeypatch,

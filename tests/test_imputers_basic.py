@@ -280,6 +280,13 @@ class TestPolynomialRows:
         assert len(ranks) == len(one_caught) == 3
         assert all(_same_outcome(row, one) for row, one in zip(rows, ones))
 
+    def test_context_past_the_series_reads_to_its_ends(self):
+        series = synthesize_series("seasonal", 300, {}, seed=1)
+        gaps = [GapSpec(2, 3), GapSpec(150, 6), GapSpec(290, 10)]
+        huge, whole = (impute(series, gaps, ImputerConfig("polynomial", {"context": c}))
+                       for c in (10**30, 300))
+        assert all(_same_outcome(a, b) for a, b in zip(huge, whole))
+
     def test_no_gaps_no_outcomes(self):
         series = synthesize_series("seasonal", 300, {}, seed=1)
         assert impute(series, [], ImputerConfig("polynomial", {})) == []
@@ -400,6 +407,13 @@ class TestSeasonalRows:
             except GapgaugeError as exc:
                 unmasked = exc
             assert _same_outcome(unmasked, _one_gap_outcome(series, gap, config))
+
+    def test_context_past_the_series_reads_to_its_ends(self):
+        series = synthesize_series("seasonal", 300, {}, seed=1)
+        gaps = [GapSpec(2, 3), GapSpec(150, 6), GapSpec(290, 10)]
+        huge, whole = (impute(series, gaps, ImputerConfig("polynomial", {"context": c}))
+                       for c in (10**30, 300))
+        assert all(_same_outcome(a, b) for a, b in zip(huge, whole))
 
     def test_no_gaps_no_outcomes(self):
         series = synthesize_series("seasonal", 300, {}, seed=1)
@@ -562,6 +576,32 @@ class TestImputerConfig:
         series = synthesize_series("seasonal", 3000, {}, seed=1)
         with pytest.raises(RangeError):
             impute(series, [GapSpec(2500, 5), gap] if rows else gap, ImputerConfig(kind))
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["one-gap", "row"])
+    @pytest.mark.parametrize("gap", [GapSpec(2500.0, 5), GapSpec(2500, 5.5),
+                                     GapSpec(2500, True), GapSpec(np.float64(2500), 5)],
+                             ids=["float-start", "float-length", "bool-length",
+                                  "numpy-float-start"])
+    @pytest.mark.parametrize("kind", ["polynomial", "seasonal_naive", "arima",
+                                      "sarima", "gbt"])
+    def test_gap_field_that_is_not_an_integer_raises_before_any_fill(self, kind, gap, rows):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            impute(series, [GapSpec(2400, 5), gap] if rows else gap, ImputerConfig(kind))
+
+    @pytest.mark.parametrize("numpy_int", [np.int64, np.uint64, np.int32])
+    @pytest.mark.parametrize("kind", ["polynomial", "seasonal_naive", "arima"])
+    def test_numpy_integer_gap_fields_fill_as_ints(self, kind, numpy_int):
+        series = synthesize_series("seasonal", 3000, {}, seed=1)
+        config = ImputerConfig(kind)
+        gap = GapSpec(numpy_int(2500), numpy_int(5))
+        view = series.copy()
+        view.observed[2500:2505] = False
+        expected = impute(view, GapSpec(2500, 5), config)
+        assert np.array_equal(impute(view, gap, config), expected)
+        if kind_spec(kind).fill_gaps:
+            first, second = impute(series, [GapSpec(2400, 5), gap], config)
+            assert np.array_equal(second, expected)
 
     def test_imputers_deterministic_given_seed(self):
         series = synthesize_series("seasonal", 3000, {"noise_sd": 5.0}, seed=1)
