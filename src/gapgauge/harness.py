@@ -4,7 +4,9 @@ Generate reproducible artificial gaps in a complete series, run every
 configured imputer on every gap, then score every fill with both metric
 families (WD/JSD against the pre-gap window, RMSE/MAE against held-out
 truth) in one row-batched call per gap length, aggregate per gap size, and
-measure rank agreement between the families.
+measure rank agreement between the families.  A run's records are kept as
+one column table (:class:`RecordTable`); ``MetricRecord`` objects are built
+from it only when asked for.
 
 Each gap is imputed in isolation: the imputer sees the original series with
 only that gap masked, so one method's training window is never corrupted by
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -101,13 +104,57 @@ class AggregateRow:
     n_failed: int
 
 
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """A run's records as columns, in record order (gaps by position, each
+    gap's imputers in declared order).
+
+    ``scores`` is a records × ``METRICS`` float array, NaN on a failed
+    record's row; ``errors`` maps each failed record's row to its
+    ``code: message``.  Every other row passes ``MetricRecord``'s rule.
+    """
+
+    gap_ids: list[str]
+    imputer_ids: list[str]
+    gap_lens: np.ndarray
+    scores: np.ndarray
+    errors: dict[int, str]
+
+    def __len__(self) -> int:
+        return len(self.gap_ids)
+
+    @classmethod
+    def from_records(cls, records) -> "RecordTable":
+        """The table of ``MetricRecord``s; a failed record's metrics are not kept."""
+        errors = {j: r.error for j, r in enumerate(records) if r.error is not None}
+        scores = np.array([attrgetter(*METRICS)(r) for r in records],
+                          dtype=float).reshape(len(records), len(METRICS))
+        scores[list(errors)] = np.nan
+        return cls([r.gap_id for r in records], [r.imputer_id for r in records],
+                   np.array([r.gap_len for r in records], dtype=np.int64), scores, errors)
+
+    def records(self) -> list[MetricRecord]:
+        """One ``MetricRecord`` per row; each success row passes its check."""
+        errors = self.errors
+        return [MetricRecord(gap_id, imputer_id, gap_len, error=errors[j]) if j in errors
+                else MetricRecord(gap_id, imputer_id, gap_len, *row)
+                for j, (gap_id, imputer_id, gap_len, row) in enumerate(zip(
+                    self.gap_ids, self.imputer_ids, self.gap_lens.tolist(),
+                    self.scores.tolist()))]
+
+
 @dataclass
 class EvalReport:
-    records: list[MetricRecord]
+    table: RecordTable
     aggregates: list[AggregateRow]
     agreement: dict | None
     provenance: dict
     gaps: GapSet
+
+    @cached_property
+    def records(self) -> list[MetricRecord]:
+        """The table's records, built on first access."""
+        return self.table.records()
 
     def to_json_dict(self) -> dict:
         """report.json's document; the rows live only in the CSVs."""
@@ -158,25 +205,23 @@ def _gather_windows(series: TimeSeries, masked: TimeSeries, gaps) -> dict:
     return windows
 
 
-def _score_fills(outcomes, windows, config) -> np.ndarray:
+def _score_fills(outcomes, failed, windows, config) -> np.ndarray:
     """Both metric families of every fill, one batch call per gap length.
 
-    ``outcomes`` holds each gap's jobs in imputer order: a fill, or an
-    error string.  ``windows`` is :func:`_gather_windows`' map.  The fills
-    of each length are stacked into rows beside their gaps' reference
-    windows and held-out truths.  Returns a float array of shape gaps ×
-    imputers × ``METRICS``, NaN for a failed job.
+    ``outcomes`` holds each imputer's job outcomes in gap order: a fill, or
+    an error; ``failed`` marks the errors in a gaps × imputers array.
+    ``windows`` is :func:`_gather_windows`' map.  The fills of each length
+    are stacked into rows beside their gaps' reference windows and held-out
+    truths.  Returns a float array of shape gaps × imputers × ``METRICS``,
+    NaN for a failed job.
     """
-    n_imputers = len(config.imputers)
-    filled_ok = np.array([not isinstance(outcome, str) for outcome in outcomes],
-                         dtype=bool).reshape(-1, n_imputers)
-    scores = np.full(filled_ok.shape + (len(METRICS),), np.nan)
+    scores = np.full(failed.shape + (len(METRICS),), np.nan)
     for gis, references, truths in windows.values():
-        rows, mis = np.nonzero(filled_ok[gis])
+        rows, mis = np.nonzero(~failed[gis])
         if not len(rows):
             continue
         gis = gis[rows]
-        filled = np.array([outcomes[j] for j in (gis * n_imputers + mis).tolist()])
+        filled = np.array([outcomes[mi][gi] for gi, mi in zip(gis.tolist(), mis.tolist())])
         reference, held_out = references[rows], truths[rows]
         # A finite fill can still overflow a metric; the non-finite score
         # becomes a typed failure on its record, so numpy need not warn.
@@ -212,46 +257,29 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
     # One private working copy, read through read-only views, each call
     # through its own TimeSeries.  Row kinds fill every gap in one call on
     # the unmasked copy; for the rest each gap is masked once, imputed, then
-    # restored.  A job's outcome is its fill or its error string.
+    # restored.  Each imputer's column holds its jobs' outcomes in gap
+    # order: a fill, or an error.
     work = series.copy()
     values, observed = work.values.view(), work.observed.view()
     values.flags.writeable = observed.flags.writeable = False
-    imputer_ids = [c.imputer_id for c in config.imputers]
-    rows = {mi: impute(TimeSeries(work.start_time, work.step, values, observed),
-                       gap_set.gaps, imputer)
-            for mi, imputer in enumerate(config.imputers) if kind_spec(imputer.kind).fill_gaps}
-    outcomes = []
+    columns = [impute(TimeSeries(work.start_time, work.step, values, observed),
+                      gap_set.gaps, imputer) if kind_spec(imputer.kind).fill_gaps else []
+               for imputer in config.imputers]
+    per_gap = [(mi, imputer) for mi, imputer in enumerate(config.imputers)
+               if not kind_spec(imputer.kind).fill_gaps]
     for gi, gap in enumerate(gap_set.gaps):
         _single_gap_view(work, gap)
-        for mi, imputer in enumerate(config.imputers):
-            if mi in rows:
-                outcome = rows[mi][gi]
-            else:
-                view = TimeSeries(work.start_time, work.step, values, observed)
-                try:
-                    outcome = impute(view, gap, imputer, seed=derive_seed(config.seed, gi, mi))
-                except GapgaugeError as exc:
-                    outcome = exc
-            outcomes.append(_failure(outcome) if isinstance(outcome, GapgaugeError) else outcome)
+        for mi, imputer in per_gap:
+            view = TimeSeries(work.start_time, work.step, values, observed)
+            try:
+                outcome = impute(view, gap, imputer, seed=derive_seed(config.seed, gi, mi))
+            except GapgaugeError as exc:
+                outcome = exc
+            columns[mi].append(outcome)
         _restore_gap(work, series, gap)
 
-    scores = _score_fills(outcomes, windows, config).reshape(-1, len(METRICS)).tolist()
-    records, j = [], 0
-    for gi, gap in enumerate(gap_set.gaps):
-        gap_id = f"gap{gi:03d}"
-        for imputer_id in imputer_ids:
-            outcome, score = outcomes[j], scores[j]
-            j += 1
-            if isinstance(outcome, str):
-                records.append(MetricRecord(gap_id, imputer_id, gap.length, error=outcome))
-                continue
-            try:
-                records.append(MetricRecord(gap_id, imputer_id, gap.length, *score))
-            except ShapeError as exc:  # a non-finite metric
-                records.append(MetricRecord(gap_id, imputer_id, gap.length,
-                                            error=_failure(exc)))
-
-    aggregates = aggregate(records, config.aggregation)
+    table = _record_table(gap_set.gaps, config, columns, windows)
+    aggregates = aggregate(table, config.aggregation)
     try:
         agreement = rank_agreement(aggregates)
     except DegenerateError as exc:
@@ -266,53 +294,82 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
         "history_reserve": reserve,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    return EvalReport(records=records, aggregates=aggregates,
+    return EvalReport(table=table, aggregates=aggregates,
                       agreement=agreement, provenance=provenance, gaps=gap_set)
 
 
-def aggregate(records: list[MetricRecord], bucketing: str = "exact") -> list[AggregateRow]:
+def _record_table(gaps, config, columns, windows) -> RecordTable:
+    """The run's records from each imputer's column of job outcomes.
+
+    A failed job's record carries its error; a fill whose scores are not all
+    finite fails by ``MetricRecord``'s rule, with the error it raises.
+    """
+    n_imputers = len(config.imputers)
+    failed = np.array([[isinstance(outcome, GapgaugeError) for outcome in column]
+                       for column in columns], dtype=bool).T
+    errors = {gi * n_imputers + mi: _failure(columns[mi][gi])
+              for gi, mi in np.argwhere(failed).tolist()}
+    scores = _score_fills(columns, failed, windows, config).reshape(-1, len(METRICS))
+    non_finite = np.flatnonzero(~np.isfinite(scores).all(axis=1) & ~failed.ravel())
+    for j in non_finite.tolist():
+        try:
+            MetricRecord.check_scores(scores[j].tolist())
+        except ShapeError as exc:
+            errors[j] = _failure(exc)
+    scores[non_finite] = np.nan
+    lengths = np.array([gap.length for gap in gaps], dtype=np.int64)
+    return RecordTable([f"gap{gi:03d}" for gi in range(len(gaps)) for _ in range(n_imputers)],
+                       [c.imputer_id for c in config.imputers] * len(gaps),
+                       np.repeat(lengths, n_imputers), scores, errors)
+
+
+def aggregate(records, bucketing: str = "exact") -> list[AggregateRow]:
     """Arithmetic means of each metric per (imputer, gap-size bucket).
 
+    ``records`` is a :class:`RecordTable` or a sequence of ``MetricRecord``.
     ``exact`` buckets by gap length in samples; ``quartile`` buckets by
     quartile of the observed gap-length distribution, labelled by each
     bucket's largest length.  Failed records are excluded from means and
-    counted in ``n_failed``; buckets with no successes are omitted.
+    counted in ``n_failed``; buckets with no successes are omitted.  Rows
+    come sorted by imputer id, then bucket.
     """
-    if not records:
+    table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
+    if not len(table):
         raise InvalidParameterError("no records to aggregate")
     if bucketing not in AGGREGATIONS:
         raise InvalidParameterError("unknown aggregation rule", bucketing=bucketing)
 
-    if bucketing == "exact":
-        def bucket_of(record):
-            return record.gap_len
-    else:
-        all_lengths = np.array([r.gap_len for r in records])
-        edges = np.quantile(all_lengths, [0.25, 0.5, 0.75])
-        quartile = {length: int(np.searchsorted(edges, length, side="left"))
-                    for length in np.unique(all_lengths)}
-        label = {}  # quartile index -> largest gap length it holds
-        for length, q in quartile.items():
-            label[q] = max(label.get(q, 0), int(length))
+    buckets = table.gap_lens
+    if bucketing == "quartile":
+        quartile = np.searchsorted(np.quantile(buckets, [0.25, 0.5, 0.75]), buckets,
+                                   side="left")
+        label = np.zeros(4, dtype=buckets.dtype)  # quartile -> largest gap length it holds
+        np.maximum.at(label, quartile, buckets)
+        buckets = label[quartile]
 
-        def bucket_of(record):
-            return label[quartile[record.gap_len]]
-
-    groups: dict[tuple[str, int], list[MetricRecord]] = {}
-    for record in records:
-        groups.setdefault((record.imputer_id, bucket_of(record)), []).append(record)
-
-    metrics = attrgetter(*METRICS)
+    # A stable sort keeps each group's rows in record order.
+    names = sorted(set(table.imputer_ids))
+    code_of = {name: code for code, name in enumerate(names)}
+    codes = np.fromiter(map(code_of.__getitem__, table.imputer_ids), dtype=np.intp,
+                        count=len(table))
+    order = np.lexsort((buckets, codes))
+    codes, buckets = codes[order], buckets[order]
+    starts = np.flatnonzero(np.r_[True, (codes[1:] != codes[:-1])
+                                  | (buckets[1:] != buckets[:-1])])
+    ok = ~np.isnan(table.scores[order, 0])  # only a failed record's row holds NaN
+    n_ok = np.add.reduceat(ok, starts, dtype=np.intp)
+    sizes = np.diff(np.r_[starts, len(order)])
+    # One contiguous row per metric: np.mean sums each group's slice of a
+    # row pairwise, the same float operations as over that metric's list
+    # of the group alone.
+    values = table.scores[order[ok]].T.copy()
+    first = np.r_[0, np.cumsum(n_ok)[:-1]]
     rows = []
-    for imputer_id, bucket in sorted(groups):
-        members = groups[(imputer_id, bucket)]
-        ok = [metrics(r) for r in members if r.error is None]
-        if not ok:
-            continue
-        # One contiguous row per metric: np.mean sums each row pairwise, the
-        # same float operations as over that metric's list alone.
-        means = np.mean(np.array(ok, dtype=float).T.copy(), axis=1).tolist()
-        rows.append(AggregateRow(imputer_id, bucket, *means, len(ok), len(members) - len(ok)))
+    for code, bucket, count, size, at in zip(codes[starts].tolist(), buckets[starts].tolist(),
+                                             n_ok.tolist(), sizes.tolist(), first.tolist()):
+        if count:
+            means = np.mean(values[:, at:at + count], axis=1).tolist()
+            rows.append(AggregateRow(names[code], bucket, *means, count, size - count))
     return rows
 
 

@@ -3,16 +3,20 @@
 Config files are JSON (``schema_version: 1``) and speak hours for anything
 time-like, matching how gap lengths and training spans are usually quoted;
 loading converts hours to samples with the series step.  All outputs are
-written atomically (temp file in the target directory, then rename).
+written atomically (temp file in the target directory, then rename).  Every
+CSV is written by one formatter, :func:`_csv_lines`, whose bytes are those
+of ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from operator import attrgetter
@@ -22,7 +26,8 @@ import numpy as np
 
 from .errors import (CadenceError, ConfigError, DuplicateTimestampError, GapgaugeError,
                      InvalidParameterError, ParseError, SchemaError, ShapeError)
-from .harness import AggregateRow, EvalConfig, EvalReport, aggregate
+from .gaps import MAX_LEN
+from .harness import AggregateRow, EvalConfig, EvalReport, RecordTable, aggregate
 from .imputers import ImputerConfig, kind_spec
 from .metrics import METRICS, MetricRecord
 from .series import ParamSpec, TimeSeries, fits_in_memory
@@ -36,6 +41,14 @@ TIMESTAMP_FORMATS = ("epoch", "iso8601")
 MISSING_POLICIES = ("reject", "mask")
 # Seconds between samples; a config's hour-form fields convert with it.
 EXPECTED_STEP = ParamSpec("expected_step", float, 3600.0, low=0.0, low_open=True)
+# A records.csv row's gap length, as gap placement allows it.
+GAP_LEN = ParamSpec("gap_len", int, None, low=1, high=MAX_LEN.high)
+# What makes csv.writer quote a cell: the delimiter, the quote character and
+# the line terminator; a bare carriage return too on the Python versions
+# whose csv module quotes it, so the running module is asked once.
+_QUOTED_CHARS = ',"\n' + ("\r" if csv.writer(io.StringIO(), lineterminator="\n")
+                          .writerow(["\r"]) > 2 else "")
+_QUOTED = re.compile(f"[{re.escape(_QUOTED_CHARS)}]")
 
 
 @dataclass
@@ -164,13 +177,10 @@ def write_series_csv(series: TimeSeries, path) -> None:
     """Emit a series as an epoch-seconds CSV under ``IngestSpec``'s default
     column names; masked positions get blank cells."""
     stamps = series.start_time + np.arange(len(series), dtype=float) * series.step
-
-    def rows():
-        yield (IngestSpec.timestamp_column, IngestSpec.value_column)
-        for t, v, seen in zip(stamps.tolist(), series.values.tolist(), series.observed.tolist()):
-            yield (repr(int(t)) if t.is_integer() else repr(t), repr(v) if seen else "")
-
-    _write_rows(path, rows())
+    _write_columns(path, (IngestSpec.timestamp_column, IngestSpec.value_column), [
+        [repr(int(t)) if t.is_integer() else repr(t) for t in stamps.tolist()],
+        [repr(v) if seen else "" for v, seen in zip(series.values.tolist(),
+                                                    series.observed.tolist())]])
 
 
 def _hours_to_samples(hours: float, step_seconds: float, path: str) -> int:
@@ -286,18 +296,45 @@ def _atomic_write(path, fill) -> None:
         raise
 
 
+def _csv_lines(columns) -> list[str]:
+    """The lines, without terminators, that ``csv.writer`` (``QUOTE_MINIMAL``)
+    writes for the rows that ``columns`` (equal-length lists) hold.
+
+    Each cell is formatted a column at a time: ``None`` as an empty cell,
+    anything else as its ``str`` (a float, numpy's ``float64`` too, as its
+    shortest round-trip repr), quoted when it holds a character in
+    ``_QUOTED_CHARS``, with its quotes doubled.  A row whose line would be
+    empty is written as ``""``.
+    """
+    cells = []
+    for column in columns:
+        text = (["" if cell is None else str(cell) for cell in column] if None in column
+                else list(map(str, column)))
+        joined = "".join(text)
+        # A substring test per character is far faster than a regex scan, so
+        # a column whose cells need no quotes (every number) costs one pass.
+        if any(char in joined for char in _QUOTED_CHARS):
+            text = ['"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) else cell
+                    for cell in text]
+        cells.append(text)
+    lines = list(map(",".join, zip(*cells)))
+    return [line or '""' for line in lines] if len(cells) == 1 else lines
+
+
+def _write_columns(path, header, columns) -> None:
+    """Write the ``header`` row, then the rows ``columns`` hold, as CSV."""
+    lines = _csv_lines([[name, *column] for name, column in zip(header, columns, strict=True)])
+    _atomic_write(path, lambda handle: handle.write("\n".join(lines) + "\n"))
+
+
 def _write_rows(path, rows) -> None:
-    _atomic_write(path, lambda handle: csv.writer(
-        handle, lineterminator="\n").writerows(rows))
+    """Write ``rows``, the first the header, as CSV."""
+    header, *body = rows
+    _write_columns(path, header, list(zip(*body)) or [()] * len(header))
 
 
 def _write_table(path, columns: tuple[str, ...], items) -> None:
-    """One CSV row per item, its ``columns`` attributes as cells, streamed.
-
-    ``csv`` writes ``None`` as an empty cell and any other value as its
-    ``str``: a float (numpy's ``float64`` too) as its shortest round-trip
-    repr.
-    """
+    """One CSV row per item, its ``columns`` attributes as cells."""
     _write_rows(path, itertools.chain([columns], map(attrgetter(*columns), items)))
 
 
@@ -307,11 +344,27 @@ def write_json(path, doc) -> None:
 
 
 def write_records_csv(records: list[MetricRecord], path) -> None:
-    _write_table(path, RECORD_COLUMNS, records)
+    _write_record_table(RecordTable.from_records(records), path)
+
+
+def _write_record_table(table: RecordTable, path) -> None:
+    """records.csv from the table's columns; a failed record's metric cells
+    are empty."""
+    metrics = table.scores.T.tolist()
+    errors = [None] * len(table)
+    for j, error in table.errors.items():
+        errors[j] = error
+        for column in metrics:
+            column[j] = None
+    _write_columns(path, RECORD_COLUMNS, [table.gap_ids, table.imputer_ids,
+                                          table.gap_lens.tolist(), *metrics, errors])
 
 
 def read_records_csv(path) -> list[MetricRecord]:
-    records = []
+    """The records of a records.csv as a run writes it: one row per (gap_id,
+    imputer_id), one ``gap_len`` per gap_id, and no metrics beside an error.
+    Any other file raises ``ParseError`` naming its first offending line."""
+    records, seen, gap_lens = [], set(), {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -322,13 +375,24 @@ def read_records_csv(path) -> list[MetricRecord]:
                 raise ParseError("wrong column count", line=line)
             cells = dict(zip(RECORD_COLUMNS, row))
             try:
-                records.append(MetricRecord(
+                record = MetricRecord(
                     gap_id=cells["gap_id"], imputer_id=cells["imputer_id"],
-                    gap_len=int(cells["gap_len"]),
+                    gap_len=GAP_LEN.normalize(int(cells["gap_len"])),
                     **{m: float(cells[m]) if cells[m] else None for m in METRICS},
-                    error=cells["error"] or None))
-            except (ValueError, ShapeError) as exc:  # ShapeError: a non-finite metric
+                    error=cells["error"] or None)
+            except (ValueError, ShapeError, InvalidParameterError) as exc:
+                # ShapeError: a non-finite metric; InvalidParameterError: gap_len
                 raise ParseError(f"unparseable record row: {exc}", line=line) from None
+            key = (record.gap_id, record.imputer_id)
+            if key in seen:
+                raise ParseError(f"record {key!r} given twice", line=line)
+            seen.add(key)
+            if gap_lens.setdefault(record.gap_id, record.gap_len) != record.gap_len:
+                raise ParseError(f"gap {record.gap_id!r} given two gap_len values", line=line,
+                                 gap_len=(gap_lens[record.gap_id], record.gap_len))
+            if record.failed and any(cells[m] for m in METRICS):
+                raise ParseError("a failed record holds no metrics", line=line)
+            records.append(record)
     return records
 
 
@@ -352,11 +416,11 @@ def emit_report(report: EvalReport, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = [out / "report.json", out / "records.csv", out / "aggregates.csv"]
     write_json(written[0], report.to_json_dict())
-    write_records_csv(report.records, written[1])
+    _write_record_table(report.table, written[1])
     write_aggregates_csv(report.aggregates, written[2])
 
     imputer_ids = [c["imputer_id"] for c in report.provenance["config"]["imputers"]]
-    exact = aggregate(report.records, "exact")
+    exact = aggregate(report.table, "exact")
     for metric in METRICS:
         written.append(out / f"plot_{metric}.csv")
         _write_rows(written[-1], _plot_rows(exact, metric, imputer_ids))

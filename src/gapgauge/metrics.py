@@ -287,8 +287,13 @@ class MetricRecord:
 
     def __post_init__(self):
         if self.error is None:
-            for name in METRICS:
-                value = getattr(self, name)
-                if value is None or not math.isfinite(value):
-                    raise ShapeError(f"metric {name} must be finite on a success record",
-                                     value=value)
+            self.check_scores([getattr(self, name) for name in METRICS])
+
+    @staticmethod
+    def check_scores(values) -> None:
+        """A success record's rule: each of ``values`` (in ``METRICS`` order)
+        finite, else ``ShapeError`` naming the first that is not."""
+        for name, value in zip(METRICS, values):
+            if value is None or not math.isfinite(value):
+                raise ShapeError(f"metric {name} must be finite on a success record",
+                                 value=value)

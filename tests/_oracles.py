@@ -197,6 +197,32 @@ def aggregates_by_lists(records, bucketing: str = "exact") -> list:
     return rows
 
 
+def records_by_eager_loop(gaps, imputer_ids, outcomes, scores) -> list:
+    """``run_evaluation``'s records as once built, one ``MetricRecord`` per
+    job in record order.  ``outcomes`` holds each job's fill or error and
+    ``scores`` its four metrics, both in record order; a job whose scores
+    fail the record's own check is recorded with the error it raises."""
+    from gapgauge.errors import GapgaugeError, ShapeError
+    from gapgauge.metrics import MetricRecord
+
+    records, j = [], 0
+    for gi, gap in enumerate(gaps):
+        gap_id = f"gap{gi:03d}"
+        for imputer_id in imputer_ids:
+            outcome, score = outcomes[j], scores[j]
+            j += 1
+            if isinstance(outcome, GapgaugeError):
+                records.append(MetricRecord(gap_id, imputer_id, gap.length,
+                                            error=f"{outcome.code}: {outcome.message}"))
+                continue
+            try:
+                records.append(MetricRecord(gap_id, imputer_id, gap.length, *score))
+            except ShapeError as exc:  # a non-finite metric
+                records.append(MetricRecord(gap_id, imputer_id, gap.length,
+                                            error=f"{exc.code}: {exc.message}"))
+    return records
+
+
 def arima_forecast_by_hand(fitted, steps: int) -> np.ndarray:
     """Re-run the forecast recursion from the fitted coefficients alone.
 

@@ -101,8 +101,8 @@ def test_next_bench_path_follows_the_highest(tmp_path):
     assert bench_record.next_bench_path(tmp_path).name == "BENCH_4.json"
 
 
-END_TO_END_DECLARED = [{"name": "jobs_per_s", "better": "higher"},
-                       {"name": "wall_s", "better": "lower"}]
+END_TO_END_DECLARED = [{"name": "jobs_per_s", "better": "higher", "bound": 0.25},
+                       {"name": "wall_s", "better": "lower", "bound": 0.25}]
 
 
 def test_compare_counts_wins_by_direction_and_takes_quartiles():
@@ -202,3 +202,65 @@ def test_ab_needs_two_pairs(tmp_path):
     with pytest.raises(SystemExit):
         bench_record.main(["--checkout", str(tmp_path), "--base", str(tmp_path),
                            "--pairs", "1"])
+
+
+def _compared(base, change, better="higher", bound=0.25):
+    c = bench_record.compare(base, change, better)
+    return {**c, **bench_record.verdict(c, better, bound)}
+
+
+def test_compare_gives_each_sides_median_and_quartiles():
+    c = bench_record.compare([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 4.0, 6.0, 8.0, 10.0], "higher")
+    assert (c["base_median"], c["base_quartiles"]) == (3.0, [2.0, 4.0])
+    assert (c["change_median"], c["change_quartiles"]) == (6.0, [4.0, 8.0])
+
+
+def test_gain_rule_needs_nine_of_ten_pairs_and_a_gap_beyond_the_base_spread():
+    base = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+    held = _compared(base, [b * 1.2 for b in base])
+    assert held["gain"] and held["won"] == 10 and held["within_bound"] == "within"
+    # 8 of 10 pairs won is not enough, however large the medians' gap
+    assert not _compared(base, [b * 1.2 for b in base[:8]] + base[8:])["gain"]
+    # every pair won, but by less than the base's interquartile range
+    assert not _compared(base, [b + 0.5 for b in base])["gain"]
+    # lower is better: the change must fall
+    assert _compared(base, [b * 0.8 for b in base], "lower")["gain"]
+    assert not _compared(base, [b * 1.2 for b in base], "lower")["gain"]
+
+
+def test_bound_check_reads_worse_unresolved_or_within():
+    steady = [100.0, 101.0, 99.0, 100.0, 100.0, 101.0, 99.0, 100.0]
+    assert _compared(steady, [90.0] * 8)["within_bound"] == "within"
+    assert _compared(steady, [70.0] * 8)["within_bound"] == "worse"
+    assert _compared(steady, [130.0] * 8, "lower")["within_bound"] == "worse"
+    assert _compared(steady, [96.0] * 8, "lower", bound=0.05)["within_bound"] == "within"
+    noisy = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 100.0, 100.0]
+    assert _compared(noisy, [100.0] * 8)["within_bound"] == "unresolved"
+    # every change run beats every base run: resolved however wide the spread
+    assert _compared(noisy, [150.0] * 8)["within_bound"] == "within"
+    assert _compared(noisy, [50.0] * 8, "lower")["within_bound"] == "within"
+
+
+def test_main_ab_records_and_prints_the_verdicts(tmp_path, monkeypatch, capsys):
+    base, change = _ab_checkout(tmp_path, "base"), _ab_checkout(tmp_path, "change")
+
+    def fake_run(argv, cwd, **kwargs):
+        side, workload = Path(cwd).name, argv[argv.index("--workload") + 1]
+        rate = 100.0 if side == "base" else 130.0
+        path = bench_record.result_path(Path(cwd), workload, 7, 0)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(fake_result(workload, rate, 1.0 / rate, commit=side)))
+        return subprocess.CompletedProcess(argv, 0, stdout="correct: true\n", stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "REPO", tmp_path)
+    argv = ["--checkout", str(change), "--base", str(base), "--pairs", "2", "--seconds", "1"]
+    assert bench_record.main(argv) == 0
+    jobs = json.loads((tmp_path / "BENCH_1.json").read_text())["runs"]["many_gaps"]["metrics"]
+    assert {k: jobs["jobs_per_s"][k] for k in ("gain", "bound", "within_bound")} == \
+        {"gain": True, "bound": 0.25, "within_bound": "within"}
+    assert jobs["jobs_per_s"]["base_quartiles"] == [100.0, 100.0]
+    printed = capsys.readouterr().out
+    assert ("many_gaps jobs_per_s: base 100 [100, 100], change 130 [130, 130]; "
+            "won 2 of 2") in printed
+    assert "gain rule holds; bound 0.25: within" in printed

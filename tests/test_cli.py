@@ -269,6 +269,19 @@ class TestAgree:
             "g0,only,4,1.0,0.1,2.0,1.5,\n")
         assert main(["agree", "--records", str(records), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("rows, line", [
+        (["g0,m,4,1.0,0.1,2.0,1.5,"] * 6, 3),  # one record repeated
+        (["g0,m,4,1.0,0.1,2.0,1.5,", "g0,n,5,1.0,0.2,2.0,1.5,"], 3),  # two gap_len values
+        (["g0,m,0,1.0,0.1,2.0,1.5,"], 2),
+        (["g0,m,4,1.0,0.1,2.0,1.5,", "g1,m,-3,1.0,0.1,2.0,1.5,"], 3)])
+    def test_agree_rejects_records_no_run_writes(self, tmp_path, capsys, rows, line):
+        records = tmp_path / "records.csv"
+        records.write_text("gap_id,imputer_id,gap_len,wd,jsd,rmse,mae,error\n"
+                           + "".join(row + "\n" for row in rows))
+        assert main(["agree", "--records", str(records), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [parse]") and f"line={line}" in err
+
 
 def test_module_entry_point_reports_errors(tmp_path):
     src = str(Path(gapgauge.__file__).resolve().parent.parent)

@@ -14,10 +14,12 @@ from gapgauge import harness
 from gapgauge.errors import (ConfigError, ContextError, DegenerateError, GapgaugeError,
                              InvalidParameterError, NumericalError, ShapeError)
 from gapgauge.gaps import GapSet, apply_gaps
-from gapgauge.harness import AggregateRow
+from gapgauge.harness import AggregateRow, RecordTable
 from gapgauge.imputers import _REGISTRY, KindSpec, derive_seed
+from gapgauge.io import write_records_csv
 
-from _oracles import aggregates_by_lists, jsd_pair, mae_pair, rmse_pair, wasserstein_pair
+from _oracles import (aggregates_by_lists, jsd_pair, mae_pair, records_by_eager_loop,
+                      rmse_pair, wasserstein_pair)
 
 
 def small_imputers():
@@ -78,7 +80,11 @@ class TestAggregate:
             values = np.random.default_rng(seed).standard_normal(4) * 10.0 ** exponent
             records.append(record(imputer, length, *values.tolist(), gap_id=f"g{i}",
                                   error="context: x" if fails == 0 else None))
-        assert aggregate(records, bucketing) == aggregates_by_lists(records, bucketing)
+        expected = aggregates_by_lists(records, bucketing)
+        table = RecordTable.from_records(records)
+        assert aggregate(records, bucketing) == expected
+        assert aggregate(table, bucketing) == expected
+        assert table.records() == records
 
 
 class TestRankAgreement:
@@ -663,6 +669,60 @@ class TestRowForm:
         assert errors == {None, "context: no context",
                           "shape: metric rmse must be finite on a success record"}
         assert report.aggregates == aggregates_by_lists(expected, aggregation)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_records_equal_the_eager_loop_on_failing_and_overflowing_jobs(self, monkeypatch,
+                                                                         tmp_path, seed):
+        monkeypatch.setattr(imputers, "_REGISTRY", dict(imputers._REGISTRY))
+        series = synthesize_series("seasonal", 3000, {"noise_sd": 4.0}, seed=2)
+
+        def flaky(masked, gap, params, seed):
+            if gap.start_index % 3 == 0:
+                raise ContextError("no context", found=gap.start_index)
+            if gap.start_index % 3 == 1:  # finite, but its rmse overflows
+                return np.full(gap.length, 1e300)
+            return masked.values[gap.start_index - gap.length:gap.start_index] + 1.0
+
+        def rows(masked, gaps, params):  # a row kind failing, overflowing or non-finite
+            return [[ContextError("no rows", found=gi),  # its wd sum overflows
+                     np.where(np.arange(gap.length) % 2, 1.7e308, -1.7e308),
+                     np.full(gap.length, np.inf), masked.values[gap.start_index - 1] +
+                     np.zeros(gap.length)][gi % 4] for gi, gap in enumerate(gaps)]
+
+        register_imputer("flaky", flaky)
+        imputers._REGISTRY["rows"] = KindSpec(None, fill_gaps=rows)
+        config = EvalConfig(imputers=[ImputerConfig("flaky"), ImputerConfig("rows"),
+                                      *small_imputers()],
+                            n_gaps=30, min_len=2, max_len=12, seed=seed)
+        seen = {}
+        score_fills = harness._score_fills
+
+        def spy(outcomes, failed, windows, config):
+            seen["outcomes"], seen["scores"] = outcomes, score_fills(outcomes, failed,
+                                                                     windows, config)
+            return seen["scores"].copy()
+
+        monkeypatch.setattr(harness, "_score_fills", spy)
+        report = run_evaluation(series, config)
+        assert "records" not in vars(report)  # built on first access
+        n = len(config.imputers)
+        expected = records_by_eager_loop(
+            report.gaps, [c.imputer_id for c in config.imputers],
+            [seen["outcomes"][j % n][j // n] for j in range(30 * n)],
+            seen["scores"].reshape(-1, 4).tolist())
+        assert report.records == expected
+        assert {r.error for r in expected} == {
+            None, "context: no context", "context: no rows",
+            "shape: metric wd must be finite on a success record",
+            "shape: metric rmse must be finite on a success record",
+            "shape: fill contains non-finite values"}
+        assert report.table.records() == expected
+        assert RecordTable.from_records(expected).records() == expected
+        assert report.aggregates == aggregates_by_lists(expected)
+        emit_report(report, tmp_path / "table")
+        write_records_csv(expected, tmp_path / "records.csv")
+        assert (tmp_path / "table" / "records.csv").read_bytes() == \
+            (tmp_path / "records.csv").read_bytes()
 
     def test_polynomial_imputed_once_per_imputer(self, monkeypatch):
         calls = []

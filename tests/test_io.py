@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -15,8 +17,8 @@ from gapgauge import (EvalConfig, ImputerConfig, IngestSpec, MetricRecord,
 from gapgauge.errors import (CadenceError, ConfigError,
                              DuplicateTimestampError, ParseError, SchemaError)
 from gapgauge.imputers import _REGISTRY
-from gapgauge.harness import AggregateRow
-from gapgauge.io import write_aggregates_csv, write_records_csv
+from gapgauge.harness import AggregateRow, RecordTable
+from gapgauge.io import _csv_lines, write_aggregates_csv, write_records_csv
 
 REPO_DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -467,6 +469,19 @@ IO_ERRORS = {
                            ParseError, "line", 3),
     "records-blank-metric": (read_records_csv, RECORDS_HEADER + RECORD_ROW + "g1,m,4,1,1,,1,\n",
                              ParseError, "line", 3),
+    # files no run writes
+    "records-repeated-row": (read_records_csv, RECORDS_HEADER + RECORD_ROW * 6,
+                             ParseError, "line", 3),
+    "records-two-gap-lens": (read_records_csv, RECORDS_HEADER + RECORD_ROW + "g0,n,5,1,1,1,1,\n",
+                             ParseError, "line", 3),
+    "records-zero-gap-len": (read_records_csv, RECORDS_HEADER + "g0,m,0,1,1,1,1,\n",
+                             ParseError, "line", 2),
+    "records-negative-gap-len": (read_records_csv,
+                                 RECORDS_HEADER + RECORD_ROW + "g1,m,-3,1,1,1,1,\n",
+                                 ParseError, "line", 3),
+    "records-failed-with-metrics": (read_records_csv,
+                                    RECORDS_HEADER + "g0,m,4,1,1,1,1,context: x\n",
+                                    ParseError, "line", 2),
 }
 
 
@@ -541,6 +556,21 @@ class TestReportFiles:
         assert python[0].decode().splitlines()[1:] == [
             f"g{i},m,3," + ",".join(map(repr, row)) + "," for i, row in enumerate(values)]
 
+    def test_records_of_a_failing_run_round_trip_through_the_table(self, tmp_path):
+        records = [MetricRecord("g0", "m", 3, 1.5, 0.25, 2.0, 1.0),
+                   MetricRecord("g0", "n", 3, error='context: "a, b"\nline two'),
+                   MetricRecord("g1", "m", 5, np.float64(0.1), -0.0, 3e300, 5e-324),
+                   MetricRecord("g1", "n", 5, error="shape: metric rmse must be finite")]
+        assert RecordTable.from_records(records).records() == records
+        write_records_csv(records, tmp_path / "records.csv")
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [("gap_id", "imputer_id", "gap_len", "wd", "jsd", "rmse", "mae", "error")]
+            + [(r.gap_id, r.imputer_id, r.gap_len, r.wd, r.jsd, r.rmse, r.mae, r.error)
+               for r in records])
+        assert (tmp_path / "records.csv").read_text(encoding="utf-8") == expected.getvalue()
+        assert read_records_csv(tmp_path / "records.csv") == records
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         record = MetricRecord(gap_id="g0", imputer_id="m", gap_len=3,
                               wd=1.5, jsd=0.25, rmse=2.0, mae=1.0)
@@ -584,3 +614,33 @@ class TestReportFiles:
         assert header[0] == "gap_len"
         assert len(header) == 3  # one column per imputer
         assert len(lines) > 1
+
+
+_CELLS = st.one_of(
+    st.none(),
+    st.text(alphabet=st.sampled_from(',"\n\r ab\x00é'), max_size=6),
+    st.text(max_size=4),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, np.float64(-0.0), 5e-324, 1e300]),
+    st.integers(-10**20, 10**20))
+
+
+class TestCsvLines:
+    """The one CSV formatter against the csv module it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 5), height=st.integers(1, 6))
+    def test_bytes_equal_csv_writer(self, data, width, height):
+        rows = [data.draw(st.lists(_CELLS, min_size=width, max_size=width))
+                for _ in range(height)]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        columns = [list(column) for column in zip(*rows)]
+        assert "".join(line + "\n" for line in _csv_lines(columns)) == expected.getvalue()
+
+    @pytest.mark.parametrize("row", [[""], [None], ["a\rb", ""], ['"', ","], ["", ""]])
+    def test_edge_rows(self, row):
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerow(row)
+        assert _csv_lines([[cell] for cell in row]) == [expected.getvalue()[:-1]]

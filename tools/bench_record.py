@@ -25,7 +25,17 @@ other, the base first in every other pair, so that drift of the machine
 falls on both sides alike.  Both sides must share the workloads, the seeds
 and the machine.  Per workload and end-to-end metric the entry keeps each
 pair's ratio change / base, the number of pairs the change won (by the
-metric's ``better`` direction), and the median ratio with its quartiles.
+metric's ``better`` direction), the median ratio with its quartiles, each
+side's median and quartiles, and a verdict printed per (workload, metric):
+
+* ``gain``: the gain rule holds.  The change won at least 9 of every 10
+  pairs, and its median beats the base's by more than the distance between
+  the base's quartiles.
+* ``bound``: ``within`` when the change's median is no worse than the
+  base's by more than the metric's ``BENCHMARK.json`` bound (a fraction of
+  the base median), ``worse`` when it is, and ``unresolved`` when it is not
+  worse but the base's interquartile range is wider than the bound, unless
+  every change run beats every base run.
 """
 
 from __future__ import annotations
@@ -96,17 +106,40 @@ def gather(results: dict[tuple[str, int], list[dict]], seconds: float,
             "machine": {**shared, "platform": platform.platform()}, "runs": runs}
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """``[q1, median, q3]`` (``statistics.quantiles``, inclusive)."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 \
+        else list(values) * 3
+
+
 def compare(base: list[float], change: list[float], better: str) -> dict:
-    """Each pair's ratio change / base, the pairs the change won, and the
-    median ratio with its quartiles (``statistics.quantiles``, inclusive)."""
+    """Each pair's ratio change / base, the pairs the change won, the median
+    ratio with its quartiles, and each side's median and quartiles."""
     ratios = [c / b for b, c in zip(base, change, strict=True)]
     won = sum((c > b) if better == "higher" else (c < b) for b, c in zip(base, change))
-    q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
-                      if len(ratios) > 1 else ratios * 3)
+    q1, median, q3 = quartiles(ratios)
+    (b1, base_median, b3), (c1, change_median, c3) = quartiles(base), quartiles(change)
     return {"base": base, "change": change, "ratios": ratios, "won": won,
             "pairs": len(ratios), "median_ratio": median, "ratio_quartiles": [q1, q3],
-            "base_median": statistics.median(base),
-            "change_median": statistics.median(change)}
+            "base_median": base_median, "base_quartiles": [b1, b3],
+            "change_median": change_median, "change_quartiles": [c1, c3]}
+
+
+def verdict(c: dict, better: str, bound: float) -> dict:
+    """The gain rule and the bound check of one :func:`compare` result."""
+    higher = better == "higher"
+    gained = (c["change_median"] - c["base_median"]) * (1 if higher else -1)
+    spread = c["base_quartiles"][1] - c["base_quartiles"][0]
+    beats_every_run = (min(c["change"]) > max(c["base"]) if higher
+                       else max(c["change"]) < min(c["base"]))
+    if gained < -bound * abs(c["base_median"]):
+        within = "worse"
+    elif spread > bound * abs(c["base_median"]) and not beats_every_run:
+        within = "unresolved"
+    else:
+        within = "within"
+    return {"gain": 10 * c["won"] >= 9 * c["pairs"] and gained > spread,
+            "bound": bound, "within_bound": within}
 
 
 def gather_ab(results: dict[str, dict[str, list[dict]]], first: dict[str, list[str]],
@@ -127,7 +160,8 @@ def gather_ab(results: dict[str, dict[str, list[dict]]], first: dict[str, list[s
         for metric in end_to_end:
             name = metric["name"]
             base, change = ([r["metrics"][name]["value"] for r in pair[side]] for side in SIDES)
-            metrics[name] = compare(base, change, metric["better"])
+            c = compare(base, change, metric["better"])
+            metrics[name] = {**c, **verdict(c, metric["better"], metric["bound"])}
         runs[workload] = {"first": first[workload], **pair, "metrics": metrics}
     return {"mode": "ab", "seconds": seconds, "trace": 0,
             "commits": {side: sides[side]["commit"] for side in SIDES},
@@ -221,9 +255,14 @@ def main(argv=None) -> int:
                                   args.seconds, args.pairs)
         for workload, doc in entry["runs"].items():
             for name, c in doc["metrics"].items():
-                print(f"{workload} {name}: won {c['won']} of {c['pairs']}, median ratio "
-                      f"{c['median_ratio']:.4f} [{c['ratio_quartiles'][0]:.4f}, "
-                      f"{c['ratio_quartiles'][1]:.4f}]")
+                print(f"{workload} {name}: base {c['base_median']:.6g} "
+                      f"[{c['base_quartiles'][0]:.6g}, {c['base_quartiles'][1]:.6g}], "
+                      f"change {c['change_median']:.6g} [{c['change_quartiles'][0]:.6g}, "
+                      f"{c['change_quartiles'][1]:.6g}]; won {c['won']} of {c['pairs']}, "
+                      f"median ratio {c['median_ratio']:.4f} [{c['ratio_quartiles'][0]:.4f}, "
+                      f"{c['ratio_quartiles'][1]:.4f}]; gain rule "
+                      f"{'holds' if c['gain'] else 'fails'}; bound {c['bound']:g}: "
+                      f"{c['within_bound']}")
     out = next_bench_path(REPO)
     out.write_text(json.dumps(entry, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}" + (f"; failed runs: {', '.join(failed)}" if failed else ""))
