@@ -29,20 +29,22 @@ config = EvalConfig(
     n_gaps=20, min_len=2, max_len=48, seed=99)
 
 report = run_evaluation(series, config)
-failed = sum(1 for r in report.records if r.failed)
-print(f"{len(report.records)} (gap, imputer) jobs, {failed} failures, "
+records = report.records  # one column per field, one row per (gap, imputer) job
+print(f"{len(records)} (gap, imputer) jobs, {len(records.errors)} failures, "
       f"prng {report.provenance['prng_algorithm']}")
 
 print("\npooled means per imputer:")
 kinds = {c["imputer_id"]: c["kind"] for c in report.provenance["config"]["imputers"]}
+ids = np.array(records.imputer_ids)
+succeeded = np.isfinite(records.scores[:, 0])  # a failed job's row holds NaN
 print(f"{'imputer':16s} {'wd':>8} {'jsd':>8} {'rmse':>8} {'mae':>8}")
 for imputer_id, kind in kinds.items():
-    recs = [r for r in report.records if r.imputer_id == imputer_id and not r.failed]
+    wd, js, rm, ma = records.scores[(ids == imputer_id) & succeeded].T
     print(f"{kind:16s}"
-          f" {np.mean([r.wd for r in recs]):8.2f}"
-          f" {np.mean([r.jsd for r in recs]):8.3f}"
-          f" {np.mean([r.rmse for r in recs]):8.2f}"
-          f" {np.mean([r.mae for r in recs]):8.2f}")
+          f" {np.mean(wd):8.2f}"
+          f" {np.mean(js):8.3f}"
+          f" {np.mean(rm):8.2f}"
+          f" {np.mean(ma):8.2f}")
 
 print("\nrank agreement between metric families (pooled):")
 for pairing, stats in report.agreement["pooled"].items():

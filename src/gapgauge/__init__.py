@@ -11,15 +11,15 @@ well the reference-window metrics stand in for the classic ones.
 from .errors import GapgaugeError
 from .gaps import (PRNG_ALGORITHM, GapSet, GapSpec, apply_gaps,
                    generate_gaps, pre_gap_window)
-from .harness import (AggregateRow, EvalConfig, EvalReport, aggregate,
+from .harness import (AggregateRow, EvalConfig, EvalReport, RecordTable, aggregate,
                       rank_agreement, required_history, run_evaluation)
 from .imputers import (ArimaOrder, FittedArima, GradientBoostedTrees,
                        ImputerConfig, ParamSpec, RegressionTree, fit_arima,
                        forecast, impute, register_imputer, select_order)
 from .io import (IngestSpec, emit_report, ingest_csv, load_config,
                  read_records_csv, write_series_csv)
-from .metrics import (Histogram, MetricRecord, jsd, jsd_histograms, mae,
-                      rmse, shared_histogram, wasserstein_1d)
+from .metrics import (Histogram, jsd, jsd_histograms, mae, rmse,
+                      shared_histogram, wasserstein_1d)
 from .ranking import average_ranks, kendall, spearman
 from .series import TimeSeries, slice_series, validate
 from .synth import SERIES_KINDS, synthesize_series
@@ -30,7 +30,7 @@ __all__ = [
     "AggregateRow", "ArimaOrder", "EvalConfig",
     "EvalReport", "FittedArima", "GapSet", "GapSpec", "GapgaugeError",
     "GradientBoostedTrees", "Histogram", "ImputerConfig", "IngestSpec",
-    "MetricRecord", "PRNG_ALGORITHM", "ParamSpec", "RegressionTree",
+    "PRNG_ALGORITHM", "ParamSpec", "RecordTable", "RegressionTree",
     "SERIES_KINDS", "TimeSeries", "aggregate", "apply_gaps",
     "average_ranks", "emit_report", "fit_arima", "forecast",
     "generate_gaps", "impute", "ingest_csv", "jsd", "jsd_histograms",

@@ -154,7 +154,7 @@ def _cmd_run(args) -> int:
         return EXIT_RUN
 
     if not args.quiet:
-        failed = len(report.table.errors)
+        failed = len(report.records.errors)
         print(f"evaluated {len(config.imputers)} imputers on "
               f"{config.n_gaps} gaps (seed {config.seed}, "
               f"prng {report.provenance['prng_algorithm']}); "

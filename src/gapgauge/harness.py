@@ -4,9 +4,9 @@ Generate reproducible artificial gaps in a complete series, run every
 configured imputer on every gap, then score every fill with both metric
 families (WD/JSD against the pre-gap window, RMSE/MAE against held-out
 truth) in one row-batched call per gap length, aggregate per gap size, and
-measure rank agreement between the families.  A run's records are kept as
-one column table (:class:`RecordTable`); ``MetricRecord`` objects are built
-from it only when asked for.
+measure rank agreement between the families.  A run's records are one
+column table (:class:`RecordTable`); records.csv is written from it and read
+back into it.
 
 Each gap is imputed in isolation: the imputer sees the original series with
 only that gap masked, so one method's training window is never corrupted by
@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .errors import (ConfigError, DegenerateError, GapgaugeError,
 from .gaps import (MAX_LEN, MIN_LEN, N_GAPS, PRNG_ALGORITHM, SEED, GapSet, GapSpec,
                    apply_gaps, generate_gaps, pre_gap_window)
 from .imputers import ImputerConfig, derive_seed, impute, kind_spec
-from .metrics import BINS, EPSILON, METRICS, MetricRecord, jsd, mae, rmse, wasserstein_1d
+from .metrics import BINS, EPSILON, METRICS, check_scores, jsd, mae, rmse, wasserstein_1d
 from .ranking import kendall, spearman
 from .series import TimeSeries, fits_in_memory, validate
 
@@ -111,7 +109,8 @@ class RecordTable:
 
     ``scores`` is a records × ``METRICS`` float array, NaN on a failed
     record's row; ``errors`` maps each failed record's row to its
-    ``code: message``.  Every other row passes ``MetricRecord``'s rule.
+    ``code: message``.  Every other row passes :func:`metrics.check_scores`.
+    Columns of unequal length, or an error on no row, raise ``ShapeError``.
     """
 
     gap_ids: list[str]
@@ -120,41 +119,27 @@ class RecordTable:
     scores: np.ndarray
     errors: dict[int, str]
 
+    def __post_init__(self):
+        rows = len(self.gap_ids)
+        shapes = (len(self.imputer_ids), np.shape(self.gap_lens), np.shape(self.scores))
+        if shapes != (rows, (rows,), (rows, len(METRICS))):
+            raise ShapeError("record columns must hold one entry per record", records=rows,
+                             imputer_ids=shapes[0], gap_lens=shapes[1], scores=shapes[2])
+        outside = [j for j in self.errors if j not in range(rows)]
+        if outside:
+            raise ShapeError("an error must name a record's row", records=rows, rows=outside)
+
     def __len__(self) -> int:
         return len(self.gap_ids)
-
-    @classmethod
-    def from_records(cls, records) -> "RecordTable":
-        """The table of ``MetricRecord``s; a failed record's metrics are not kept."""
-        errors = {j: r.error for j, r in enumerate(records) if r.error is not None}
-        scores = np.array([attrgetter(*METRICS)(r) for r in records],
-                          dtype=float).reshape(len(records), len(METRICS))
-        scores[list(errors)] = np.nan
-        return cls([r.gap_id for r in records], [r.imputer_id for r in records],
-                   np.array([r.gap_len for r in records], dtype=np.int64), scores, errors)
-
-    def records(self) -> list[MetricRecord]:
-        """One ``MetricRecord`` per row; each success row passes its check."""
-        errors = self.errors
-        return [MetricRecord(gap_id, imputer_id, gap_len, error=errors[j]) if j in errors
-                else MetricRecord(gap_id, imputer_id, gap_len, *row)
-                for j, (gap_id, imputer_id, gap_len, row) in enumerate(zip(
-                    self.gap_ids, self.imputer_ids, self.gap_lens.tolist(),
-                    self.scores.tolist()))]
 
 
 @dataclass
 class EvalReport:
-    table: RecordTable
+    records: RecordTable
     aggregates: list[AggregateRow]
     agreement: dict | None
     provenance: dict
     gaps: GapSet
-
-    @cached_property
-    def records(self) -> list[MetricRecord]:
-        """The table's records, built on first access."""
-        return self.table.records()
 
     def to_json_dict(self) -> dict:
         """report.json's document; the rows live only in the CSVs."""
@@ -294,7 +279,7 @@ def run_evaluation(series: TimeSeries, config: EvalConfig) -> EvalReport:
         "history_reserve": reserve,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    return EvalReport(table=table, aggregates=aggregates,
+    return EvalReport(records=table, aggregates=aggregates,
                       agreement=agreement, provenance=provenance, gaps=gap_set)
 
 
@@ -302,7 +287,7 @@ def _record_table(gaps, config, columns, windows) -> RecordTable:
     """The run's records from each imputer's column of job outcomes.
 
     A failed job's record carries its error; a fill whose scores are not all
-    finite fails by ``MetricRecord``'s rule, with the error it raises.
+    finite fails by :func:`metrics.check_scores`, with the error it raises.
     """
     n_imputers = len(config.imputers)
     failed = np.array([[isinstance(outcome, GapgaugeError) for outcome in column]
@@ -313,7 +298,7 @@ def _record_table(gaps, config, columns, windows) -> RecordTable:
     non_finite = np.flatnonzero(~np.isfinite(scores).all(axis=1) & ~failed.ravel())
     for j in non_finite.tolist():
         try:
-            MetricRecord.check_scores(scores[j].tolist())
+            check_scores(scores[j].tolist())
         except ShapeError as exc:
             errors[j] = _failure(exc)
     scores[non_finite] = np.nan
@@ -323,17 +308,16 @@ def _record_table(gaps, config, columns, windows) -> RecordTable:
                        np.repeat(lengths, n_imputers), scores, errors)
 
 
-def aggregate(records, bucketing: str = "exact") -> list[AggregateRow]:
-    """Arithmetic means of each metric per (imputer, gap-size bucket).
+def aggregate(table: RecordTable, bucketing: str = "exact") -> list[AggregateRow]:
+    """Arithmetic means of each metric per (imputer, gap-size bucket) of a
+    run's records.
 
-    ``records`` is a :class:`RecordTable` or a sequence of ``MetricRecord``.
     ``exact`` buckets by gap length in samples; ``quartile`` buckets by
     quartile of the observed gap-length distribution, labelled by each
     bucket's largest length.  Failed records are excluded from means and
     counted in ``n_failed``; buckets with no successes are omitted.  Rows
     come sorted by imputer id, then bucket.
     """
-    table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
     if not len(table):
         raise InvalidParameterError("no records to aggregate")
     if bucketing not in AGGREGATIONS:

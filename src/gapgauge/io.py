@@ -5,21 +5,17 @@ time-like, matching how gap lengths and training spans are usually quoted;
 loading converts hours to samples with the series step.  All outputs are
 written atomically (temp file in the target directory, then rename).  Every
 CSV is written by one formatter, :func:`_csv_lines`, whose bytes are those
-of ``csv.writer``.
+of ``csv.writer`` with a ``"\r\n"`` terminator, less the terminator.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-import itertools
 import json
 import math
 import os
-import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +25,12 @@ from .errors import (CadenceError, ConfigError, DuplicateTimestampError, Gapgaug
 from .gaps import MAX_LEN
 from .harness import AggregateRow, EvalConfig, EvalReport, RecordTable, aggregate
 from .imputers import ImputerConfig, kind_spec
-from .metrics import METRICS, MetricRecord
+from .metrics import METRICS, check_scores
 from .series import ParamSpec, TimeSeries, fits_in_memory
 
 SCHEMA_VERSION = 1
 
-# The CSV columns are the record fields, in declaration order.
-RECORD_COLUMNS = tuple(f.name for f in fields(MetricRecord))
+RECORD_COLUMNS = ("gap_id", "imputer_id", "gap_len", *METRICS, "error")
 AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateRow))
 TIMESTAMP_FORMATS = ("epoch", "iso8601")
 MISSING_POLICIES = ("reject", "mask")
@@ -43,12 +38,10 @@ MISSING_POLICIES = ("reject", "mask")
 EXPECTED_STEP = ParamSpec("expected_step", float, 3600.0, low=0.0, low_open=True)
 # A records.csv row's gap length, as gap placement allows it.
 GAP_LEN = ParamSpec("gap_len", int, None, low=1, high=MAX_LEN.high)
-# What makes csv.writer quote a cell: the delimiter, the quote character and
-# the line terminator; a bare carriage return too on the Python versions
-# whose csv module quotes it, so the running module is asked once.
-_QUOTED_CHARS = ',"\n' + ("\r" if csv.writer(io.StringIO(), lineterminator="\n")
-                          .writerow(["\r"]) > 2 else "")
-_QUOTED = re.compile(f"[{re.escape(_QUOTED_CHARS)}]")
+# What makes a cell quoted: the delimiter, the quote character or a line
+# break of either kind, as csv.writer quotes with a "\r\n" terminator, so that
+# csv.reader reads every cell back whole.
+_QUOTED_CHARS = ',"\r\n'
 
 
 @dataclass
@@ -297,27 +290,30 @@ def _atomic_write(path, fill) -> None:
 
 
 def _csv_lines(columns) -> list[str]:
-    """The lines, without terminators, that ``csv.writer`` (``QUOTE_MINIMAL``)
-    writes for the rows that ``columns`` (equal-length lists) hold.
+    """The lines, without terminators, that ``csv.writer`` (``QUOTE_MINIMAL``,
+    terminator ``"\r\n"``) writes for the rows that ``columns`` (equal-length
+    lists) hold.
 
     Each cell is formatted a column at a time: ``None`` as an empty cell,
     anything else as its ``str`` (a float, numpy's ``float64`` too, as its
     shortest round-trip repr), quoted when it holds a character in
     ``_QUOTED_CHARS``, with its quotes doubled.  A row whose line would be
-    empty is written as ``""``.
+    empty is written as ``""``.  Columns of unequal length raise ``ValueError``.
     """
+    def quoted(text: str) -> bool:
+        return any(char in text for char in _QUOTED_CHARS)
+
     cells = []
     for column in columns:
         text = (["" if cell is None else str(cell) for cell in column] if None in column
                 else list(map(str, column)))
-        joined = "".join(text)
-        # A substring test per character is far faster than a regex scan, so
-        # a column whose cells need no quotes (every number) costs one pass.
-        if any(char in joined for char in _QUOTED_CHARS):
-            text = ['"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) else cell
+        # One substring test per character over the joined column, so a
+        # column whose cells need no quotes (every number) costs one pass.
+        if quoted("".join(text)):
+            text = ['"' + cell.replace('"', '""') + '"' if quoted(cell) else cell
                     for cell in text]
         cells.append(text)
-    lines = list(map(",".join, zip(*cells)))
+    lines = list(map(",".join, zip(*cells, strict=True)))
     return [line or '""' for line in lines] if len(cells) == 1 else lines
 
 
@@ -327,27 +323,12 @@ def _write_columns(path, header, columns) -> None:
     _atomic_write(path, lambda handle: handle.write("\n".join(lines) + "\n"))
 
 
-def _write_rows(path, rows) -> None:
-    """Write ``rows``, the first the header, as CSV."""
-    header, *body = rows
-    _write_columns(path, header, list(zip(*body)) or [()] * len(header))
-
-
-def _write_table(path, columns: tuple[str, ...], items) -> None:
-    """One CSV row per item, its ``columns`` attributes as cells."""
-    _write_rows(path, itertools.chain([columns], map(attrgetter(*columns), items)))
-
-
 def write_json(path, doc) -> None:
     """Write ``doc`` as indented JSON plus a newline, atomically."""
     _atomic_write(path, lambda handle: handle.write(json.dumps(doc, indent=2) + "\n"))
 
 
-def write_records_csv(records: list[MetricRecord], path) -> None:
-    _write_record_table(RecordTable.from_records(records), path)
-
-
-def _write_record_table(table: RecordTable, path) -> None:
+def write_records_csv(table: RecordTable, path) -> None:
     """records.csv from the table's columns; a failed record's metric cells
     are empty."""
     metrics = table.scores.T.tolist()
@@ -360,11 +341,12 @@ def _write_record_table(table: RecordTable, path) -> None:
                                           table.gap_lens.tolist(), *metrics, errors])
 
 
-def read_records_csv(path) -> list[MetricRecord]:
+def read_records_csv(path) -> RecordTable:
     """The records of a records.csv as a run writes it: one row per (gap_id,
     imputer_id), one ``gap_len`` per gap_id, and no metrics beside an error.
     Any other file raises ``ParseError`` naming its first offending line."""
-    records, seen, gap_lens = [], set(), {}
+    gap_ids, imputer_ids, gap_lens, scores, errors = [], [], [], [], {}
+    seen, len_of = set(), {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -373,41 +355,47 @@ def read_records_csv(path) -> list[MetricRecord]:
         for line, row in enumerate(reader, start=2):
             if len(row) != len(RECORD_COLUMNS):
                 raise ParseError("wrong column count", line=line)
-            cells = dict(zip(RECORD_COLUMNS, row))
+            gap_id, imputer_id, gap_len, *metrics, error = row
             try:
-                record = MetricRecord(
-                    gap_id=cells["gap_id"], imputer_id=cells["imputer_id"],
-                    gap_len=GAP_LEN.normalize(int(cells["gap_len"])),
-                    **{m: float(cells[m]) if cells[m] else None for m in METRICS},
-                    error=cells["error"] or None)
+                gap_len = GAP_LEN.normalize(int(gap_len))
+                values = [float(cell) if cell else None for cell in metrics]
+                if not error:
+                    check_scores(values)
             except (ValueError, ShapeError, InvalidParameterError) as exc:
                 # ShapeError: a non-finite metric; InvalidParameterError: gap_len
                 raise ParseError(f"unparseable record row: {exc}", line=line) from None
-            key = (record.gap_id, record.imputer_id)
+            key = (gap_id, imputer_id)
             if key in seen:
                 raise ParseError(f"record {key!r} given twice", line=line)
             seen.add(key)
-            if gap_lens.setdefault(record.gap_id, record.gap_len) != record.gap_len:
-                raise ParseError(f"gap {record.gap_id!r} given two gap_len values", line=line,
-                                 gap_len=(gap_lens[record.gap_id], record.gap_len))
-            if record.failed and any(cells[m] for m in METRICS):
-                raise ParseError("a failed record holds no metrics", line=line)
-            records.append(record)
-    return records
+            if len_of.setdefault(gap_id, gap_len) != gap_len:
+                raise ParseError(f"gap {gap_id!r} given two gap_len values", line=line,
+                                 gap_len=(len_of[gap_id], gap_len))
+            if error:
+                if any(metrics):
+                    raise ParseError("a failed record holds no metrics", line=line)
+                errors[len(gap_ids)] = error
+                values = [math.nan] * len(METRICS)
+            gap_ids.append(gap_id)
+            imputer_ids.append(imputer_id)
+            gap_lens.append(gap_len)
+            scores.append(values)
+    return RecordTable(gap_ids, imputer_ids, np.array(gap_lens, dtype=np.int64),
+                       np.array(scores, dtype=float).reshape(-1, len(METRICS)), errors)
 
 
 def write_aggregates_csv(rows: list[AggregateRow], path) -> None:
-    _write_table(path, AGGREGATE_COLUMNS, rows)
+    _write_columns(path, AGGREGATE_COLUMNS,
+                   [[getattr(row, name) for row in rows] for name in AGGREGATE_COLUMNS])
 
 
-def _plot_rows(exact: list[AggregateRow], metric: str, imputer_ids: list[str]):
+def _plot_columns(exact: list[AggregateRow], metric: str, imputer_ids: list[str]):
     """Plot-ready wide table: one row per gap size, one column per imputer."""
     table: dict[int, dict[str, float]] = {}
     for row in exact:
         table.setdefault(row.gap_len, {})[row.imputer_id] = getattr(row, f"mean_{metric}")
-    yield ("gap_len", *imputer_ids)
-    for gap_len in sorted(table):
-        yield (gap_len, *[table[gap_len].get(i) for i in imputer_ids])
+    gap_lens = sorted(table)
+    return [gap_lens, *[[table[gap_len].get(i) for gap_len in gap_lens] for i in imputer_ids]]
 
 
 def emit_report(report: EvalReport, out_dir) -> list[Path]:
@@ -416,12 +404,13 @@ def emit_report(report: EvalReport, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = [out / "report.json", out / "records.csv", out / "aggregates.csv"]
     write_json(written[0], report.to_json_dict())
-    _write_record_table(report.table, written[1])
+    write_records_csv(report.records, written[1])
     write_aggregates_csv(report.aggregates, written[2])
 
     imputer_ids = [c["imputer_id"] for c in report.provenance["config"]["imputers"]]
-    exact = aggregate(report.table, "exact")
+    exact = aggregate(report.records, "exact")
     for metric in METRICS:
         written.append(out / f"plot_{metric}.csv")
-        _write_rows(written[-1], _plot_rows(exact, metric, imputer_ids))
+        _write_columns(written[-1], ("gap_len", *imputer_ids),
+                       _plot_columns(exact, metric, imputer_ids))
     return written

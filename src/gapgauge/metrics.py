@@ -268,32 +268,10 @@ def _aligned(imputed, truth) -> tuple[np.ndarray, np.ndarray, bool]:
     return _rows(a, b, same_length=True)
 
 
-@dataclass(frozen=True)
-class MetricRecord:
-    """One (gap, imputer) scoring, or its recorded failure."""
-
-    gap_id: str
-    imputer_id: str
-    gap_len: int
-    wd: float | None = None
-    jsd: float | None = None
-    rmse: float | None = None
-    mae: float | None = None
-    error: str | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-    def __post_init__(self):
-        if self.error is None:
-            self.check_scores([getattr(self, name) for name in METRICS])
-
-    @staticmethod
-    def check_scores(values) -> None:
-        """A success record's rule: each of ``values`` (in ``METRICS`` order)
-        finite, else ``ShapeError`` naming the first that is not."""
-        for name, value in zip(METRICS, values):
-            if value is None or not math.isfinite(value):
-                raise ShapeError(f"metric {name} must be finite on a success record",
-                                 value=value)
+def check_scores(row) -> None:
+    """A success record's rule: each of ``row``'s scores (in ``METRICS``
+    order) finite, else ``ShapeError`` naming the first that is not."""
+    for name, value in zip(METRICS, row):
+        if value is None or not math.isfinite(value):
+            raise ShapeError(f"metric {name} must be finite on a success record",
+                             value=value)

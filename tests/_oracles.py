@@ -161,16 +161,73 @@ def seasonal_naive_walk(masked, gap, season: int) -> np.ndarray:
     return filled
 
 
-def aggregates_by_lists(records, bucketing: str = "exact") -> list:
+METRIC_NAMES = ("wd", "jsd", "rmse", "mae")
+
+
+def record_table(rows):
+    """A ``RecordTable`` of ``(gap_id, imputer_id, gap_len, scores, error)``
+    rows, ``scores`` four floats (or ``None`` on a failed row); a failed
+    row's scores read NaN."""
+    from gapgauge.harness import RecordTable
+
+    rows = list(rows)
+    scores = np.full((len(rows), 4), np.nan)
+    for j, row in enumerate(rows):
+        if row[4] is None:
+            scores[j] = row[3]
+    return RecordTable([row[0] for row in rows], [row[1] for row in rows],
+                       np.array([row[2] for row in rows], dtype=np.int64), scores,
+                       {j: row[4] for j, row in enumerate(rows) if row[4] is not None})
+
+
+def table_rows(table, mask):
+    """The records of ``table`` where ``mask`` holds, as a table of their own."""
+    from gapgauge.harness import RecordTable
+
+    index = np.flatnonzero(mask).tolist()
+    row_of = {j: k for k, j in enumerate(index)}
+    return RecordTable([table.gap_ids[j] for j in index], [table.imputer_ids[j] for j in index],
+                       table.gap_lens[index], table.scores[index],
+                       {row_of[j]: error for j, error in table.errors.items() if j in row_of})
+
+
+def failed_rows(table) -> np.ndarray:
+    """A boolean mask of the table's failed records."""
+    mask = np.zeros(len(table), dtype=bool)
+    mask[list(table.errors)] = True
+    return mask
+
+
+def assert_same_records(table, expected) -> None:
+    """The two tables hold the same records: every column equal, the scores
+    value for value (a failed record's NaN equal to NaN)."""
+    assert table.gap_ids == expected.gap_ids
+    assert table.imputer_ids == expected.imputer_ids
+    assert table.gap_lens.tolist() == expected.gap_lens.tolist()
+    assert table.errors == expected.errors
+    assert np.array_equal(table.scores, expected.scores, equal_nan=True)
+
+
+def score_error(scores) -> str | None:
+    """The error a success record's scores get: the first of them that is
+    not finite, named as a ``shape`` failure; ``None`` when all are."""
+    for name, value in zip(METRIC_NAMES, scores):
+        if not math.isfinite(value):
+            return f"shape: metric {name} must be finite on a success record"
+    return None
+
+
+def aggregates_by_lists(table, bucketing: str = "exact") -> list:
     """``harness.aggregate`` as first written: records grouped one at a time
     and each mean taken by ``np.mean`` over a Python list of that metric."""
     from gapgauge.harness import AggregateRow
 
+    gap_lens = table.gap_lens.tolist()
     if bucketing == "exact":
-        def bucket_of(record):
-            return record.gap_len
+        def bucket_of(j):
+            return gap_lens[j]
     else:
-        all_lengths = np.array([r.gap_len for r in records])
+        all_lengths = np.array(gap_lens)
         edges = np.quantile(all_lengths, [0.25, 0.5, 0.75])
         quartile = {length: int(np.searchsorted(edges, length, side="left"))
                     for length in np.unique(all_lengths)}
@@ -178,49 +235,45 @@ def aggregates_by_lists(records, bucketing: str = "exact") -> list:
         for length, q in quartile.items():
             label[q] = max(label.get(q, 0), int(length))
 
-        def bucket_of(record):
-            return label[quartile[record.gap_len]]
+        def bucket_of(j):
+            return label[quartile[gap_lens[j]]]
 
     groups = {}
-    for record in records:
-        groups.setdefault((record.imputer_id, bucket_of(record)), []).append(record)
+    for j, imputer_id in enumerate(table.imputer_ids):
+        groups.setdefault((imputer_id, bucket_of(j)), []).append(j)
+    scores = table.scores.tolist()
     rows = []
     for imputer_id, bucket in sorted(groups):
         members = groups[(imputer_id, bucket)]
-        ok = [r for r in members if not r.failed]
+        ok = [scores[j] for j in members if j not in table.errors]
         if ok:
             rows.append(AggregateRow(
                 imputer_id=imputer_id, gap_len=bucket,
-                **{f"mean_{m}": float(np.mean([getattr(r, m) for r in ok]))
-                   for m in ("wd", "jsd", "rmse", "mae")},
+                **{f"mean_{m}": float(np.mean([row[k] for row in ok]))
+                   for k, m in enumerate(METRIC_NAMES)},
                 n=len(ok), n_failed=len(members) - len(ok)))
     return rows
 
 
-def records_by_eager_loop(gaps, imputer_ids, outcomes, scores) -> list:
-    """``run_evaluation``'s records as once built, one ``MetricRecord`` per
-    job in record order.  ``outcomes`` holds each job's fill or error and
+def records_by_eager_loop(gaps, imputer_ids, outcomes, scores):
+    """``run_evaluation``'s records as once built, one job at a time in
+    record order.  ``outcomes`` holds each job's fill or error and
     ``scores`` its four metrics, both in record order; a job whose scores
-    fail the record's own check is recorded with the error it raises."""
-    from gapgauge.errors import GapgaugeError, ShapeError
-    from gapgauge.metrics import MetricRecord
+    are not all finite is recorded with the error of :func:`score_error`."""
+    from gapgauge.errors import GapgaugeError
 
-    records, j = [], 0
+    rows, j = [], 0
     for gi, gap in enumerate(gaps):
         gap_id = f"gap{gi:03d}"
         for imputer_id in imputer_ids:
             outcome, score = outcomes[j], scores[j]
             j += 1
             if isinstance(outcome, GapgaugeError):
-                records.append(MetricRecord(gap_id, imputer_id, gap.length,
-                                            error=f"{outcome.code}: {outcome.message}"))
-                continue
-            try:
-                records.append(MetricRecord(gap_id, imputer_id, gap.length, *score))
-            except ShapeError as exc:  # a non-finite metric
-                records.append(MetricRecord(gap_id, imputer_id, gap.length,
-                                            error=f"{exc.code}: {exc.message}"))
-    return records
+                rows.append((gap_id, imputer_id, gap.length, None,
+                             f"{outcome.code}: {outcome.message}"))
+            else:
+                rows.append((gap_id, imputer_id, gap.length, score, score_error(score)))
+    return record_table(rows)
 
 
 def arima_forecast_by_hand(fitted, steps: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from gapgauge import (ArimaOrder, EvalConfig, GapSpec, GradientBoostedTrees,
 from gapgauge.cli import main as cli_main
 from gapgauge.metrics import Histogram
 
-from _oracles import arima_forecast_by_hand, transport_cost_bruteforce
+from _oracles import arima_forecast_by_hand, failed_rows, table_rows, transport_cost_bruteforce
 
 
 @contextmanager
@@ -139,7 +139,7 @@ def test_criterion_3_hand_values():
 def test_criterion_4a_rank_agreement(protocol_run):
     report, _, _ = protocol_run
     with criterion(4, "(a) pooled rank agreement >= 0.7 (WD~RMSE, JSD~MAE)"):
-        assert not any(r.failed for r in report.records)
+        assert not report.records.errors
         pooled = report.agreement["pooled"]
         assert pooled["wd_vs_rmse"]["spearman"] >= 0.7
         assert pooled["jsd_vs_mae"]["spearman"] >= 0.7
@@ -149,8 +149,8 @@ def test_criterion_4b_polynomial_grows_with_gap_size(protocol_run):
     report, config, _ = protocol_run
     with criterion(4, "(b) polynomial RMSE and WD non-decreasing by quartile"):
         poly_id = config.imputers[0].imputer_id
-        rows = aggregate([r for r in report.records
-                          if r.imputer_id == poly_id], "quartile")
+        table = report.records
+        rows = aggregate(table_rows(table, np.array(table.imputer_ids) == poly_id), "quartile")
         assert len(rows) == 4
         rmse_means = [r.mean_rmse for r in rows]
         wd_means = [r.mean_wd for r in rows]
@@ -162,11 +162,12 @@ def test_criterion_4c_sarima_beats_arima_on_long_gaps(protocol_run):
     report, config, _ = protocol_run
     with criterion(4, "(c) SARIMA mean RMSE < ARIMA on gaps >= 24"):
         kinds = kind_of(report)
+        table = report.records
+        long_ok = (table.gap_lens >= 24) & ~failed_rows(table)
         means = {}
         for kind in ("arima", "sarima"):
-            values = [r.rmse for r in report.records
-                      if kinds[r.imputer_id] == kind
-                      and r.gap_len >= 24 and not r.failed]
+            mine = np.array([kinds[imputer_id] == kind for imputer_id in table.imputer_ids])
+            values = table.scores[mine & long_ok, 2].tolist()
             assert values
             means[kind] = float(np.mean(values))
         assert means["sarima"] < means["arima"], means

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import gapgauge
-from gapgauge import cli
+from gapgauge import (EvalConfig, ImputerConfig, cli, emit_report, imputers, read_records_csv,
+                      register_imputer, run_evaluation)
 from gapgauge.cli import main
+from gapgauge.errors import ContextError
 from gapgauge.io import IngestSpec, ingest_csv, write_series_csv
 from gapgauge.synth import synthesize_series
 
@@ -261,6 +263,28 @@ class TestAgree:
         recomputed = json.loads((out / "agreement.json").read_text())
         assert recomputed == report["rank_agreement"]
         assert not [p for p in out.iterdir() if ".tmp-" in p.name]
+
+    def test_agree_reads_a_failure_message_with_a_bare_carriage_return(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        monkeypatch.setattr(imputers, "_REGISTRY", dict(imputers._REGISTRY))
+
+        def split_line(masked, gap, params, seed):
+            raise ContextError("line one\rline two")
+
+        register_imputer("split_line", split_line)
+        config = EvalConfig(imputers=[ImputerConfig("split_line"),
+                                      ImputerConfig("polynomial", {"order": 1}),
+                                      ImputerConfig("seasonal_naive", {"season": 24})],
+                            n_gaps=4, min_len=2, max_len=8, seed=1)
+        report = run_evaluation(synthesize_series("seasonal", 3000, {}, seed=2), config)
+        emit_report(report, tmp_path)
+        assert list(report.records.errors.values()) == ["context: line one\rline two"] * 4
+        assert main(["agree", "--records", str(tmp_path / "records.csv"),
+                     "--out", str(tmp_path / "agree")]) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "agree" / "agreement.json").read_text()) == \
+            json.loads((tmp_path / "report.json").read_text())["rank_agreement"]
+        assert read_records_csv(tmp_path / "records.csv").errors == report.records.errors
 
     def test_agree_single_imputer_exits_two(self, tmp_path):
         records = tmp_path / "records.csv"

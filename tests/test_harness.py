@@ -6,20 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapgauge import (EvalConfig, GapSpec, ImputerConfig, MetricRecord,
-                      aggregate, emit_report, impute, imputers, jsd, mae, pre_gap_window,
+from gapgauge import (EvalConfig, GapSpec, ImputerConfig, aggregate, emit_report, impute, imputers, jsd, mae, pre_gap_window,
                       rank_agreement, register_imputer, required_history, rmse,
                       run_evaluation, synthesize_series, wasserstein_1d)
 from gapgauge import harness
 from gapgauge.errors import (ConfigError, ContextError, DegenerateError, GapgaugeError,
                              InvalidParameterError, NumericalError, ShapeError)
 from gapgauge.gaps import GapSet, apply_gaps
-from gapgauge.harness import AggregateRow, RecordTable
+from gapgauge.harness import AggregateRow
 from gapgauge.imputers import _REGISTRY, KindSpec, derive_seed
 from gapgauge.io import write_records_csv
 
-from _oracles import (aggregates_by_lists, jsd_pair, mae_pair, records_by_eager_loop,
-                      rmse_pair, wasserstein_pair)
+from _oracles import (aggregates_by_lists, assert_same_records, failed_rows, jsd_pair,
+                      mae_pair, record_table, records_by_eager_loop, rmse_pair, score_error,
+                      wasserstein_pair)
 
 
 def small_imputers():
@@ -29,44 +29,45 @@ def small_imputers():
 
 def record(imputer_id, gap_len, wd=1.0, js=0.1, rm=2.0, ma=1.5,
            gap_id="g0", error=None):
-    if error is not None:
-        return MetricRecord(gap_id=gap_id, imputer_id=imputer_id,
-                            gap_len=gap_len, error=error)
-    return MetricRecord(gap_id=gap_id, imputer_id=imputer_id, gap_len=gap_len,
-                        wd=wd, jsd=js, rmse=rm, mae=ma)
+    """One record's row for :func:`record_table`."""
+    return gap_id, imputer_id, gap_len, (wd, js, rm, ma), error
+
+
+def records(*rows):
+    return record_table(rows)
 
 
 class TestAggregate:
     def test_single_record_per_bucket(self):
-        rows = aggregate([record("a", 4, wd=2.0), record("a", 8, wd=6.0)])
+        rows = aggregate(records(record("a", 4, wd=2.0), record("a", 8, wd=6.0)))
         assert [(r.gap_len, r.mean_wd) for r in rows] == [(4, 2.0), (8, 6.0)]
 
     def test_means_within_bucket(self):
-        rows = aggregate([record("a", 4, wd=1.0, gap_id="g0"),
-                          record("a", 4, wd=3.0, gap_id="g1")])
+        rows = aggregate(records(record("a", 4, wd=1.0, gap_id="g0"),
+                                 record("a", 4, wd=3.0, gap_id="g1")))
         assert rows[0].mean_wd == 2.0 and rows[0].n == 2
 
     def test_error_records_counted_not_averaged(self):
-        rows = aggregate([record("a", 4, wd=1.0, gap_id="g0"),
-                          record("a", 4, gap_id="g1", error="context: x")])
+        rows = aggregate(records(record("a", 4, wd=1.0, gap_id="g0"),
+                                 record("a", 4, gap_id="g1", error="context: x")))
         assert rows[0].n == 1 and rows[0].n_failed == 1
         assert rows[0].mean_wd == 1.0
 
     def test_all_failed_bucket_omitted(self):
-        rows = aggregate([record("a", 4, error="x"), record("a", 8, wd=1.0)])
+        rows = aggregate(records(record("a", 4, error="x"), record("a", 8, wd=1.0)))
         assert [r.gap_len for r in rows] == [8]
 
     def test_quartile_bucketing_labels_by_max_length(self):
-        records = [record("a", length, wd=float(length), gap_id=f"g{length}")
-                   for length in range(2, 50)]
-        rows = aggregate(records, "quartile")
+        table = records(*[record("a", length, wd=float(length), gap_id=f"g{length}")
+                          for length in range(2, 50)])
+        rows = aggregate(table, "quartile")
         assert len(rows) == 4
         assert [r.gap_len for r in rows][-1] == 49
-        assert sum(r.n for r in rows) == len(records)
+        assert sum(r.n for r in rows) == len(table)
 
     def test_empty_records_rejected(self):
         with pytest.raises(InvalidParameterError):
-            aggregate([])
+            aggregate(records())
 
     @settings(max_examples=150, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 60),
@@ -75,16 +76,45 @@ class TestAggregate:
            repeat=st.integers(1, 40), bucketing=st.sampled_from(["exact", "quartile"]))
     def test_means_bit_identical_to_one_mean_per_metric_list(self, rows, repeat, bucketing):
         # repeats make buckets long enough for numpy's pairwise blocks
-        records = []
+        table = []
         for i, (imputer, length, fails, exponent, seed) in enumerate(rows * repeat):
             values = np.random.default_rng(seed).standard_normal(4) * 10.0 ** exponent
-            records.append(record(imputer, length, *values.tolist(), gap_id=f"g{i}",
-                                  error="context: x" if fails == 0 else None))
-        expected = aggregates_by_lists(records, bucketing)
-        table = RecordTable.from_records(records)
-        assert aggregate(records, bucketing) == expected
-        assert aggregate(table, bucketing) == expected
-        assert table.records() == records
+            table.append(record(imputer, length, *values.tolist(), gap_id=f"g{i}",
+                                error="context: x" if fails == 0 else None))
+        table = record_table(table)
+        assert aggregate(table, bucketing) == aggregates_by_lists(table, bucketing)
+
+
+class TestRecordTable:
+    """A table's columns hold one entry per record, and each error a row."""
+
+    def columns(self, n=3):
+        return ([f"g{j}" for j in range(n)], ["m"] * n, np.full(n, 4, dtype=np.int64),
+                np.ones((n, 4)), {})
+
+    def test_well_formed_table(self):
+        gap_ids, imputer_ids, gap_lens, scores, _ = self.columns()
+        scores[1] = np.nan
+        table = harness.RecordTable(gap_ids, imputer_ids, gap_lens, scores, {1: "context: x"})
+        assert len(table) == 3
+        assert len(harness.RecordTable([], [], np.zeros(0, dtype=np.int64),
+                                       np.zeros((0, 4)), {})) == 0
+
+    @pytest.mark.parametrize("column,value", [
+        (1, ["m", "m"]), (1, ["m"] * 4), (2, np.full(2, 4)), (2, np.full((3, 1), 4)),
+        (3, np.ones((2, 4))), (3, np.ones((3, 3))), (3, np.ones(12)), (3, [[1.0] * 4] * 2)])
+    def test_ragged_columns_rejected(self, column, value):
+        columns = list(self.columns())
+        columns[column] = value
+        with pytest.raises(ShapeError, match="one entry per record") as err:
+            harness.RecordTable(*columns)
+        assert err.value.context["records"] == 3
+
+    @pytest.mark.parametrize("row", [3, -1, 10, "1", 1.5])
+    def test_an_error_outside_the_rows_rejected(self, row):
+        with pytest.raises(ShapeError, match="an error must name a record's row") as err:
+            harness.RecordTable(*self.columns()[:4], {0: "context: x", row: "context: y"})
+        assert err.value.context["rows"] == [row]
 
 
 class TestRankAgreement:
@@ -92,8 +122,8 @@ class TestRankAgreement:
         # scores: {imputer: (wd, jsd, rmse, mae)} for one shared gap size
         out = []
         for imputer, (wd, js, rm, ma) in scores.items():
-            out.append(aggregate([record(imputer, 4, wd=wd, js=js,
-                                         rm=rm, ma=ma)])[0])
+            out.append(aggregate(records(record(imputer, 4, wd=wd, js=js,
+                                                rm=rm, ma=ma)))[0])
         return out
 
     def test_identical_rankings(self):
@@ -120,8 +150,8 @@ class TestRankAgreement:
             rank_agreement(self.rows({"a": (1.0, 0.1, 1.0, 0.9)}))
 
     def test_sizes_missing_an_imputer_are_skipped(self):
-        rows = aggregate([record("a", 4), record("b", 4, wd=2.0, rm=3.0, ma=2.5),
-                          record("a", 8)])
+        rows = aggregate(records(record("a", 4), record("b", 4, wd=2.0, rm=3.0, ma=2.5),
+                                 record("a", 8)))
         block = rank_agreement(rows)
         assert "8" not in block["per_gap_len"]
         assert "4" in block["per_gap_len"]
@@ -137,7 +167,7 @@ class TestRankAgreement:
         assert block["pooled"]["wd_vs_rmse"] == {"spearman": -1.0, "kendall": -1.0}
 
     def test_tied_scores_reported_as_undefined(self):
-        rows = aggregate([record("a", 4), record("b", 4)])  # identical scores
+        rows = aggregate(records(record("a", 4), record("b", 4)))  # identical scores
         block = rank_agreement(rows)
         assert block["pooled"]["wd_vs_rmse"] == {"spearman": None, "kendall": None}
 
@@ -173,23 +203,24 @@ class TestRunEvaluation:
             _REGISTRY.pop("oracle")
 
         oracle_id = config.imputers[0].imputer_id
-        oracle_records = [r for r in report.records if r.imputer_id == oracle_id]
-        assert len(oracle_records) == 10
+        table = report.records
+        ids = np.array(table.imputer_ids)
+        oracle_scores = table.scores[ids == oracle_id]
+        assert len(oracle_scores) == 10
         masked, truth = apply_gaps(series, report.gaps)
-        for rec, gap in zip(oracle_records, report.gaps):
-            assert rec.rmse == 0.0 and rec.mae == 0.0
+        for (wd, js, rm, ma), gap in zip(oracle_scores.tolist(), report.gaps):
+            assert rm == 0.0 and ma == 0.0
             reference = pre_gap_window(masked, gap)
-            assert rec.wd == pytest.approx(
+            assert wd == pytest.approx(
                 wasserstein_1d(truth[gap], reference), abs=1e-12)
-            assert rec.jsd == pytest.approx(
+            assert js == pytest.approx(
                 jsd(truth[gap], reference, bins=config.bins,
                     epsilon=config.epsilon), abs=1e-12)
         # Never ranked worse than a real imputer under ground-truth metrics.
         pooled_rmse = {}
         for imputer in config.imputers:
-            recs = [r for r in report.records
-                    if r.imputer_id == imputer.imputer_id and not r.failed]
-            pooled_rmse[imputer.imputer_id] = np.mean([r.rmse for r in recs])
+            ok = (ids == imputer.imputer_id) & ~failed_rows(table)
+            pooled_rmse[imputer.imputer_id] = np.mean(table.scores[ok, 2].tolist())
         assert pooled_rmse[oracle_id] == min(pooled_rmse.values())
 
     def test_constant_series_all_metrics_near_zero(self):
@@ -202,10 +233,10 @@ class TestRunEvaluation:
                       ImputerConfig("gbt", {"train_span": 200, "trees": 10})],
             n_gaps=6, min_len=2, max_len=12, seed=2)
         report = run_evaluation(series, config)
-        for rec in report.records:
-            assert not rec.failed
-            assert rec.rmse < 1e-6 and rec.mae < 1e-6 and rec.wd < 1e-6
-            assert rec.jsd < 1e-5
+        assert not report.records.errors
+        wd, js, rm, ma = report.records.scores.T
+        assert (rm < 1e-6).all() and (ma < 1e-6).all() and (wd < 1e-6).all()
+        assert (js < 1e-5).all()
 
     def test_per_job_failures_recorded_not_raised(self):
         series = synthesize_series("seasonal", 3000, {}, seed=1)
@@ -223,12 +254,11 @@ class TestRunEvaluation:
         finally:
             _REGISTRY.pop("broken")
         broken_id = config.imputers[0].imputer_id
-        failures = [r for r in report.records if r.imputer_id == broken_id]
-        assert len(failures) == 5
-        assert all(r.failed and r.error.startswith("invalid-parameter")
-                   for r in failures)
-        assert all(not r.failed for r in report.records
-                   if r.imputer_id != broken_id)
+        table = report.records
+        broken = [j for j, imputer_id in enumerate(table.imputer_ids) if imputer_id == broken_id]
+        assert len(broken) == 5
+        assert sorted(table.errors) == broken
+        assert all(error.startswith("invalid-parameter") for error in table.errors.values())
         assert series.values.tobytes() == values
         assert series.observed.tobytes() == observed
         assert series.values.flags.writeable and series.observed.flags.writeable
@@ -238,7 +268,7 @@ class TestRunEvaluation:
         config = EvalConfig(imputers=small_imputers(), n_gaps=8,
                             min_len=2, max_len=24, seed=9)
         report = run_evaluation(series, config)
-        keys = {(r.gap_id, r.imputer_id) for r in report.records}
+        keys = set(zip(report.records.gap_ids, report.records.imputer_ids))
         assert len(keys) == len(report.records) == 16
 
     def test_deterministic_reruns(self):
@@ -247,7 +277,7 @@ class TestRunEvaluation:
                             min_len=2, max_len=24, seed=1)
         first = run_evaluation(series, config)
         again = run_evaluation(series, config)
-        assert first.records == again.records
+        assert_same_records(first.records, again.records)
         assert first.aggregates == again.aggregates
 
     @pytest.mark.parametrize("seed", [0, 4])
@@ -271,12 +301,11 @@ class TestRunEvaluation:
         assert len(hidden) == 12
         for gap, unobserved, nan in hidden:
             assert unobserved == nan == list(range(gap.start_index, gap.end_index))
-        peeking = [r for r in report.records if r.imputer_id.startswith("peeking")]
+        table = report.records
+        peeking = [j for j, imputer_id in enumerate(table.imputer_ids)
+                   if imputer_id.startswith("peeking")]
         assert len(peeking) == 12
-        assert all(r.error == "shape: fill contains non-finite values"
-                   for r in peeking)
-        assert not any(r.failed for r in report.records
-                       if not r.imputer_id.startswith("peeking"))
+        assert table.errors == dict.fromkeys(peeking, "shape: fill contains non-finite values")
 
     def test_rebinding_the_view_does_not_reach_the_next_job(self):
         series = synthesize_series("seasonal", 3000, {}, seed=1)
@@ -329,7 +358,7 @@ class TestRunEvaluation:
             n_gaps=5, min_len=2, max_len=12, seed=3)
         report = run_evaluation(series, config)
         assert all(g.start_index >= 800 for g in report.gaps)
-        assert not any(r.failed for r in report.records)
+        assert not report.records.errors
 
     def test_provenance_block(self):
         series = synthesize_series("seasonal", 3000, {}, seed=2)
@@ -394,6 +423,18 @@ class TestGatheredWindows:
             (type(alone.value), alone.value.message, alone.value.context)
 
 
+def errors_of(table, prefix: str) -> list:
+    """The error of each record whose imputer id starts with ``prefix``, in
+    record order; ``None`` for a success."""
+    return [table.errors.get(j) for j, imputer_id in enumerate(table.imputer_ids)
+            if imputer_id.startswith(prefix)]
+
+
+def only_failures_of(table, prefix: str) -> bool:
+    """Whether every failed record's imputer id starts with ``prefix``."""
+    return all(table.imputer_ids[j].startswith(prefix) for j in table.errors)
+
+
 class TestImputerBoundary:
     """Fault-injection kinds registered through ``register_imputer``."""
 
@@ -430,12 +471,12 @@ class TestImputerBoundary:
         config = EvalConfig(
             imputers=[*(ImputerConfig(kind, {}) for kind in kinds), *small_imputers()],
             n_gaps=4, min_len=2, max_len=10, seed=4)
-        report = run_evaluation(series, config)
+        table = run_evaluation(series, config).records
         codes = {}
         for imputer in config.imputers:
-            codes[imputer.kind] = {r.error.split(":")[0] if r.failed else None
-                                   for r in report.records
-                                   if r.imputer_id == imputer.imputer_id}
+            codes[imputer.kind] = {table.errors[j].split(":")[0] if j in table.errors else None
+                                   for j, imputer_id in enumerate(table.imputer_ids)
+                                   if imputer_id == imputer.imputer_id}
         assert codes == {"nan": {"shape"}, "short": {"shape"},
                          "singular": {"numerical"}, "overflowing": {"numerical"},
                          "polynomial": {None}, "seasonal_naive": {None}}
@@ -444,23 +485,23 @@ class TestImputerBoundary:
         series = synthesize_series("seasonal", 3000, {}, seed=1)
         config = EvalConfig(imputers=[*small_imputers(), ImputerConfig("column", {})],
                             n_gaps=4, min_len=2, max_len=10, seed=4)
-        report = run_evaluation(series, config)
-        errors = [r.error for r in report.records if r.imputer_id.startswith("column")]
-        assert errors == ["shape: fill must be a 1-D array of gap.length values"] * 4
-        assert not any(r.failed for r in report.records
-                       if not r.imputer_id.startswith("column"))
+        table = run_evaluation(series, config).records
+        assert errors_of(table, "column") == \
+            ["shape: fill must be a 1-D array of gap.length values"] * 4
+        assert only_failures_of(table, "column")
 
     def test_scalar_fill_of_a_one_sample_gap_recorded_as_shape_failure(self):
         series = synthesize_series("seasonal", 3000, {}, seed=1)
         config = EvalConfig(imputers=[*small_imputers(), ImputerConfig("scalar_on_one", {})],
                             n_gaps=12, min_len=1, max_len=3, seed=4)
-        report = run_evaluation(series, config)
-        records = [r for r in report.records if r.imputer_id.startswith("scalar_on_one")]
-        assert any(r.gap_len == 1 for r in records) and any(r.gap_len > 1 for r in records)
-        for r in records:
-            assert r.failed == (r.gap_len == 1)
-            if r.failed:
-                assert r.error == "shape: fill must be a 1-D array of gap.length values"
+        table = run_evaluation(series, config).records
+        mine = [j for j, imputer_id in enumerate(table.imputer_ids)
+                if imputer_id.startswith("scalar_on_one")]
+        gap_lens = table.gap_lens[mine].tolist()
+        assert 1 in gap_lens and any(gap_len > 1 for gap_len in gap_lens)
+        assert errors_of(table, "scalar_on_one") == [
+            "shape: fill must be a 1-D array of gap.length values" if gap_len == 1 else None
+            for gap_len in gap_lens]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
@@ -482,23 +523,24 @@ class TestImputerBoundary:
             reference = pre_gap_window(masked, gap)
             truth = series.values[window]
             for mi, imputer in enumerate(config.imputers):
-                keys = dict(gap_id=f"gap{gi:03d}", imputer_id=imputer.imputer_id,
-                            gap_len=gap.length)
+                keys = (f"gap{gi:03d}", imputer.imputer_id, gap.length)
                 try:
                     filled = impute(masked, gap, imputer,
                                     seed=derive_seed(config.seed, gi, mi))
-                    expected.append(MetricRecord(
-                        **keys, wd=wasserstein_pair(filled, reference),
-                        jsd=jsd_pair(filled, reference, config.bins, config.epsilon),
-                        rmse=rmse_pair(filled, truth), mae=mae_pair(filled, truth)))
                 except GapgaugeError as exc:
-                    expected.append(MetricRecord(**keys, error=f"{exc.code}: {exc.message}"))
-        assert report.records == expected
-        errors = {r.error for r in report.records if r.failed}
-        assert errors >= {"numerical: LinAlgError: Singular matrix",
-                          "shape: metric wd must be finite on a success record"}
-        assert all(r.failed for r in report.records if r.imputer_id.startswith("huge"))
-        assert len({r.gap_len for r in report.records}) > 1
+                    expected.append((*keys, None, f"{exc.code}: {exc.message}"))
+                    continue
+                scores = (wasserstein_pair(filled, reference),
+                          jsd_pair(filled, reference, config.bins, config.epsilon),
+                          rmse_pair(filled, truth), mae_pair(filled, truth))
+                expected.append((*keys, scores, score_error(scores)))
+        table = report.records
+        assert_same_records(table, record_table(expected))
+        assert set(table.errors.values()) >= {
+            "numerical: LinAlgError: Singular matrix",
+            "shape: metric wd must be finite on a success record"}
+        assert None not in errors_of(table, "huge")
+        assert len(set(table.gap_lens.tolist())) > 1
 
     def test_overflowing_scores_fail_without_warnings(self):
         series = synthesize_series("seasonal", 3000, {}, seed=1)
@@ -507,10 +549,9 @@ class TestImputerBoundary:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report = run_evaluation(series, config)
-        errors = [r.error for r in report.records if r.imputer_id.startswith("huge")]
-        assert errors == ["shape: metric wd must be finite on a success record"] * 4
-        assert not any(r.failed for r in report.records
-                       if not r.imputer_id.startswith("huge"))
+        assert errors_of(report.records, "huge") == \
+            ["shape: metric wd must be finite on a success record"] * 4
+        assert only_failures_of(report.records, "huge")
 
     def test_registered_kinds_receive_the_derived_seed(self):
         seeds = []
@@ -567,13 +608,16 @@ class TestRowForm:
                             n_gaps=8, min_len=2, max_len=10, seed=4)
         report = run_evaluation(series, config)
         assert calls == [(False, False, True, True, 8)]
-        errors = [r.error for r in report.records if r.imputer_id.startswith("rows")]
-        assert errors == ["context: no context",
-                          "shape: fill must be a 1-D array of gap.length values",
-                          "numerical: LinAlgError: Singular matrix", None] * 2
-        ok = [r for r in report.records if r.imputer_id.startswith("rows") and not r.failed]
-        assert all(r.rmse == pytest.approx(1.0) and r.mae == pytest.approx(1.0) for r in ok)
-        assert not any(r.failed for r in report.records if not r.imputer_id.startswith("rows"))
+        table = report.records
+        assert errors_of(table, "rows") == ["context: no context",
+                                            "shape: fill must be a 1-D array of gap.length values",
+                                            "numerical: LinAlgError: Singular matrix", None] * 2
+        ok = [j for j, imputer_id in enumerate(table.imputer_ids)
+              if imputer_id.startswith("rows") and j not in table.errors]
+        assert len(ok) == 2
+        assert all(rm == pytest.approx(1.0) and ma == pytest.approx(1.0)
+                   for rm, ma in table.scores[ok, 2:].tolist())
+        assert only_failures_of(table, "rows")
 
     def test_non_finite_row_fills_fail_alone(self, monkeypatch):
         monkeypatch.setattr(imputers, "_REGISTRY", dict(imputers._REGISTRY))
@@ -586,8 +630,8 @@ class TestRowForm:
         imputers._REGISTRY["rows"] = KindSpec(None, fill_gaps=rows)
         config = EvalConfig(imputers=[ImputerConfig("rows", {})], n_gaps=7, min_len=2,
                             max_len=10, seed=4)
-        errors = [r.error for r in run_evaluation(series, config).records]
-        assert errors == [None, *["shape: fill contains non-finite values"] * 2] * 2 + [None]
+        assert errors_of(run_evaluation(series, config).records, "rows") == \
+            [None, *["shape: fill contains non-finite values"] * 2] * 2 + [None]
 
     def test_one_check_pass_gives_each_row_its_one_gap_outcome(self, monkeypatch):
         monkeypatch.setattr(imputers, "_REGISTRY", dict(imputers._REGISTRY))
@@ -654,20 +698,18 @@ class TestRowForm:
                 try:
                     fill = impute(view, gap, imputer)
                 except GapgaugeError as exc:
-                    expected.append(MetricRecord(*keys, error=f"{exc.code}: {exc.message}"))
+                    expected.append((*keys, None, f"{exc.code}: {exc.message}"))
                     continue
                 with np.errstate(over="ignore", invalid="ignore"):
                     scores = (wasserstein_1d(fill, reference),
                               jsd(fill, reference, bins=config.bins, epsilon=config.epsilon),
                               rmse(fill, truth[gap]), mae(fill, truth[gap]))
-                try:
-                    expected.append(MetricRecord(*keys, *scores))
-                except ShapeError as exc:
-                    expected.append(MetricRecord(*keys, error=f"{exc.code}: {exc.message}"))
-        assert report.records == expected
-        errors = {r.error for r in report.records}
-        assert errors == {None, "context: no context",
-                          "shape: metric rmse must be finite on a success record"}
+                expected.append((*keys, scores, score_error(scores)))
+        expected = record_table(expected)
+        assert_same_records(report.records, expected)
+        assert len(report.records.errors) < len(report.records)  # some succeed
+        assert set(report.records.errors.values()) == {
+            "context: no context", "shape: metric rmse must be finite on a success record"}
         assert report.aggregates == aggregates_by_lists(expected, aggregation)
 
     @pytest.mark.parametrize("seed", [3, 8])
@@ -704,20 +746,18 @@ class TestRowForm:
 
         monkeypatch.setattr(harness, "_score_fills", spy)
         report = run_evaluation(series, config)
-        assert "records" not in vars(report)  # built on first access
         n = len(config.imputers)
         expected = records_by_eager_loop(
             report.gaps, [c.imputer_id for c in config.imputers],
             [seen["outcomes"][j % n][j // n] for j in range(30 * n)],
             seen["scores"].reshape(-1, 4).tolist())
-        assert report.records == expected
-        assert {r.error for r in expected} == {
-            None, "context: no context", "context: no rows",
+        assert_same_records(report.records, expected)
+        assert len(expected.errors) < len(expected)  # some succeed
+        assert set(expected.errors.values()) == {
+            "context: no context", "context: no rows",
             "shape: metric wd must be finite on a success record",
             "shape: metric rmse must be finite on a success record",
             "shape: fill contains non-finite values"}
-        assert report.table.records() == expected
-        assert RecordTable.from_records(expected).records() == expected
         assert report.aggregates == aggregates_by_lists(expected)
         emit_report(report, tmp_path / "table")
         write_records_csv(expected, tmp_path / "records.csv")
@@ -740,7 +780,7 @@ class TestRowForm:
         # seasonal_naive has a row form too: one call, not one per gap
         assert sorted(calls) == sorted([("polynomial", False)] * 2 +
                                        [("seasonal_naive", False)])
-        assert not any(r.failed for r in report.records)
+        assert not report.records.errors
 
 
 class TestEvalConfig:

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapgauge import (EvalConfig, ImputerConfig, IngestSpec, MetricRecord,
-                      ParamSpec, TimeSeries, aggregate, emit_report,
+from gapgauge import (EvalConfig, ImputerConfig, IngestSpec, ParamSpec, TimeSeries, aggregate, emit_report,
                       ingest_csv, load_config, read_records_csv,
                       register_imputer, run_evaluation, synthesize_series,
                       write_series_csv)
@@ -18,7 +17,10 @@ from gapgauge.errors import (CadenceError, ConfigError,
                              DuplicateTimestampError, ParseError, SchemaError)
 from gapgauge.imputers import _REGISTRY
 from gapgauge.harness import AggregateRow, RecordTable
-from gapgauge.io import _csv_lines, write_aggregates_csv, write_records_csv
+from gapgauge.io import (GAP_LEN, RECORD_COLUMNS, _csv_lines, write_aggregates_csv,
+                         write_records_csv)
+
+from _oracles import assert_same_records, record_table
 
 REPO_DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -356,7 +358,7 @@ class TestConfig:
             _REGISTRY.pop("lagged")
         assert report.provenance["history_reserve"] == 1200
         assert all(g.start_index >= 1200 for g in report.gaps)
-        assert not any(r.failed for r in report.records)
+        assert not report.records.errors
 
     def test_unsupported_schema_version(self, tmp_path):
         path = tmp_path / "c.json"
@@ -525,16 +527,14 @@ class TestReportFiles:
         report = self.make_report()
         path = tmp_path / "records.csv"
         write_records_csv(report.records, path)
-        assert read_records_csv(path) == report.records
+        assert_same_records(read_records_csv(path), report.records)
 
     def test_records_round_trip_with_errors(self, tmp_path):
-        records = [MetricRecord(gap_id="g0", imputer_id="m", gap_len=3,
-                                wd=1.5, jsd=0.25, rmse=2.0, mae=1.0),
-                   MetricRecord(gap_id="g1", imputer_id="m", gap_len=4,
-                                error="context: needed 3, found 1")]
+        table = record_table([("g0", "m", 3, (1.5, 0.25, 2.0, 1.0), None),
+                              ("g1", "m", 4, None, "context: needed 3, found 1")])
         path = tmp_path / "records.csv"
-        write_records_csv(records, path)
-        assert read_records_csv(path) == records
+        write_records_csv(table, path)
+        assert_same_records(read_records_csv(path), table)
 
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
@@ -543,11 +543,11 @@ class TestReportFiles:
         # csv writes each float by str(), which for numpy's float64 is the
         # same shortest repr; its repr() would be "np.float64(...)"
         def write(kind):
-            records = [MetricRecord(f"g{i}", "m", 3, *map(kind, row))
-                       for i, row in enumerate(values)]
+            table = record_table((f"g{i}", "m", 3, tuple(map(kind, row)), None)
+                                 for i, row in enumerate(values))
             rows = [AggregateRow("m", 3, *map(kind, row), 1, 0) for row in values]
             with tempfile.TemporaryDirectory() as tmp:
-                write_records_csv(records, Path(tmp) / "r.csv")
+                write_records_csv(table, Path(tmp) / "r.csv")
                 write_aggregates_csv(rows, Path(tmp) / "a.csv")
                 return (Path(tmp) / "r.csv").read_bytes(), (Path(tmp) / "a.csv").read_bytes()
 
@@ -557,25 +557,26 @@ class TestReportFiles:
             f"g{i},m,3," + ",".join(map(repr, row)) + "," for i, row in enumerate(values)]
 
     def test_records_of_a_failing_run_round_trip_through_the_table(self, tmp_path):
-        records = [MetricRecord("g0", "m", 3, 1.5, 0.25, 2.0, 1.0),
-                   MetricRecord("g0", "n", 3, error='context: "a, b"\nline two'),
-                   MetricRecord("g1", "m", 5, np.float64(0.1), -0.0, 3e300, 5e-324),
-                   MetricRecord("g1", "n", 5, error="shape: metric rmse must be finite")]
-        assert RecordTable.from_records(records).records() == records
-        write_records_csv(records, tmp_path / "records.csv")
+        rows = [("g0", "m", 3, (1.5, 0.25, 2.0, 1.0), None),
+                ("g0", "n", 3, None, 'context: "a, b"\nline two'),
+                ("g1", "m", 5, (np.float64(0.1), -0.0, 3e300, 5e-324), None),
+                ("g1", "n", 5, None, "shape: metric rmse must be finite")]
+        table = record_table(rows)
+        write_records_csv(table, tmp_path / "records.csv")
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows(
             [("gap_id", "imputer_id", "gap_len", "wd", "jsd", "rmse", "mae", "error")]
-            + [(r.gap_id, r.imputer_id, r.gap_len, r.wd, r.jsd, r.rmse, r.mae, r.error)
-               for r in records])
+            + [(gap_id, imputer_id, gap_len, *(scores or [None] * 4), error)
+               for gap_id, imputer_id, gap_len, scores, error in rows])
         assert (tmp_path / "records.csv").read_text(encoding="utf-8") == expected.getvalue()
-        assert read_records_csv(tmp_path / "records.csv") == records
+        assert_same_records(read_records_csv(tmp_path / "records.csv"), table)
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
-        record = MetricRecord(gap_id="g0", imputer_id="m", gap_len=3,
-                              wd=1.5, jsd=0.25, rmse=2.0, mae=1.0)
-        with pytest.raises(AttributeError):
-            write_records_csv([record, object()], tmp_path / "records.csv")
+        # a lone surrogate cannot be encoded, so the write fails mid-file
+        table = record_table([("g0", "m", 3, (1.5, 0.25, 2.0, 1.0), None),
+                              ("g1", "m", 3, None, "context: \ud800")])
+        with pytest.raises(UnicodeEncodeError):
+            write_records_csv(table, tmp_path / "records.csv")
         assert list(tmp_path.iterdir()) == []
 
     def test_report_json_is_valid_and_carries_provenance(self, tmp_path):
@@ -627,7 +628,9 @@ _CELLS = st.one_of(
 
 
 class TestCsvLines:
-    """The one CSV formatter against the csv module it replaces."""
+    """The one CSV formatter against the csv module it replaces, writing
+    with a "\r\n" terminator: that writer quotes a cell holding ``,"\r\n``
+    on every Python version, as the formatter does."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), width=st.integers(1, 5), height=st.integers(1, 6))
@@ -635,12 +638,65 @@ class TestCsvLines:
         rows = [data.draw(st.lists(_CELLS, min_size=width, max_size=width))
                 for _ in range(height)]
         expected = io.StringIO()
-        csv.writer(expected, lineterminator="\n").writerows(rows)
+        csv.writer(expected, lineterminator="\r\n").writerows(rows)
         columns = [list(column) for column in zip(*rows)]
-        assert "".join(line + "\n" for line in _csv_lines(columns)) == expected.getvalue()
+        assert "".join(line + "\r\n" for line in _csv_lines(columns)) == expected.getvalue()
 
-    @pytest.mark.parametrize("row", [[""], [None], ["a\rb", ""], ['"', ","], ["", ""]])
+    @pytest.mark.parametrize("row", [[""], [None], ["a\rb", ""], ["\r"], ['"', ","], ["", ""]])
     def test_edge_rows(self, row):
         expected = io.StringIO()
-        csv.writer(expected, lineterminator="\n").writerow(row)
-        assert _csv_lines([[cell] for cell in row]) == [expected.getvalue()[:-1]]
+        csv.writer(expected, lineterminator="\r\n").writerow(row)
+        assert _csv_lines([[cell] for cell in row]) == [expected.getvalue()[:-2]]
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            _csv_lines([["g0", "g1", "g2"], ["m", "m"]])
+
+
+# Ids and failure messages: the characters that make a cell quoted, and others.
+_RECORD_TEXT = st.text(max_size=5) | st.text(alphabet=st.sampled_from(',"\n\r ab\x00'),
+                                             max_size=6)
+_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+
+
+@st.composite
+def record_tables(draw) -> RecordTable:
+    """A table as a run writes it: one gap_len per gap id, each (gap_id,
+    imputer_id) at most once, a failed record's scores NaN."""
+    gap_lens = draw(st.dictionaries(_RECORD_TEXT, st.integers(1, GAP_LEN.high), max_size=5))
+    imputer_ids = draw(st.lists(_RECORD_TEXT, max_size=4, unique=True))
+    keys = draw(st.permutations([(g, m) for g in gap_lens for m in imputer_ids]))
+    keys = keys[:draw(st.integers(0, len(keys)))]
+    errors = {j: error for j in range(len(keys))
+              if (error := draw(st.none() | _RECORD_TEXT.filter(bool))) is not None}
+    scores = np.full((len(keys), 4), np.nan)
+    for j in range(len(keys)):
+        if j not in errors:
+            scores[j] = draw(st.lists(_SCORES, min_size=4, max_size=4))
+    return RecordTable([g for g, _ in keys], [m for _, m in keys],
+                       np.array([gap_lens[g] for g, _ in keys], dtype=np.int64), scores, errors)
+
+
+class TestRecordsCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(table=record_tables())
+    def test_round_trip_column_by_column(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("records") / "records.csv"
+        write_records_csv(table, path)
+        read = read_records_csv(path)
+        assert read.gap_ids == table.gap_ids
+        assert read.imputer_ids == table.imputer_ids
+        assert read.gap_lens.dtype == table.gap_lens.dtype
+        assert read.gap_lens.tolist() == table.gap_lens.tolist()
+        assert read.scores.tobytes() == table.scores.tobytes()
+        assert read.errors == table.errors
+
+    def test_header_is_the_record_columns(self, tmp_path):
+        write_records_csv(record_table([]), tmp_path / "records.csv")
+        assert RECORD_COLUMNS == ("gap_id", "imputer_id", "gap_len", "wd", "jsd", "rmse",
+                                  "mae", "error")
+        assert (tmp_path / "records.csv").read_text() == ",".join(RECORD_COLUMNS) + "\n"
+        assert len(read_records_csv(tmp_path / "records.csv")) == 0

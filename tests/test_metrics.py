@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapgauge import (Histogram, MetricRecord, jsd, jsd_histograms, mae,
-                      rmse, shared_histogram, wasserstein_1d)
+from gapgauge import (Histogram, jsd, jsd_histograms, mae, rmse, shared_histogram,
+                      wasserstein_1d)
 from gapgauge.errors import (EmptySampleError, InvalidParameterError,
                              InvalidSampleError, ShapeError)
-from gapgauge.metrics import _bin_counts, _shared_edges
+from gapgauge.metrics import _bin_counts, _shared_edges, check_scores
 
 from _oracles import (jsd_direct, jsd_pair, mae_pair, rmse_pair,
                       transport_cost_bruteforce, wasserstein_pair)
@@ -249,11 +249,13 @@ class TestPointwiseErrors:
             mae([], [])
 
 
-class TestMetricRecord:
+class TestCheckScores:
+    """A success record's rule, shared by ``run_evaluation`` and
+    ``read_records_csv``."""
+
     def test_success_record_requires_finite_metrics(self):
         with pytest.raises(ShapeError):
-            MetricRecord(gap_id="g", imputer_id="m", gap_len=2,
-                         wd=1.0, jsd=0.1, rmse=np.inf, mae=1.0)
+            check_scores([1.0, 0.1, np.inf, 1.0])
 
     @pytest.mark.parametrize("bad", [None, math.inf, -math.inf, math.nan,
                                      np.float64(np.inf), np.float64(np.nan)])
@@ -261,15 +263,17 @@ class TestMetricRecord:
     def test_missing_or_non_finite_metric_rejected(self, name, bad):
         metrics = dict(wd=1.0, jsd=np.float64(0.1), rmse=2.0, mae=np.float64(1.5))
         metrics[name] = bad
-        with pytest.raises(ShapeError, match=f"metric {name} must be finite"):
-            MetricRecord(gap_id="g", imputer_id="m", gap_len=2, **metrics)
-        assert not MetricRecord(gap_id="g", imputer_id="m", gap_len=2,
-                                wd=1.0, jsd=np.float64(0.1), rmse=2.0, mae=1.5).failed
+        with pytest.raises(ShapeError, match=f"metric {name} must be finite") as err:
+            check_scores(list(metrics.values()))
+        assert err.value.context["value"] is bad
+        assert check_scores([1.0, np.float64(0.1), 2.0, 1.5]) is None
 
-    def test_error_record_carries_no_metrics(self):
-        record = MetricRecord(gap_id="g", imputer_id="m", gap_len=2,
-                              error="context: not enough points")
-        assert record.failed and record.wd is None
+    def test_the_first_non_finite_metric_is_named(self):
+        with pytest.raises(ShapeError) as err:
+            check_scores([1.0, math.nan, None, math.inf])
+        assert err.value.message == "metric jsd must be finite on a success record"
+        assert str(err.value) == \
+            "[shape] metric jsd must be finite on a success record (value=nan)"
 
 
 # Rows for the batched metrics: each row pair shares a regime, so narrow and
