@@ -110,7 +110,8 @@ class RecordTable:
     ``scores`` is a records × ``METRICS`` float array, NaN on a failed
     record's row; ``errors`` maps each failed record's row to its
     ``code: message``.  Every other row passes :func:`metrics.check_scores`.
-    Columns of unequal length, or an error on no row, raise ``ShapeError``.
+    Columns of unequal length, an error on no row, or a row that breaks
+    either rule raise ``ShapeError``.
     """
 
     gap_ids: list[str]
@@ -128,6 +129,18 @@ class RecordTable:
         outside = [j for j in self.errors if j not in range(rows)]
         if outside:
             raise ShapeError("an error must name a record's row", records=rows, rows=outside)
+        scores = np.asarray(self.scores, dtype=float)
+        failed = np.zeros(scores.shape, dtype=bool)
+        failed[list(self.errors)] = True
+        wrong = np.where(failed, ~np.isnan(scores), ~np.isfinite(scores))
+        if wrong.any():
+            j = int(np.argmax(wrong)) // len(METRICS)
+            if j in self.errors:
+                raise ShapeError("a failed record's scores must all be NaN", row=j)
+            try:
+                check_scores(scores[j].tolist())
+            except ShapeError as exc:
+                raise ShapeError(exc.message, row=j, **exc.context) from None
 
     def __len__(self) -> int:
         return len(self.gap_ids)

@@ -6,9 +6,9 @@ import warnings
 from typing import Sequence
 
 import numpy as np
-# Private numpy API: the stacked gufunc behind numpy.linalg.lstsq, named
-# lstsq in numpy 2.x (lstsq_m/lstsq_n in 1.x).  TestStackedSolve pins it
-# row by row against the public one-matrix solve.
+# Private numpy API: the stacked gufunc behind numpy.linalg.lstsq, as named
+# in numpy 2.4, the declared floor and the oldest release it has run on.
+# TestStackedSolve pins it row by row against the public one-matrix solve.
 from numpy.linalg import _umath_linalg
 
 from ..errors import ContextError, DivergenceError

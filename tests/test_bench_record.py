@@ -1,9 +1,10 @@
-"""The gathering step of tools/bench_record.py, on fake run results."""
+"""tools/bench_record.py on fake run results: gathering, verdicts and the A/B record."""
 
 import importlib.util
 import json
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,9 +15,6 @@ _SPEC.loader.exec_module(bench_record)
 
 FACTS = {"cpu_count": 2, "python": "3.11.7", "numpy": "2.4.6", "blas": "openblas",
          "blas_version": "0.3", "blas_threads": 2, "commit": "abc123", "size": "full"}
-
-
-END_TO_END = ("jobs_per_s", "wall_s")
 
 
 def fake_result(workload, jobs_per_s, wall_s=1.0, **facts):
@@ -30,68 +28,27 @@ def fake_result(workload, jobs_per_s, wall_s=1.0, **facts):
 
 
 def test_gather_keeps_machine_and_commit_once():
-    results = {("protocol", 0): [fake_result("protocol", 35.0)],
-               ("many_gaps", 1): [fake_result("many_gaps", 9000.0)]}
-    entry = bench_record.gather(results, 3.0, END_TO_END)
-    assert entry["commit"] == "abc123"
-    assert entry["seconds"] == 3.0
-    machine = entry["machine"]
+    results = {("protocol", 0): [fake_result("protocol", 35.0), fake_result("protocol", 34.0)],
+               ("protocol", 1): [fake_result("protocol", 30.0)]}
+    side = bench_record.gather(results)
+    assert side["commit"] == "abc123"
+    machine = side["machine"]
     assert {k: machine[k] for k in ("cpu_count", "numpy", "blas_threads")} == \
         {"cpu_count": 2, "numpy": "2.4.6", "blas_threads": 2}
     assert not set(machine) & {"commit", "workload", "seed", "size"}
-    assert set(entry["runs"]) == {"protocol", "many_gaps"}
-    [protocol] = entry["runs"]["protocol"]["trace0"]["runs"]
-    assert protocol["metrics"]["jobs_per_s"]["value"] == 35.0
-    assert (protocol["seed"], protocol["size"], protocol["correct"]) == (7, "full", True)
-    assert "facts" not in protocol
-    [many_gaps] = entry["runs"]["many_gaps"]["trace1"]["runs"]
-    assert many_gaps["metrics"]["jobs_per_s"]["value"] == 9000.0
-    json.dumps(entry)  # the entry is written as JSON
-
-
-def test_gather_keeps_every_run_and_summarizes_end_to_end_metrics():
-    runs = [fake_result("protocol", 30.0, 1.2), fake_result("protocol", 36.0, 0.9),
-            fake_result("protocol", 33.0, 1.0)]
-    entry = bench_record.gather({("protocol", 0): runs}, 3.0, END_TO_END)
-    trace0 = entry["runs"]["protocol"]["trace0"]
-    assert [r["metrics"]["jobs_per_s"]["value"] for r in trace0["runs"]] == [30.0, 36.0, 33.0]
-    assert trace0["summary"] == {"jobs_per_s": {"min": 30.0, "median": 33.0, "max": 36.0},
-                                 "wall_s": {"min": 0.9, "median": 1.0, "max": 1.2}}
-    assert all("facts" in r for r in runs)  # the caller's results are left as they were
+    runs = side["runs"]["protocol"]
+    assert [r["metrics"]["jobs_per_s"]["value"] for r in runs["trace0"]] == [35.0, 34.0]
+    [traced] = runs["trace1"]
+    assert (traced["seed"], traced["size"], traced["correct"]) == (7, "full", True)
+    assert "facts" not in traced
+    assert all("facts" in r for r in results[("protocol", 0)])  # the caller's are left as they were
 
 
 def test_gather_refuses_files_from_two_commits():
     results = {("protocol", 0): [fake_result("protocol", 35.0),
                                  fake_result("protocol", 34.0, commit="def456")]}
     with pytest.raises(ValueError, match="another machine or commit"):
-        bench_record.gather(results, 3.0, END_TO_END)
-
-
-def test_main_runs_the_untraced_pass_three_times(tmp_path, monkeypatch):
-    checkout = tmp_path / "checkout"
-    (checkout / "perfbench").mkdir(parents=True)
-    (checkout / "BENCHMARK.json").write_text(json.dumps(
-        {"workloads": [{"name": "protocol"}],
-         "end_to_end": [{"name": name} for name in END_TO_END]}))
-    (checkout / "perfbench" / "reference.json").write_text(json.dumps({"protocol": {"seed": 7}}))
-    calls = []
-
-    def fake_run(argv, cwd, **kwargs):
-        trace = int(argv[argv.index("--trace") + 1])
-        calls.append(trace)
-        path = bench_record.result_path(Path(cwd), "protocol", 7, trace)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(fake_result("protocol", float(len(calls)))))
-        return subprocess.CompletedProcess(argv, 0, stdout="correct: true\n", stderr="")
-
-    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
-    monkeypatch.setattr(bench_record, "REPO", tmp_path)
-    assert bench_record.main(["--checkout", str(checkout), "--seconds", "1"]) == 0
-    assert calls == [0] * bench_record.TRACE0_RUNS + [1] and bench_record.TRACE0_RUNS == 3
-    runs = json.loads((tmp_path / "BENCH_1.json").read_text())["runs"]["protocol"]
-    assert [r["metrics"]["jobs_per_s"]["value"] for r in runs["trace0"]["runs"]] == [1.0, 2.0, 3.0]
-    assert runs["trace0"]["summary"]["jobs_per_s"] == {"min": 1.0, "median": 2.0, "max": 3.0}
-    assert len(runs["trace1"]["runs"]) == 1
+        bench_record.gather(results)
 
 
 def test_next_bench_path_follows_the_highest(tmp_path):
@@ -119,9 +76,18 @@ def test_compare_counts_wins_by_direction_and_takes_quartiles():
 
 
 def test_gather_ab_refuses_two_machines():
-    results = {"base": {"protocol": [fake_result("protocol", 30.0, commit="p", cpu_count=4)]},
-               "change": {"protocol": [fake_result("protocol", 31.0, commit="c")]}}
+    results = {"base": {("protocol", 0): [fake_result("protocol", 30.0, commit="p", cpu_count=4)]},
+               "change": {("protocol", 0): [fake_result("protocol", 31.0, commit="c")]}}
     with pytest.raises(ValueError, match="different machines"):
+        bench_record.gather_ab(results, {"protocol": ["base"]}, 3.0, END_TO_END_DECLARED)
+
+
+def test_gather_ab_refuses_a_traced_result_from_another_commit():
+    results = {side: {("protocol", 0): [fake_result("protocol", 30.0, commit=side)],
+                      ("protocol", 1): [fake_result("protocol", 30.0, commit=side)]}
+               for side in bench_record.SIDES}
+    results["change"][("protocol", 1)] = [fake_result("protocol", 30.0, commit="other")]
+    with pytest.raises(ValueError, match="protocol trace1 was run on another machine or commit"):
         bench_record.gather_ab(results, {"protocol": ["base"]}, 3.0, END_TO_END_DECLARED)
 
 
@@ -136,30 +102,47 @@ def _ab_checkout(root: Path, name: str) -> Path:
     return checkout
 
 
-def test_main_ab_alternates_the_order_and_writes_both_sides(tmp_path, monkeypatch):
+def _run_args(argv) -> tuple[str, int]:
+    """The workload and the trace of a ``perfbench/run.py`` command line."""
+    return argv[argv.index("--workload") + 1], int(argv[argv.index("--trace") + 1])
+
+
+def _write_result(argv, cwd, result, returncode=0):
+    """Write ``result`` where ``perfbench/run.py`` would for ``argv``, as it does."""
+    workload, trace = _run_args(argv)
+    path = bench_record.result_path(Path(cwd), workload, 7, trace)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(result))
+    return subprocess.CompletedProcess(argv, returncode, stdout=f"correct: {result['correct']}\n",
+                                       stderr="")
+
+
+def _ab_main(tmp_path, monkeypatch, fake_run, pairs):
     base, change = _ab_checkout(tmp_path, "base"), _ab_checkout(tmp_path, "change")
+    # only the tool's own view of subprocess: platform.platform() runs `uname`
+    monkeypatch.setattr(bench_record, "subprocess", SimpleNamespace(run=fake_run))
+    monkeypatch.setattr(bench_record, "REPO", tmp_path)
+    return bench_record.main(["--checkout", str(change), "--base", str(base),
+                              "--pairs", str(pairs), "--seconds", "1"])
+
+
+def test_main_ab_alternates_the_order_and_writes_both_sides(tmp_path, monkeypatch):
     calls = []
 
     def fake_run(argv, cwd, **kwargs):
-        side, workload = Path(cwd).name, argv[argv.index("--workload") + 1]
-        assert argv[argv.index("--trace") + 1] == "0"
-        calls.append((workload, side))
-        k = sum(1 for w, s in calls if (w, s) == (workload, side))
+        side, (workload, trace) = Path(cwd).name, _run_args(argv)
+        calls.append((workload, side, trace))
+        k = calls.count((workload, side, trace))
         rate = 10.0 * k if side == "base" else 10.0 * k + (1.0 if k != 3 else -1.0)
-        path = bench_record.result_path(Path(cwd), workload, 7, 0)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(fake_result(workload, rate, 1.0 / rate, commit=side)))
-        return subprocess.CompletedProcess(argv, 0, stdout="correct: true\n", stderr="")
+        return _write_result(argv, cwd, fake_result(workload, rate, 1.0 / rate, commit=side))
 
-    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
-    monkeypatch.setattr(bench_record, "REPO", tmp_path)
-    argv = ["--checkout", str(change), "--base", str(base), "--pairs", "4", "--seconds", "1"]
-    assert bench_record.main(argv) == 0
+    assert _ab_main(tmp_path, monkeypatch, fake_run, pairs=4) == 0
     order = ["base", "change", "change", "base"] * 2
-    assert calls == [(w, side) for w in ("protocol", "many_gaps")
-                     for side in ["base", "change", "change", "base", "base", "change",
-                                  "change", "base"]]
-    assert [side for _, side in calls][:8] == order
+    assert [call for call in calls if call[2] == 0] == \
+        [(w, side, 0) for w in ("protocol", "many_gaps") for side in order]
+    # after each workload's pairs, one traced run per side
+    assert calls == [call for w in ("protocol", "many_gaps")
+                     for call in [(w, side, 0) for side in order] + [(w, "base", 1), (w, "change", 1)]]
     entry = json.loads((tmp_path / "BENCH_1.json").read_text())
     assert entry["mode"] == "ab" and entry["commits"] == {"base": "base", "change": "change"}
     assert "commit" not in entry["machine"]
@@ -174,24 +157,54 @@ def test_main_ab_alternates_the_order_and_writes_both_sides(tmp_path, monkeypatc
     assert protocol["metrics"]["wall_s"]["won"] == 3
 
 
+def test_main_ab_keeps_each_sides_traced_result_under_per_layer(tmp_path, monkeypatch):
+    def fake_run(argv, cwd, **kwargs):
+        side, (workload, trace) = Path(cwd).name, _run_args(argv)
+        rate = (100.0 if side == "base" else 130.0) + 1000.0 * trace
+        return _write_result(argv, cwd, fake_result(workload, rate, commit=side))
+
+    assert _ab_main(tmp_path, monkeypatch, fake_run, pairs=2) == 0
+    for doc in json.loads((tmp_path / "BENCH_1.json").read_text())["runs"].values():
+        per_layer = doc["per_layer"]
+        assert {side: r["metrics"]["jobs_per_s"]["value"] for side, r in per_layer.items()} == \
+            {"base": 1100.0, "change": 1130.0}
+        assert per_layer["change"]["metrics"]["harness.self_ms"] == {"value": 2.0, "unit": "ms"}
+        assert all(r["correct"] and r["seed"] == 7 and "facts" not in r
+                   for r in per_layer.values())
+        # the pairs hold only the untraced runs
+        assert [r["metrics"]["jobs_per_s"]["value"] for r in doc["change"]] == [130.0, 130.0]
+
+
+def test_main_ab_names_a_failed_traced_run_and_keeps_the_pairs(tmp_path, monkeypatch, capsys):
+    def fake_run(argv, cwd, **kwargs):
+        side, (workload, trace) = Path(cwd).name, _run_args(argv)
+        result = fake_result(workload, 10.0, commit=side)
+        if (workload, side, trace) == ("protocol", "change", 1):
+            # the traced gate fails: the result is written, the exit is 1
+            return _write_result(argv, cwd, {**result, "correct": False}, returncode=1)
+        return _write_result(argv, cwd, result)
+
+    assert _ab_main(tmp_path, monkeypatch, fake_run, pairs=2) == 1
+    assert "failed runs: protocol change trace1" in capsys.readouterr().out
+    runs = json.loads((tmp_path / "BENCH_1.json").read_text())["runs"]
+    protocol = runs["protocol"]
+    assert len(protocol["base"]) == len(protocol["change"]) == 2
+    assert protocol["metrics"]["jobs_per_s"]["pairs"] == 2
+    assert set(protocol["per_layer"]) == {"base"}
+    assert set(runs["many_gaps"]["per_layer"]) == {"base", "change"}
+
+
 def test_main_ab_drops_a_failed_pair_and_exits_1(tmp_path, monkeypatch):
-    base, change = _ab_checkout(tmp_path, "base"), _ab_checkout(tmp_path, "change")
     runs = []
 
     def fake_run(argv, cwd, **kwargs):
         runs.append(Path(cwd).name)
-        workload = argv[argv.index("--workload") + 1]
         if len(runs) == 3:  # pair 2's first run fails before writing its result
             return subprocess.CompletedProcess(argv, 1, stdout="", stderr="boom")
-        path = bench_record.result_path(Path(cwd), workload, 7, 0)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(fake_result(workload, 10.0, commit=Path(cwd).name)))
-        return subprocess.CompletedProcess(argv, 0, stdout="correct: true\n", stderr="")
+        workload, _ = _run_args(argv)
+        return _write_result(argv, cwd, fake_result(workload, 10.0, commit=Path(cwd).name))
 
-    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
-    monkeypatch.setattr(bench_record, "REPO", tmp_path)
-    argv = ["--checkout", str(change), "--base", str(base), "--pairs", "3", "--seconds", "1"]
-    assert bench_record.main(argv) == 1
+    assert _ab_main(tmp_path, monkeypatch, fake_run, pairs=3) == 1
     protocol = json.loads((tmp_path / "BENCH_1.json").read_text())["runs"]["protocol"]
     assert protocol["first"] == ["base", "base"]
     assert len(protocol["base"]) == len(protocol["change"]) == 2
@@ -202,6 +215,12 @@ def test_ab_needs_two_pairs(tmp_path):
     with pytest.raises(SystemExit):
         bench_record.main(["--checkout", str(tmp_path), "--base", str(tmp_path),
                            "--pairs", "1"])
+
+
+def test_base_is_required(tmp_path):
+    with pytest.raises(SystemExit) as exited:
+        bench_record.main(["--checkout", str(tmp_path)])
+    assert exited.value.code == 2
 
 
 def _compared(base, change, better="higher", bound=0.25):
@@ -242,20 +261,12 @@ def test_bound_check_reads_worse_unresolved_or_within():
 
 
 def test_main_ab_records_and_prints_the_verdicts(tmp_path, monkeypatch, capsys):
-    base, change = _ab_checkout(tmp_path, "base"), _ab_checkout(tmp_path, "change")
-
     def fake_run(argv, cwd, **kwargs):
-        side, workload = Path(cwd).name, argv[argv.index("--workload") + 1]
+        side, (workload, _) = Path(cwd).name, _run_args(argv)
         rate = 100.0 if side == "base" else 130.0
-        path = bench_record.result_path(Path(cwd), workload, 7, 0)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(fake_result(workload, rate, 1.0 / rate, commit=side)))
-        return subprocess.CompletedProcess(argv, 0, stdout="correct: true\n", stderr="")
+        return _write_result(argv, cwd, fake_result(workload, rate, 1.0 / rate, commit=side))
 
-    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
-    monkeypatch.setattr(bench_record, "REPO", tmp_path)
-    argv = ["--checkout", str(change), "--base", str(base), "--pairs", "2", "--seconds", "1"]
-    assert bench_record.main(argv) == 0
+    assert _ab_main(tmp_path, monkeypatch, fake_run, pairs=2) == 0
     jobs = json.loads((tmp_path / "BENCH_1.json").read_text())["runs"]["many_gaps"]["metrics"]
     assert {k: jobs["jobs_per_s"][k] for k in ("gain", "bound", "within_bound")} == \
         {"gain": True, "bound": 0.25, "within_bound": "within"}

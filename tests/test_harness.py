@@ -116,6 +116,27 @@ class TestRecordTable:
             harness.RecordTable(*self.columns()[:4], {0: "context: x", row: "context: y"})
         assert err.value.context["rows"] == [row]
 
+    def crossed(self):
+        return ["g0", "g1", "g0", "g1"], ["a", "a", "b", "b"], np.array([4] * 4), np.ones((4, 4))
+
+    @pytest.mark.parametrize("cell,value,name", [
+        (0, np.nan, "wd"), (2, np.inf, "rmse"), (3, -np.inf, "mae")])
+    def test_a_success_row_with_a_non_finite_score_rejected(self, cell, value, name):
+        *columns, scores = self.crossed()
+        scores[1, cell] = value
+        with pytest.raises(ShapeError, match=f"metric {name} must be finite on a success record") \
+                as err:
+            harness.RecordTable(*columns, scores, {})
+        assert err.value.context["row"] == 1
+
+    @pytest.mark.parametrize("row", [[1.0] * 4, [np.nan] * 3 + [np.inf], [np.nan] * 3 + [0.0]])
+    def test_a_failed_row_with_scores_rejected(self, row):
+        *columns, scores = self.crossed()
+        scores[0], scores[1] = np.nan, row
+        with pytest.raises(ShapeError, match="a failed record's scores must all be NaN") as err:
+            harness.RecordTable(*columns, scores, {0: "x: lost", 1: "x: boom"})
+        assert err.value.context["row"] == 1
+
 
 class TestRankAgreement:
     def rows(self, scores):

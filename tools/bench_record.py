@@ -2,31 +2,27 @@
 
 Usage (from anywhere)::
 
-    python3 tools/bench_record.py --checkout DIR [--seconds S]
     python3 tools/bench_record.py --checkout DIR --base BASE [--pairs K] [--seconds S]
 
-Runs ``perfbench/run.py`` in the checkout ``DIR`` for every workload that
-its ``BENCHMARK.json`` declares, each at the seed its
-``perfbench/reference.json`` records, so the digest gate applies.  Each run
-writes its result, with the machine facts and the commit, to
-``DIR/perfbench/_out/``; this script only gathers those results into the
-next free ``BENCH_<n>.json`` at the root of the repository that holds it.
-``S`` is passed through as ``--seconds`` (default 30, as in
-``BENCHMARK.json``).
+Compares the checkout ``BASE`` (the parent) with ``DIR`` (the change) by
+running ``perfbench/run.py`` in each, for every workload that their
+``BENCHMARK.json`` declares, each at the seed its ``perfbench/reference.json``
+records, so the digest gate applies.  Each run writes its result, with the
+machine facts and the commit, to ``perfbench/_out/`` of its checkout; this
+script only gathers those results into the next free ``BENCH_<n>.json`` at
+the root of the repository that holds it.  ``S`` is passed through as
+``--seconds`` (default 30, as in ``BENCHMARK.json``).
 
-One-commit mode runs ``TRACE0_RUNS`` times at ``--trace 0`` and once at
-``--trace 1``.  Each pass keeps every run's result and the
-``{min, median, max}`` of each end-to-end metric over its runs.
-
-A/B mode (``--base``) compares the checkout ``BASE`` (the parent) with
-``DIR`` (the change).  For each workload it runs ``K`` pairs (default 10)
-at ``--trace 0``, base and change as separate processes one after the
-other, the base first in every other pair, so that drift of the machine
-falls on both sides alike.  Both sides must share the workloads, the seeds
-and the machine.  Per workload and end-to-end metric the entry keeps each
-pair's ratio change / base, the number of pairs the change won (by the
-metric's ``better`` direction), the median ratio with its quartiles, each
-side's median and quartiles, and a verdict printed per (workload, metric):
+For each workload it runs ``K`` pairs (default 10) at ``--trace 0``, base
+and change as separate processes one after the other, the base first in
+every other pair, so that drift of the machine falls on both sides alike.
+After the pairs it runs each side once at ``--trace 1``, whose result (kept
+under ``per_layer``) holds that side's per-layer metrics and passed the
+traced gate.  Both sides must share the workloads, the seeds and the
+machine.  Per workload and end-to-end metric the entry keeps each pair's
+ratio change / base, the number of pairs the change won (by the metric's
+``better`` direction), the median ratio with its quartiles, each side's
+median and quartiles, and a verdict printed per (workload, metric):
 
 * ``gain``: the gain rule holds.  The change won at least 9 of every 10
   pairs, and its median beats the base's by more than the distance between
@@ -36,6 +32,9 @@ side's median and quartiles, and a verdict printed per (workload, metric):
   the base median), ``worse`` when it is, and ``unresolved`` when it is not
   worse but the base's interquartile range is wider than the bound, unless
   every change run beats every base run.
+
+A run that fails (a non-zero exit or no result file) is named, its pair or
+traced result is left out, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-TRACES = (0, 1)
-# One run cannot tell a change from machine drift; three show the spread.
-TRACE0_RUNS = 3
 AB_PAIRS = 10
 # Facts that name one run rather than the machine or the commit.
 RUN_FACTS = ("workload", "seed", "size")
@@ -63,24 +59,13 @@ def result_path(checkout: Path, workload: str, seed: int, trace: int) -> Path:
     return checkout / "perfbench" / "_out" / f"{workload}-seed{seed}-trace{trace}.json"
 
 
-def summarize(results: list[dict], names) -> dict:
-    """``{min, median, max}`` of each named metric over the runs of a pass."""
-    summary = {}
-    for name in names:
-        values = [r["metrics"][name]["value"] for r in results if name in r["metrics"]]
-        if values:
-            summary[name] = {"min": min(values), "median": statistics.median(values),
-                             "max": max(values)}
-    return summary
-
-
-def gather(results: dict[tuple[str, int], list[dict]], seconds: float,
-           end_to_end) -> dict:
-    """One trajectory entry from the results of each (workload, trace) pass.
+def gather(results: dict[tuple[str, int], list[dict]]) -> dict:
+    """One side's commit, machine facts and runs from the results of each of
+    its (workload, trace) passes.
 
     The machine facts and the commit must be the same in every result; they
-    are kept once.  Each pass keeps the rest of every run's result and the
-    summary of the ``end_to_end`` metrics over its runs.
+    are kept once.  ``runs[workload]["trace<t>"]`` keeps the rest of each
+    result of the pass, with its seed and size.
     """
     runs: dict[str, dict] = {}
     shared = None
@@ -97,13 +82,11 @@ def gather(results: dict[tuple[str, int], list[dict]], seconds: float,
                                  f"or commit: {machine} != {shared}")
             result["seed"], result["size"] = facts["seed"], facts["size"]
             kept.append(result)
-        runs.setdefault(workload, {})[f"trace{trace}"] = {
-            "runs": kept, "summary": summarize(kept, end_to_end)}
+        runs.setdefault(workload, {})[f"trace{trace}"] = kept
     if shared is None:
         raise ValueError("no result files to gather")
     commit = shared.pop("commit")
-    return {"commit": commit, "seconds": seconds,
-            "machine": {**shared, "platform": platform.platform()}, "runs": runs}
+    return {"commit": commit, "machine": shared, "runs": runs}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -142,30 +125,34 @@ def verdict(c: dict, better: str, bound: float) -> dict:
             "bound": bound, "within_bound": within}
 
 
-def gather_ab(results: dict[str, dict[str, list[dict]]], first: dict[str, list[str]],
-              seconds: float, end_to_end: list[dict]) -> dict:
-    """One A/B entry from ``results[side][workload]``, the results of the
-    pairs in pair order, and ``first[workload]``, the side that ran first
-    in each pair.  Each side must come from one commit, both from one
-    machine, and every workload must hold as many results on both sides."""
-    sides = {side: gather({(w, 0): r for w, r in results[side].items()}, seconds,
-                          [m["name"] for m in end_to_end]) for side in SIDES}
+def gather_ab(results: dict[str, dict[tuple[str, int], list[dict]]],
+              first: dict[str, list[str]], seconds: float, end_to_end: list[dict]) -> dict:
+    """One A/B entry from ``results[side][(workload, trace)]``: at trace 0 the
+    results of the pairs in pair order, at trace 1 the side's one traced
+    result; and ``first[workload]``, the side that ran first in each pair.
+    Each side must come from one commit, both from one machine, and every
+    workload must hold as many pair results on both sides."""
+    sides = {side: gather(results[side]) for side in SIDES}
     if sides["base"]["machine"] != sides["change"]["machine"]:
         raise ValueError(f"base and change were run on different machines: "
                          f"{sides['base']['machine']} != {sides['change']['machine']}")
     runs = {}
-    for workload in results["change"]:
-        pair = {side: sides[side]["runs"][workload]["trace0"]["runs"] for side in SIDES}
+    for workload, order in first.items():
+        traces = {side: sides[side]["runs"][workload] for side in SIDES}
+        pair = {side: traces[side]["trace0"] for side in SIDES}
         metrics = {}
         for metric in end_to_end:
             name = metric["name"]
             base, change = ([r["metrics"][name]["value"] for r in pair[side]] for side in SIDES)
             c = compare(base, change, metric["better"])
             metrics[name] = {**c, **verdict(c, metric["better"], metric["bound"])}
-        runs[workload] = {"first": first[workload], **pair, "metrics": metrics}
-    return {"mode": "ab", "seconds": seconds, "trace": 0,
+        runs[workload] = {"first": order, **pair, "metrics": metrics,
+                          "per_layer": {side: traces[side]["trace1"][0] for side in SIDES
+                                        if "trace1" in traces[side]}}
+    return {"mode": "ab", "seconds": seconds,
             "commits": {side: sides[side]["commit"] for side in SIDES},
-            "machine": sides["change"]["machine"], "runs": runs}
+            "machine": {**sides["change"]["machine"], "platform": platform.platform()},
+            "runs": runs}
 
 
 def next_bench_path(root: Path) -> Path:
@@ -195,21 +182,6 @@ def load_declarations(checkout: Path) -> tuple[dict, dict]:
             json.loads((checkout / "perfbench" / "reference.json").read_text()))
 
 
-def record_one(checkout: Path, seconds: float) -> tuple[dict, list[str]]:
-    benchmark, reference = load_declarations(checkout)
-    results, failed = {}, []
-    for workload in (w["name"] for w in benchmark["workloads"]):
-        seed = reference[workload]["seed"]
-        for trace in TRACES:
-            for _ in range(TRACE0_RUNS if trace == 0 else 1):
-                result, bad = run_once(checkout, workload, seed, seconds, trace)
-                if bad:
-                    failed.append(f"{workload} trace{trace}")
-                if result is not None:
-                    results.setdefault((workload, trace), []).append(result)
-    return gather(results, seconds, [m["name"] for m in benchmark["end_to_end"]]), failed
-
-
 def record_ab(checkouts: dict[str, Path], seconds: float,
               pairs: int) -> tuple[dict, list[str]]:
     declared = {side: load_declarations(checkouts[side]) for side in SIDES}
@@ -223,7 +195,6 @@ def record_ab(checkouts: dict[str, Path], seconds: float,
         seed = reference[workload]["seed"]
         if base_reference[workload]["seed"] != seed:
             raise ValueError(f"{workload}: base and change record different seeds")
-        first[workload] = []
         for k in range(pairs):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             ran = {side: run_once(checkouts[side], workload, seed, seconds, 0,
@@ -231,38 +202,40 @@ def record_ab(checkouts: dict[str, Path], seconds: float,
             if any(bad for _, bad in ran.values()):
                 failed.append(f"{workload} pair {k + 1}")
                 continue
-            first[workload].append(order[0])
+            first.setdefault(workload, []).append(order[0])
             for side, (result, _) in ran.items():
-                results[side].setdefault(workload, []).append(result)
+                results[side].setdefault((workload, 0), []).append(result)
+        for side in SIDES:
+            result, bad = run_once(checkouts[side], workload, seed, seconds, 1,
+                                   label=f"per layer {side}: ")
+            if bad:
+                failed.append(f"{workload} {side} trace1")
+            else:
+                results[side][(workload, 1)] = [result]
     return gather_ab(results, first, seconds, benchmark["end_to_end"]), failed
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", required=True, type=Path)
-    parser.add_argument("--base", type=Path, default=None,
-                        help="the parent's checkout: record an A/B of the two")
+    parser.add_argument("--base", required=True, type=Path, help="the parent's checkout")
     parser.add_argument("--pairs", type=int, default=AB_PAIRS)
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    if args.base is None:
-        entry, failed = record_one(args.checkout.resolve(), args.seconds)
-    else:
-        entry, failed = record_ab({"base": args.base.resolve(),
-                                   "change": args.checkout.resolve()},
-                                  args.seconds, args.pairs)
-        for workload, doc in entry["runs"].items():
-            for name, c in doc["metrics"].items():
-                print(f"{workload} {name}: base {c['base_median']:.6g} "
-                      f"[{c['base_quartiles'][0]:.6g}, {c['base_quartiles'][1]:.6g}], "
-                      f"change {c['change_median']:.6g} [{c['change_quartiles'][0]:.6g}, "
-                      f"{c['change_quartiles'][1]:.6g}]; won {c['won']} of {c['pairs']}, "
-                      f"median ratio {c['median_ratio']:.4f} [{c['ratio_quartiles'][0]:.4f}, "
-                      f"{c['ratio_quartiles'][1]:.4f}]; gain rule "
-                      f"{'holds' if c['gain'] else 'fails'}; bound {c['bound']:g}: "
-                      f"{c['within_bound']}")
+    entry, failed = record_ab({"base": args.base.resolve(), "change": args.checkout.resolve()},
+                              args.seconds, args.pairs)
+    for workload, doc in entry["runs"].items():
+        for name, c in doc["metrics"].items():
+            print(f"{workload} {name}: base {c['base_median']:.6g} "
+                  f"[{c['base_quartiles'][0]:.6g}, {c['base_quartiles'][1]:.6g}], "
+                  f"change {c['change_median']:.6g} [{c['change_quartiles'][0]:.6g}, "
+                  f"{c['change_quartiles'][1]:.6g}]; won {c['won']} of {c['pairs']}, "
+                  f"median ratio {c['median_ratio']:.4f} [{c['ratio_quartiles'][0]:.4f}, "
+                  f"{c['ratio_quartiles'][1]:.4f}]; gain rule "
+                  f"{'holds' if c['gain'] else 'fails'}; bound {c['bound']:g}: "
+                  f"{c['within_bound']}")
     out = next_bench_path(REPO)
     out.write_text(json.dumps(entry, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}" + (f"; failed runs: {', '.join(failed)}" if failed else ""))
